@@ -11,7 +11,7 @@ link-prediction protocol.
 __version__ = "0.1.0"
 
 from .cpd import CpdConfig, Segmentation, bottom_up, median_heuristic_gamma, normalize_rows, rbf_kernel, segment_cost
-from .embed import EmbeddingModel, NumericError, TrainConfig, load_model, negative_sample, save_model, train
+from .embed import EmbeddingModel, NumericError, TrainConfig, load_model, save_model, train
 from .eval import MetricReport, RankRecord, evaluate, metrics, predict_predicates, rank_queries
 from .graph import (
     DataError,

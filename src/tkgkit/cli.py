@@ -18,18 +18,8 @@ import numpy as np
 
 from . import __version__
 from .cpd import bottom_up, normalize_rows
-from .embed import (
-    NEGATIVE_MODES,
-    NORMS,
-    NumericError,
-    TrainConfig,
-    config_dict,
-    export_embeddings,
-    load_model,
-    save_model,
-    train,
-)
-from .eval import TIE_RULES, evaluate, ranks_tsv
+from .embed import NumericError, config_dict, export_embeddings, load_model, save_model, train
+from .eval import evaluate, ranks_tsv
 from .graph import (
     DataError,
     dataset_stats,
@@ -40,40 +30,51 @@ from .graph import (
     save_triples,
     strip_temporal,
 )
-from .leakage import FILTER_MODES, apply_filter, audit, audit_csv, format_audit
+from .leakage import apply_filter, audit, audit_csv, format_audit
 from .pipeline import (
+    SCHEMA,
     ConfigError,
-    PipelineConfig,
-    TRANSFORM_METHODS,
     apply_transform,
     build_config,
+    cpd_config,
+    parse_section,
     read_config_file,
     run_pipeline,
+    train_config,
 )
-from .proximity import PROXIMITY_MEASURES
 from .transform import save_lineage
 
 log = logging.getLogger("tkgkit")
 
 
+def _flag(p: argparse.ArgumentParser, section: str, key: str, **kwargs) -> None:
+    """--key-name for one config key, default and choices from the schema.
+
+    The value stays text; the command parses it with the schema like a
+    config file value.
+    """
+    parse, default = SCHEMA[section][key]
+    if isinstance(parse, tuple):
+        kwargs["choices"] = parse
+    p.add_argument("--" + key.replace("_", "-"), default=default, **kwargs)
+
+
+def _section(args, section: str) -> dict[str, str]:
+    """The raw values of one config section given as flags."""
+    return {
+        key: str(value)
+        for key in SCHEMA[section]
+        if (value := getattr(args, key, None)) is not None
+    }
+
+
 def _dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset directory with train/valid/test.txt")
-    p.add_argument(
-        "--format",
-        default="valid_time",
-        choices=("valid_time", "event"),
-        help="5-column interval facts or 4-column event facts",
-    )
+    _flag(p, "dataset", "format", help="5-column interval facts or 4-column event facts")
 
 
-def _common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="override every seed in the run")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for parallel stages")
-    p.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force single-threaded, order-stable execution",
-    )
+def _seed_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, help="override every seed in the run")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,16 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="rewrite a dataset and save it with its lineage")
     _dataset_args(p)
-    _common_args(p)
-    p.add_argument("--method", required=True, choices=TRANSFORM_METHODS)
-    p.add_argument("--grow", type=float, help="target predicate growth factor for splits")
-    p.add_argument("--shrink", type=float, help="target shrink factor for merge (inf = full)")
-    p.add_argument("--epsilon", type=float, help="detection stop threshold for split_cpd")
-    p.add_argument("--score", default="pref", choices=PROXIMITY_MEASURES)
-    p.add_argument("--min-size", type=int, default=1)
-    p.add_argument("--jump", type=int, default=1)
-    p.add_argument("--gamma", type=float, help="fixed RBF bandwidth (default: median heuristic)")
-    p.add_argument("--scope", default="predicate", choices=("predicate", "graph"))
+    _seed_arg(p)
+    _flag(p, "transform", "method", required=True)
+    _flag(p, "transform", "grow", help="target predicate growth factor for splits")
+    _flag(p, "transform", "shrink", help="target shrink factor for merge (inf = full)")
+    _flag(p, "transform", "epsilon", help="detection stop threshold for split_cpd")
+    for key in ("score", "min_size", "jump"):
+        _flag(p, "transform", key)
+    _flag(p, "transform", "gamma", help="fixed RBF bandwidth (default: median heuristic)")
+    _flag(p, "transform", "scope")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_transform)
 
@@ -111,23 +111,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="strip temporal scope and filter leakage")
     _dataset_args(p)
-    p.add_argument("--mode", required=True, choices=FILTER_MODES)
+    _flag(p, "filter", "mode", required=True)
     p.add_argument("--out", required=True, help="output directory for the triple files")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("train", help="train embeddings on stripped triples")
     p.add_argument("--triples", required=True, help="directory with 3-column train/valid/test.txt")
-    _common_args(p)
-    p.add_argument("--dimension", type=int, default=100)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=500)
-    p.add_argument("--negative-samples", type=int, default=500)
-    p.add_argument("--negative-mode", default="per_batch", choices=NEGATIVE_MODES)
-    p.add_argument("--margin", type=float, default=1.0)
-    p.add_argument("--temperature", type=float, default=0.5)
-    p.add_argument("--norm", default="l1", choices=NORMS)
-    p.add_argument("--no-adversarial", action="store_true", help="uniform negative weights")
+    _seed_arg(p)
+    for key in ("dimension", "epochs", "learning_rate", "batch_size", "negative_samples",
+                "negative_mode", "margin", "temperature", "norm"):
+        _flag(p, "train", key)
+    p.add_argument("--no-adversarial", dest="adversarial", action="store_const",
+                   const="false", help="uniform negative weights")
     p.add_argument("--export", action="store_true", help="also write label/vector TSV dumps")
     p.add_argument("--out", required=True, help="output directory for the checkpoint")
     p.set_defaults(func=cmd_train)
@@ -135,24 +130,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="filtered link-prediction metrics for a checkpoint")
     p.add_argument("--triples", required=True, help="directory with 3-column train/valid/test.txt")
     p.add_argument("--model", required=True, help="checkpoint directory")
-    p.add_argument("--tie-rule", default="optimistic", choices=TIE_RULES)
-    p.add_argument("--hits", default="1,3,10", help="comma-separated k values")
+    _flag(p, "eval", "tie_rule")
+    _flag(p, "eval", "hits", help="comma-separated k values")
     p.add_argument("--ranks-out", help="write per-query ranks to this TSV path")
     p.add_argument("--csv", help="also write metrics as CSV to this path")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("segment-debug", help="run change-point detection on a CSV signal")
     p.add_argument("--signal", required=True, help="CSV file, one sample per row")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--min-size", type=int, default=1)
-    p.add_argument("--jump", type=int, default=1)
-    p.add_argument("--gamma", type=float)
+    _flag(p, "transform", "epsilon", required=True)
+    for key in ("min_size", "jump", "gamma"):
+        _flag(p, "transform", key)
     p.add_argument("--normalize", action="store_true", help="unit-normalize rows first")
     p.set_defaults(func=cmd_segment_debug)
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True, help="INI config path")
-    _common_args(p)
+    _seed_arg(p)
     p.add_argument("--out", help="override [output] dir")
     p.add_argument(
         "--sweep",
@@ -175,60 +169,15 @@ def cmd_load_stats(args) -> int:
     return 0
 
 
-def _transform_config(args) -> PipelineConfig:
-    """Map transform CLI flags onto the pipeline config validator."""
-    raw = {
-        "dataset": {"path": args.data, "format": args.format},
-        "transform": {
-            "method": args.method,
-            "score": args.score,
-            "min_size": str(args.min_size),
-            "jump": str(args.jump),
-            "scope": args.scope,
-            "seed": str(args.seed if args.seed is not None else 0),
-        },
-        "filter": {"mode": "none"},
-        "train": dict(_trivial_train()),
-        "eval": {"tie_rule": "optimistic", "hits": "1,3,10", "dump_ranks": "false"},
-        "output": {"dir": args.out},
-    }
-    if args.grow is not None:
-        raw["transform"]["grow"] = str(args.grow)
-    if args.shrink is not None:
-        raw["transform"]["shrink"] = str(args.shrink)
-    if args.epsilon is not None:
-        raw["transform"]["epsilon"] = str(args.epsilon)
-    if args.gamma is not None:
-        raw["transform"]["gamma"] = str(args.gamma)
-    cfg = build_config(raw)
-    cfg.threads = args.threads
-    cfg.deterministic = args.deterministic
-    return cfg
-
-
-def _trivial_train() -> dict[str, str]:
-    cfg = dict(
-        dimension="2",
-        epochs="0",
-        learning_rate="1e-3",
-        batch_size="1",
-        negative_samples="1",
-        negative_mode="per_batch",
-        margin="1.0",
-        temperature="0.5",
-        norm="l1",
-        seed="0",
-        adversarial="true",
-        detach_weights="true",
-    )
-    return cfg
-
-
 def cmd_transform(args) -> int:
-    cfg = _transform_config(args)
+    cfg = build_config({
+        "dataset": {"path": args.data, "format": args.format},
+        "transform": _section(args, "transform"),
+        "output": {"dir": args.out},
+    })
     g = load_dataset(cfg.data_path, cfg.data_format)
     result = apply_transform(g, cfg)
-    out = Path(args.out)
+    out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(result.graph, out)
     save_lineage(result.graph, result.lineage, out / "lineage.tsv")
@@ -274,24 +223,8 @@ def cmd_filter(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = train_config(_section(args, "train"))
     triples, entity_labels, predicate_labels = load_triples(args.triples)
-    cfg = TrainConfig(
-        dimension=args.dimension,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        negative_samples=args.negative_samples,
-        negative_mode=args.negative_mode,
-        margin=args.margin,
-        temperature=args.temperature,
-        norm=args.norm,
-        seed=args.seed if args.seed is not None else 0,
-        adversarial=not args.no_adversarial,
-    )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     history: list[float] = []
     model = train(
         triples["train"], len(entity_labels), len(predicate_labels), cfg, history=history
@@ -305,19 +238,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    triples, entity_labels, _ = load_triples(args.triples)
+    ev = parse_section("eval", _section(args, "eval"))
+    triples, entity_labels, predicate_labels = load_triples(args.triples)
     model = load_model(args.model)
-    if model.num_entities != len(entity_labels):
+    if (model.num_entities, model.num_predicates) != (len(entity_labels), len(predicate_labels)):
         raise DataError(
-            f"model has {model.num_entities} entities, dataset {len(entity_labels)}"
+            f"model has {model.num_entities} entities and {model.num_predicates} predicates,"
+            f" dataset {len(entity_labels)} and {len(predicate_labels)}"
         )
-    try:
-        ks = tuple(int(k) for k in args.hits.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"--hits: cannot parse {args.hits!r}") from exc
     known = set(triples["train"]) | set(triples["valid"]) | set(triples["test"])
     report, records = evaluate(
-        model, triples["test"], known, tie_rule=args.tie_rule, ks=ks
+        model, triples["test"], known, tie_rule=ev["tie_rule"], ks=ev["hits"]
     )
     print(report.format(), end="")
     if args.ranks_out:
@@ -328,16 +259,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_segment_debug(args) -> int:
+    cfg = cpd_config(_section(args, "transform"))
     try:
         signal = np.loadtxt(args.signal, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read signal {args.signal}: {exc}") from exc
-    if args.epsilon <= 0:
-        raise ConfigError("--epsilon must be > 0")
+    if signal.size == 0:
+        raise DataError(f"signal {args.signal} is empty")
     if args.normalize:
         signal = normalize_rows(signal)
     seg = bottom_up(
-        signal, args.epsilon, min_size=args.min_size, jump=args.jump, gamma=args.gamma
+        signal, cfg.epsilon, min_size=cfg.min_size, jump=cfg.jump, gamma=cfg.gamma
     )
     print("breakpoints: " + " ".join(str(k) for k in seg.breakpoints))
     print(f"total_cost: {seg.total_cost:.6f}")
@@ -369,30 +301,28 @@ def cmd_run(args) -> int:
         raw["train"]["seed"] = str(args.seed)
         raw["transform"]["seed"] = str(args.seed)
 
-    def run_one(point_raw, out_dir=None) -> None:
-        cfg = build_config(point_raw)
-        if out_dir is not None:
-            cfg.out_dir = out_dir
-        cfg.threads = 1 if args.deterministic else max(1, args.threads)
-        cfg.deterministic = args.deterministic
+    axes = _parse_sweep(args.sweep)
+    if not axes:
+        runs = [build_config(raw)]
+    else:
+        base_out = Path(raw["output"].get("dir", "out"))
+        runs = []
+        for combo in itertools.product(*axes):
+            point = {sec: dict(vals) for sec, vals in raw.items()}
+            tag_parts = []
+            for sec, key, value in combo:
+                if sec not in point:
+                    raise ConfigError(f"--sweep references unknown section [{sec}]")
+                point[sec][key] = value
+                tag_parts.append(f"{key}={value}")
+            cfg = build_config(point)
+            cfg.out_dir = base_out / "_".join(tag_parts)
+            runs.append(cfg)
+    # every grid point is validated before the first one runs
+    for cfg in runs:
         report = run_pipeline(cfg)
         print(f"# {cfg.out_dir}")
         print(report.format(), end="")
-
-    axes = _parse_sweep(args.sweep)
-    if not axes:
-        run_one(raw)
-        return 0
-    base_out = Path(raw["output"].get("dir", "out"))
-    for combo in itertools.product(*axes):
-        point = {sec: dict(vals) for sec, vals in raw.items()}
-        tag_parts = []
-        for sec, key, value in combo:
-            if sec not in point:
-                raise ConfigError(f"--sweep references unknown section [{sec}]")
-            point[sec][key] = value
-            tag_parts.append(f"{key}={value}")
-        run_one(point, base_out / "_".join(tag_parts))
     return 0
 
 
@@ -410,9 +340,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:

@@ -39,7 +39,7 @@ def rbf_kernel(x1: np.ndarray, x2: np.ndarray, gamma: float) -> float:
 def median_heuristic_gamma(signal: np.ndarray, max_pairs: int = 10000) -> float:
     """1 / median pairwise squared distance, from at most ``max_pairs`` pairs.
 
-    Pairs are taken deterministically by striding the full (i < j) pair list.
+    Pairs are taken in a fixed order by striding the full (i < j) pair list.
     Falls back to 1.0 when the median distance is zero (constant signal) or
     there are fewer than two samples.
     """

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import DataError, StaticTriple
+from .graph import DataError
 
 NORMS = ("l1", "l2")
 NEGATIVE_MODES = ("per_batch", "per_positive")
@@ -29,23 +29,56 @@ class NumericError(Exception):
     """Training hit a non-finite loss."""
 
 
-@dataclass
-class TrainConfig:
-    dimension: int = 100
-    epochs: int = 200
-    learning_rate: float = 1e-3
-    batch_size: int = 500
-    negative_samples: int = 500
+def parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+# The [train] section of a pipeline config: key -> (parser, default as
+# written in a config file).  TrainConfig's defaults are parsed from it, so
+# each default is written once; range checks live in TrainConfig.validate.
+TRAIN_KEYS = {
+    "dimension": (int, "100"),
+    "epochs": (int, "200"),
+    "learning_rate": (float, "1e-3"),
+    "batch_size": (int, "500"),
+    "negative_samples": (int, "500"),
     # per_batch: negative_samples is the per-batch total, shared out as
     # ceil(total / batch positives) per positive; per_positive: used directly
-    negative_mode: str = "per_batch"
-    margin: float = 1.0
-    temperature: float = 0.5
-    norm: str = "l1"
-    seed: int = 0
+    "negative_mode": (str, "per_batch"),
+    "margin": (float, "1.0"),
+    "temperature": (float, "0.5"),
+    "norm": (str, "l1"),
+    "seed": (int, "0"),
+    "adversarial": (parse_bool, "true"),
+    "detach_weights": (parse_bool, "true"),
+}
+
+
+def _default(key: str):
+    parse, text = TRAIN_KEYS[key]
+    return parse(text)
+
+
+@dataclass
+class TrainConfig:
+    dimension: int = _default("dimension")
+    epochs: int = _default("epochs")
+    learning_rate: float = _default("learning_rate")
+    batch_size: int = _default("batch_size")
+    negative_samples: int = _default("negative_samples")
+    negative_mode: str = _default("negative_mode")
+    margin: float = _default("margin")
+    temperature: float = _default("temperature")
+    norm: str = _default("norm")
+    seed: int = _default("seed")
     initializer: str = "xavier_uniform"
-    adversarial: bool = True
-    detach_weights: bool = True
+    adversarial: bool = _default("adversarial")
+    detach_weights: bool = _default("detach_weights")
 
     def negatives_per_positive(self, batch_positives: int) -> int:
         if self.negative_mode == "per_positive":
@@ -254,30 +287,6 @@ def batch_gradients(
 # sampling, optimizer, training loop
 # ---------------------------------------------------------------------------
 
-def negative_sample(
-    triple: StaticTriple, n: int, num_entities: int, rng: np.random.Generator
-) -> list[StaticTriple]:
-    """Corrupt one side of ``triple`` n times, uniformly over entities.
-
-    A draw reproducing the positive is redrawn once and then kept, so false
-    negatives remain possible (and with a single entity, unavoidable).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = []
-    for _ in range(n):
-        corrupt_object = bool(rng.integers(0, 2))
-        ent = int(rng.integers(0, num_entities))
-        original = triple.o if corrupt_object else triple.s
-        if ent == original:
-            ent = int(rng.integers(0, num_entities))
-        if corrupt_object:
-            out.append(StaticTriple(triple.s, triple.p, ent))
-        else:
-            out.append(StaticTriple(ent, triple.p, triple.o))
-    return out
-
-
 def _draw_negatives(pos: np.ndarray, k: int, num_entities: int, rng: np.random.Generator):
     B = pos.shape[0]
     corrupt_object = rng.integers(0, 2, size=(B, k)).astype(bool)
@@ -327,7 +336,7 @@ def train(
     cfg: TrainConfig,
     history: list[float] | None = None,
 ) -> EmbeddingModel:
-    """Train embeddings on (s, p, o) triples; deterministic for a seed.
+    """Train embeddings on (s, p, o) triples; reproducible for a seed.
 
     ``history``, when given, collects the mean loss of each epoch.
     """
@@ -407,15 +416,27 @@ def save_model(model: EmbeddingModel, out_dir: str | Path, extra_meta: dict | No
 
 
 def load_model(model_dir: str | Path) -> EmbeddingModel:
+    """Read a checkpoint, checking the arrays against the meta file."""
     root = Path(model_dir)
     try:
         meta = json.loads((root / "model.meta.json").read_text(encoding="utf-8"))
         entity = np.load(root / "entity.npy")
         predicate = np.load(root / "predicate.npy")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read model from {root}: {exc}") from exc
     if meta.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {meta.get('format_version')!r}")
+    dim = meta.get("dimension")
+    for name, array, rows in (
+        ("entity", entity, meta.get("num_entities")),
+        ("predicate", predicate, meta.get("num_predicates")),
+    ):
+        if array.shape != (rows, dim):
+            raise DataError(
+                f"{root}: {name}.npy has shape {array.shape}, meta file says ({rows}, {dim})"
+            )
+    if meta.get("norm") not in NORMS:
+        raise DataError(f"{root}: norm {meta.get('norm')!r} is not one of {NORMS}")
     return EmbeddingModel(entity=entity, predicate=predicate, norm=meta["norm"])
 
 

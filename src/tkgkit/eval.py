@@ -67,10 +67,13 @@ def rank_queries(
 
     ``known`` is the union of all true triples (train, valid, test); under
     ``filtered=True`` those candidates are excluded from the comparison,
-    keeping only the query triple itself.
+    keeping only the query triple itself.  A model with non-finite values
+    raises NumericError: NaN scores compare false with everything, which
+    would score MRR 1, 2 or inf depending on the tie rule.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}; expected one of {TIE_RULES}")
+    model.assert_finite()
     known_objects: dict[tuple[int, int], set[int]] = {}
     known_subjects: dict[tuple[int, int], set[int]] = {}
     if filtered:

@@ -18,6 +18,7 @@ from typing import NamedTuple
 logger = logging.getLogger(__name__)
 
 SPLIT_NAMES = ("train", "valid", "test")
+DATA_FORMATS = ("valid_time", "event")
 TRAIN, VALID, TEST = 0, 1, 2
 
 #: Time tokens that always mean "missing"; anything whose year cannot be
@@ -251,7 +252,7 @@ def load_dataset(
     missing end to the last, and facts whose end precedes their begin are
     removed.  Event facts become quintuples with b = e = h.
     """
-    if fmt not in ("valid_time", "event"):
+    if fmt not in DATA_FORMATS:
         raise ValueError(f"unknown dataset format {fmt!r}")
     root = Path(path)
     per_split = {}

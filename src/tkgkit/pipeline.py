@@ -14,14 +14,15 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .cpd import CpdConfig
-from .embed import TrainConfig, config_dict, save_model, train
-from .eval import TIE_RULES, evaluate, ranks_tsv
+from .embed import TRAIN_KEYS, TrainConfig, config_dict, parse_bool, save_model, train
+from .eval import DEFAULT_HITS, TIE_RULES, evaluate, ranks_tsv
 from .graph import (
+    DATA_FORMATS,
     TemporalGraph,
     dataset_stats,
     format_stats,
@@ -31,7 +32,7 @@ from .graph import (
     strip_temporal,
 )
 from .leakage import FILTER_MODES, apply_filter, audit, audit_csv, format_audit
-from .proximity import PROXIMITY_MEASURES
+from .proximity import PROXIMITY_MEASURES, SIGNATURE_SCOPES
 from .transform import (
     TransformResult,
     identity,
@@ -57,67 +58,84 @@ TRANSFORM_METHODS = (
 
 ENV_PREFIX = "TKGKIT_"
 
-_DEFAULTS: dict[str, dict[str, str]] = {
-    "dataset": {"format": "valid_time"},
+
+def _hits(text: str) -> tuple[int, ...]:
+    ks = tuple(int(k) for k in text.split(","))
+    if min(ks) < 1:
+        raise ValueError("hits must be >= 1")
+    return ks
+
+
+# The config schema, one table per section: key -> (parser, default as
+# written in a config file, or None when the key has no default).  A parser
+# is a function of the text or a tuple of the allowed values.  This is the
+# only list of keys and defaults for config files, TKGKIT_* variables and
+# the CLI flags.
+SCHEMA: dict[str, dict[str, tuple]] = {
+    "dataset": {"path": (Path, None), "format": (DATA_FORMATS, "valid_time")},
     "transform": {
-        "method": "none",
-        "score": "pref",
-        "min_size": "1",
-        "jump": "1",
-        "scope": "predicate",
-        "seed": "0",
+        "method": (TRANSFORM_METHODS, "none"),
+        "grow": (float, None),
+        "shrink": (float, None),
+        "epsilon": (float, None),
+        "score": (PROXIMITY_MEASURES, "pref"),
+        "min_size": (int, str(CpdConfig.min_size)),
+        "jump": (int, str(CpdConfig.jump)),
+        "gamma": (float, None),
+        "scope": (SIGNATURE_SCOPES, "predicate"),
+        "seed": (int, "0"),
     },
-    "filter": {"mode": "inter"},
-    "train": {
-        "dimension": "100",
-        "epochs": "200",
-        "learning_rate": "1e-3",
-        "batch_size": "500",
-        "negative_samples": "500",
-        "negative_mode": "per_batch",
-        "margin": "1.0",
-        "temperature": "0.5",
-        "norm": "l1",
-        "seed": "0",
-        "adversarial": "true",
-        "detach_weights": "true",
+    "filter": {"mode": (FILTER_MODES, "inter")},
+    "train": TRAIN_KEYS,
+    "eval": {
+        "tie_rule": (TIE_RULES, "optimistic"),
+        "hits": (_hits, ",".join(map(str, DEFAULT_HITS))),
+        "dump_ranks": (parse_bool, "false"),
     },
-    "eval": {"tie_rule": "optimistic", "hits": "1,3,10", "dump_ranks": "false"},
-    "output": {},
+    "output": {"dir": (Path, None)},
 }
 
 
 class ConfigError(Exception):
-    """Missing, out-of-range or unparseable configuration."""
+    """Missing, unknown, out-of-range or unparseable configuration."""
 
 
 @dataclass
 class PipelineConfig:
+    """A validated run; build_config fills every field from the schema."""
+
     data_path: Path
     data_format: str
     transform_method: str
     filter_mode: str
     train: TrainConfig
     out_dir: Path
-    grow: float | None = None
-    shrink: float | None = None
-    epsilon: float | None = None
-    score: str = "pref"
-    min_size: int = 1
-    jump: int = 1
-    gamma: float | None = None
-    scope: str = "predicate"
-    transform_seed: int = 0
-    tie_rule: str = "optimistic"
-    hits_ks: tuple[int, ...] = (1, 3, 10)
-    dump_ranks: bool = False
-    threads: int = 1
-    deterministic: bool = False
-    raw: dict[str, dict[str, str]] = field(default_factory=dict)
+    grow: float | None
+    shrink: float | None
+    epsilon: float | None
+    score: str
+    min_size: int
+    jump: int
+    gamma: float | None
+    scope: str
+    transform_seed: int
+    tie_rule: str
+    hits_ks: tuple[int, ...]
+    dump_ranks: bool
+    raw: dict[str, dict[str, str]]
+
+
+def _check_key(section: str, key: str) -> None:
+    if key not in SCHEMA[section]:
+        raise ConfigError(f"unknown config key [{section}] {key}")
 
 
 def read_config_file(path: str | Path, environ=None) -> dict[str, dict[str, str]]:
-    """INI file -> nested dict, with defaults and environment overrides."""
+    """INI file -> nested dict, with defaults and environment overrides.
+
+    A section, key or TKGKIT_* variable the schema does not name is a
+    ConfigError.
+    """
     cp = configparser.ConfigParser()
     path = Path(path)
     if not path.is_file():
@@ -126,21 +144,24 @@ def read_config_file(path: str | Path, environ=None) -> dict[str, dict[str, str]
         cp.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    raw = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
+    raw = {
+        sec: {key: default for key, (_, default) in table.items() if default is not None}
+        for sec, table in SCHEMA.items()
+    }
     for sec in cp.sections():
-        if sec not in raw:
+        if sec not in SCHEMA:
             raise ConfigError(f"unknown config section [{sec}]")
-        raw[sec].update({k: v for k, v in cp[sec].items()})
+        for key, value in cp[sec].items():
+            _check_key(sec, key)
+            raw[sec][key] = value
     environ = os.environ if environ is None else environ
     for name, value in environ.items():
         if not name.startswith(ENV_PREFIX):
             continue
-        rest = name[len(ENV_PREFIX):]
-        sec, _, key = rest.partition("_")
-        sec = sec.lower()
-        key = key.lower()
-        if sec in raw and key:
-            raw[sec][key] = value
+        sec, _, key = name[len(ENV_PREFIX):].lower().partition("_")
+        if key not in SCHEMA.get(sec, {}):
+            raise ConfigError(f"unknown config variable {name}")
+        raw[sec][key] = value
     return raw
 
 
@@ -151,125 +172,102 @@ def config_hash(raw: dict[str, dict[str, str]]) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-def _get(raw: dict, sec: str, key: str, conv, required: bool = False):
-    value = raw.get(sec, {}).get(key)
-    if value is None or value == "":
-        if required:
-            raise ConfigError(f"[{sec}] {key} is required")
-        return None
+def parse_section(section: str, values: dict[str, str]) -> dict:
+    """Typed values of one config section.
+
+    Missing keys take the schema's default; keys with no default, missing or
+    empty, are None.
+    """
+    out = {}
+    for key in values:
+        _check_key(section, key)
+    for key, (parse, default) in SCHEMA[section].items():
+        text = values.get(key, default)
+        if text is None or (text == "" and default is None):
+            out[key] = None
+        elif isinstance(parse, tuple):
+            if text not in parse:
+                allowed = ", ".join(parse[:-1]) + " or " + parse[-1]
+                raise ConfigError(f"[{section}] {key} must be {allowed}, got {text!r}")
+            out[key] = text
+        else:
+            try:
+                out[key] = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: cannot parse {text!r}: {exc}") from exc
+    return out
+
+
+def _validated(section: str, cfg):
     try:
-        return conv(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{sec}] {key}: cannot parse {value!r}") from exc
+        cfg.validate()
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+    return cfg
 
 
-def _bool(value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {value!r}")
+def train_config(values: dict[str, str]) -> TrainConfig:
+    """Validated TrainConfig from raw [train] values."""
+    return _validated("train", TrainConfig(**parse_section("train", values)))
+
+
+def cpd_config(values: dict[str, str]) -> CpdConfig:
+    """Validated detection settings from raw [transform] values."""
+    tf = parse_section("transform", values)
+    if tf["epsilon"] is None:
+        raise ConfigError("[transform] split_cpd needs epsilon")
+    cfg = CpdConfig(epsilon=tf["epsilon"], min_size=tf["min_size"], jump=tf["jump"],
+                    gamma=tf["gamma"])
+    return _validated("transform", cfg)
 
 
 def build_config(raw: dict[str, dict[str, str]]) -> PipelineConfig:
     """Validate the raw key-value config into a typed PipelineConfig.
 
-    Every range check happens here, before any data is touched.
+    Every check happens here, before any data is touched.  Sections and keys
+    missing from ``raw`` take the schema's defaults.
     """
-    data_path = _get(raw, "dataset", "path", Path, required=True)
-    if not data_path.is_dir():
-        raise ConfigError(f"[dataset] path {data_path} is not a directory")
-    data_format = _get(raw, "dataset", "format", str, required=True)
-    if data_format not in ("valid_time", "event"):
-        raise ConfigError(f"[dataset] format must be valid_time or event, got {data_format!r}")
-
-    method = _get(raw, "transform", "method", str, required=True)
-    if method not in TRANSFORM_METHODS:
-        raise ConfigError(f"[transform] method must be one of {TRANSFORM_METHODS}")
-    grow = _get(raw, "transform", "grow", float)
-    shrink = _get(raw, "transform", "shrink", float)
-    epsilon = _get(raw, "transform", "epsilon", float)
-    score = _get(raw, "transform", "score", str) or "pref"
-    if score not in PROXIMITY_MEASURES:
-        raise ConfigError(f"[transform] score must be one of {PROXIMITY_MEASURES}")
-    min_size = _get(raw, "transform", "min_size", int) or 1
-    jump = _get(raw, "transform", "jump", int) or 1
-    gamma = _get(raw, "transform", "gamma", float)
-    scope = _get(raw, "transform", "scope", str) or "predicate"
-    if scope not in ("predicate", "graph"):
-        raise ConfigError("[transform] scope must be predicate or graph")
-    transform_seed = _get(raw, "transform", "seed", int) or 0
-    if method in ("split_time", "split_count", "random"):
-        if grow is None or grow <= 1:
-            raise ConfigError(f"[transform] method {method} needs grow > 1")
-    if method == "merge":
-        if shrink is None or shrink <= 1:
-            raise ConfigError("[transform] method merge needs shrink > 1 (inf allowed)")
-    if method == "split_cpd":
-        if epsilon is None or epsilon <= 0:
-            raise ConfigError("[transform] method split_cpd needs epsilon > 0")
-        if min_size < 1 or jump < 1:
-            raise ConfigError("[transform] min_size and jump must be >= 1")
-        if gamma is not None and gamma <= 0:
-            raise ConfigError("[transform] gamma must be > 0 when set")
-
-    filter_mode = _get(raw, "filter", "mode", str, required=True)
-    if filter_mode not in FILTER_MODES:
-        raise ConfigError(f"[filter] mode must be one of {FILTER_MODES}")
-
-    train_cfg = TrainConfig(
-        dimension=_get(raw, "train", "dimension", int, required=True),
-        epochs=_get(raw, "train", "epochs", int, required=True),
-        learning_rate=_get(raw, "train", "learning_rate", float, required=True),
-        batch_size=_get(raw, "train", "batch_size", int, required=True),
-        negative_samples=_get(raw, "train", "negative_samples", int, required=True),
-        negative_mode=_get(raw, "train", "negative_mode", str, required=True),
-        margin=_get(raw, "train", "margin", float, required=True),
-        temperature=_get(raw, "train", "temperature", float, required=True),
-        norm=_get(raw, "train", "norm", str, required=True),
-        seed=_get(raw, "train", "seed", int, required=True),
-        adversarial=_get(raw, "train", "adversarial", _bool, required=True),
-        detach_weights=_get(raw, "train", "detach_weights", _bool, required=True),
+    for sec in raw:
+        if sec not in SCHEMA:
+            raise ConfigError(f"unknown config section [{sec}]")
+    ds, tf, flt, ev, out = (
+        parse_section(sec, raw.get(sec, {}))
+        for sec in ("dataset", "transform", "filter", "eval", "output")
     )
-    try:
-        train_cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(f"[train] {exc}") from exc
+    if ds["path"] is None:
+        raise ConfigError("[dataset] path is required")
+    if not ds["path"].is_dir():
+        raise ConfigError(f"[dataset] path {ds['path']} is not a directory")
+    if out["dir"] is None:
+        raise ConfigError("[output] dir is required")
 
-    tie_rule = _get(raw, "eval", "tie_rule", str, required=True)
-    if tie_rule not in TIE_RULES:
-        raise ConfigError(f"[eval] tie_rule must be one of {TIE_RULES}")
-    hits_raw = _get(raw, "eval", "hits", str, required=True)
-    try:
-        hits_ks = tuple(int(k) for k in hits_raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"[eval] hits: cannot parse {hits_raw!r}") from exc
-    if not hits_ks or any(k < 1 for k in hits_ks):
-        raise ConfigError("[eval] hits must be positive integers")
-    dump_ranks = _get(raw, "eval", "dump_ranks", _bool, required=True)
-
-    out_dir = _get(raw, "output", "dir", Path, required=True)
+    method = tf["method"]
+    if method in ("split_time", "split_count", "random") and not (tf["grow"] or 0) > 1:
+        raise ConfigError(f"[transform] method {method} needs grow > 1")
+    if method == "merge" and not (tf["shrink"] or 0) > 1:
+        raise ConfigError("[transform] method merge needs shrink > 1 (inf allowed)")
+    if method == "split_cpd":
+        cpd_config(raw.get("transform", {}))
 
     return PipelineConfig(
-        data_path=data_path,
-        data_format=data_format,
+        data_path=ds["path"],
+        data_format=ds["format"],
         transform_method=method,
-        filter_mode=filter_mode,
-        train=train_cfg,
-        out_dir=out_dir,
-        grow=grow,
-        shrink=shrink,
-        epsilon=epsilon,
-        score=score,
-        min_size=min_size,
-        jump=jump,
-        gamma=gamma,
-        scope=scope,
-        transform_seed=transform_seed,
-        tie_rule=tie_rule,
-        hits_ks=hits_ks,
-        dump_ranks=dump_ranks,
+        filter_mode=flt["mode"],
+        train=train_config(raw.get("train", {})),
+        out_dir=out["dir"],
+        grow=tf["grow"],
+        shrink=tf["shrink"],
+        epsilon=tf["epsilon"],
+        score=tf["score"],
+        min_size=tf["min_size"],
+        jump=tf["jump"],
+        gamma=tf["gamma"],
+        scope=tf["scope"],
+        transform_seed=tf["seed"],
+        tie_rule=ev["tie_rule"],
+        hits_ks=ev["hits"],
+        dump_ranks=ev["dump_ranks"],
         raw=raw,
     )
 
@@ -285,11 +283,10 @@ def apply_transform(g: TemporalGraph, cfg: PipelineConfig) -> TransformResult:
     if method == "split_count":
         return split_parameterized(g, "count", cfg.grow)
     if method == "split_cpd":
-        workers = 1 if cfg.deterministic else max(1, cfg.threads)
         cpd_cfg = CpdConfig(
             epsilon=cfg.epsilon, min_size=cfg.min_size, jump=cfg.jump, gamma=cfg.gamma
         )
-        return split_cpd(g, score=cfg.score, cfg=cpd_cfg, scope=cfg.scope, workers=workers)
+        return split_cpd(g, score=cfg.score, cfg=cpd_cfg, scope=cfg.scope)
     if method == "merge":
         return merge(g, cfg.shrink)
     if method == "random":

@@ -17,6 +17,7 @@ import numpy as np
 from .graph import TemporalGraph
 
 PROXIMITY_MEASURES = ("jaccard", "adar", "pref")
+SIGNATURE_SCOPES = ("predicate", "graph")
 
 
 class NeighborIndex:
@@ -118,7 +119,7 @@ def signature_series(
     default), ``"graph"`` uses every fact valid then.  Scores are written
     only for pairs connected at the row's timestamp; other cells stay zero.
     """
-    if scope not in ("predicate", "graph"):
+    if scope not in SIGNATURE_SCOPES:
         raise ValueError(f"unknown signature scope {scope!r}")
     score = get_measure(measure)
 

@@ -21,7 +21,6 @@ import logging
 import random
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -397,7 +396,6 @@ def split_cpd(
     score: str = "pref",
     cfg: CpdConfig | None = None,
     scope: str = "predicate",
-    workers: int = 1,
 ) -> TransformResult:
     """Split each predicate at the change points of its proximity signature.
 
@@ -405,8 +403,6 @@ def split_cpd(
     detection, then apply the interior breakpoints left to right (each one
     lands in the rightmost child produced so far).  Breakpoints falling
     outside the current child's active span are skipped and counted.
-    Signature and detection work may run on ``workers`` threads; splits are
-    applied sequentially in predicate order either way.
     """
     cfg = cfg or CpdConfig()
     cfg.validate()
@@ -424,27 +420,15 @@ def split_cpd(
         g,
     )
 
-    def analyze(pid: int) -> tuple[int, list[int]]:
+    for pid in range(g.num_predicates):
         series = signature_series(g, pid, measure=score, scope=scope)
-        if series.matrix.size == 0:
-            return pid, []
-        if bool(np.all(series.matrix == series.matrix[0])):
-            return pid, []
+        if series.matrix.size == 0 or bool(np.all(series.matrix == series.matrix[0])):
+            continue
         x = normalize_rows(series.matrix)
         seg = bottom_up(x, cfg.epsilon, min_size=cfg.min_size, jump=cfg.jump, gamma=cfg.gamma)
-        return pid, seg.change_points
-
-    pids = list(range(g.num_predicates))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(analyze, pids))
-    else:
-        results = [analyze(p) for p in pids]
-
-    for pid, points in results:
         current = pid
         applied: list[int] = []
-        for k in points:
+        for k in seg.change_points:
             span = mg.span(current)
             if span is None or span[0] >= span[1] or not span[0] <= k <= span[1]:
                 report.skipped_points += 1

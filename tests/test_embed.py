@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -13,11 +14,12 @@ from tkgkit import (
     NumericError,
     StaticTriple,
     TrainConfig,
-    negative_sample,
     train,
 )
 from tkgkit.embed import (
     Adam,
+    _draw_negatives,
+    _neg_ids,
     adversarial_weights,
     batch_gradients,
     batch_loss,
@@ -202,34 +204,28 @@ def test_gradient_zero_delta_is_safe():
 # ---------------------------------------------------------------------------
 
 def test_negative_sample_shape_and_side():
-    rng = np.random.default_rng(0)
-    pos = StaticTriple(3, 1, 5)
-    negs = negative_sample(pos, 50, num_entities=10, rng=rng)
-    assert len(negs) == 50
-    for t in negs:
-        assert t.p == 1
-        assert (t.s == 3) != (t.o == 5) or (t.s == 3 and t.o == 5)
-        changed_subject = t.o == 5 and t.s != 3
-        changed_object = t.s == 3 and t.o != 5
-        kept = t.s == 3 and t.o == 5
-        assert changed_subject or changed_object or kept
-        assert 0 <= t.s < 10 and 0 <= t.o < 10
+    pos = np.array([[3, 1, 5]])
+    ents, corrupt_object = _draw_negatives(pos, 50, num_entities=10, rng=np.random.default_rng(0))
+    assert ents.shape == corrupt_object.shape == (1, 50)
+    assert ents.min() >= 0 and ents.max() < 10
+    assert corrupt_object.any() and not corrupt_object.all()
+    s_neg, o_neg = _neg_ids(pos, ents, corrupt_object)
+    # exactly the corrupted side is replaced
+    assert (s_neg[corrupt_object] == 3).all() and (o_neg[~corrupt_object] == 5).all()
+    assert (o_neg[corrupt_object] == ents[corrupt_object]).all()
+    assert (s_neg[~corrupt_object] == ents[~corrupt_object]).all()
 
 
 def test_negative_sample_deterministic():
-    a = negative_sample(StaticTriple(0, 0, 1), 20, 8, np.random.default_rng(4))
-    b = negative_sample(StaticTriple(0, 0, 1), 20, 8, np.random.default_rng(4))
-    assert a == b
+    pos = np.array([[0, 0, 1], [2, 1, 3]])
+    a = _draw_negatives(pos, 20, 8, np.random.default_rng(4))
+    b = _draw_negatives(pos, 20, 8, np.random.default_rng(4))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_negative_sample_single_entity_keeps_positive():
-    negs = negative_sample(StaticTriple(0, 0, 0), 5, 1, np.random.default_rng(1))
-    assert negs == [StaticTriple(0, 0, 0)] * 5
-
-
-def test_negative_sample_rejects_bad_n():
-    with pytest.raises(ValueError):
-        negative_sample(StaticTriple(0, 0, 1), 0, 5, np.random.default_rng(0))
+    ents, _ = _draw_negatives(np.array([[0, 0, 0]]), 5, 1, np.random.default_rng(1))
+    assert (ents == 0).all()
 
 
 def test_negatives_per_positive():
@@ -408,6 +404,26 @@ def test_load_model_version_check(tmp_path):
     meta = tmp_path / "m" / "model.meta.json"
     meta.write_text(meta.read_text().replace('"format_version": 1', '"format_version": 99'))
     with pytest.raises(DataError, match="version"):
+        load_model(tmp_path / "m")
+
+
+@pytest.mark.parametrize(
+    "key,value,hint",
+    [
+        ("num_entities", 99, "entity.npy"),
+        ("num_predicates", 3, "predicate.npy"),
+        ("dimension", 5, "entity.npy"),
+        ("norm", "l3", "norm"),
+    ],
+)
+def test_load_model_checks_meta(tmp_path, key, value, hint):
+    model = EmbeddingModel(entity=np.zeros((2, 2)), predicate=np.zeros((1, 2)))
+    save_model(model, tmp_path / "m")
+    meta_path = tmp_path / "m" / "model.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(DataError, match=hint):
         load_model(tmp_path / "m")
 
 

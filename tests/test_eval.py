@@ -8,6 +8,7 @@ import pytest
 from tkgkit import (
     EmbeddingModel,
     LineageEntry,
+    NumericError,
     Quintuple,
     StaticTriple,
     evaluate,
@@ -140,6 +141,15 @@ def test_target_itself_never_filtered():
     test = [T(0, 0, 1)]
     records = rank_queries(model, test, known=test, filtered=True)
     assert all(np.isfinite(r.rank) for r in records)
+
+
+@pytest.mark.parametrize("tie_rule", TIE_RULES)
+def test_non_finite_model_raises(tie_rule):
+    # NaN scores compare false with everything: unchecked, the ranks come
+    # out as 1, 0 or 0.5 and MRR as 1, inf or 2
+    model = EmbeddingModel(entity=np.full((3, 2), np.nan), predicate=np.full((1, 2), np.nan))
+    with pytest.raises(NumericError):
+        rank_queries(model, [T(0, 0, 1)], [T(0, 0, 1)], tie_rule=tie_rule)
 
 
 def test_unknown_tie_rule():

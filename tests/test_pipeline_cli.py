@@ -5,12 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 import tkgkit
-from tkgkit.cli import main
+from tkgkit.cli import build_parser, main
 from tkgkit.pipeline import (
     ConfigError,
     build_config,
@@ -122,13 +123,38 @@ def base_raw(tiny_dataset, tmp_path):
         ("train", "adversarial", "maybe", "cannot parse"),
         ("eval", "tie_rule", "best", "tie_rule"),
         ("eval", "hits", "1,x", "hits"),
+        ("train", "epoch", "5", r"unknown config key \[train\] epoch$"),
+        ("env", "TKGKIT_TRAIN_EPOCH", "7", "TKGKIT_TRAIN_EPOCH"),
+        ("transform", "min_size", "0", r"\[transform\] min_size must be >= 1"),
+        ("transform", "jump", "0", r"\[transform\] jump must be >= 1"),
+        ("cli", "train --epochs", "-1", r"^\[train\] epochs must be >= 0$"),
     ],
 )
 def test_build_config_rejects(tiny_dataset, tmp_path, section, key, value, hint):
-    raw = base_raw(tiny_dataset, tmp_path)
-    raw[section][key] = value
-    with pytest.raises(ConfigError, match=hint):
-        build_config(raw)
+    """One bad setting in a config file, a TKGKIT_* variable ("env") or a
+    subcommand flag ("cli"); a flag fails like the config key it sets."""
+    def rejection(settings, environ):
+        settings = {"transform__method": "split_cpd", "transform__epsilon": "1", **settings}
+        ini = write_ini(tmp_path / "c.ini", tiny_dataset, tmp_path / "out", **settings)
+        with pytest.raises(ConfigError) as exc:
+            build_config(read_config_file(ini, environ=environ))
+        return str(exc.value)
+
+    if section == "env":
+        message = rejection({}, {key: value})
+    elif section == "cli":
+        command, flag = key.split()
+        args = build_parser().parse_args(
+            [command, flag, value, "--triples", str(tiny_dataset), "--out", str(tmp_path / "m")]
+        )
+        with pytest.raises(ConfigError) as exc:
+            args.func(args)
+        message = str(exc.value)
+        config_key = flag[2:].replace("-", "_")
+        assert message == rejection({f"{command}__{config_key}": value}, {})
+    else:
+        message = rejection({f"{section}__{key}": value}, {})
+    assert re.search(hint, message), message
 
 
 def test_build_config_requires_out_dir(tiny_dataset, tmp_path):
@@ -315,6 +341,20 @@ def test_cli_eval_model_mismatch(tiny_dataset, tmp_path, capsys):
     assert main(["eval", "--triples", str(other), "--model", str(model_dir)]) == 3
 
 
+def test_cli_eval_non_finite_model(tiny_dataset, tmp_path):
+    import numpy as np
+
+    filtered = tmp_path / "filtered"
+    main(["filter", "--data", str(tiny_dataset), "--mode", "none", "--out", str(filtered)])
+    _, entity_labels, predicate_labels = tkgkit.load_triples(filtered)
+    model = tkgkit.EmbeddingModel(
+        entity=np.full((len(entity_labels), 4), np.nan),
+        predicate=np.full((len(predicate_labels), 4), np.nan),
+    )
+    tkgkit.save_model(model, tmp_path / "model")
+    assert main(["eval", "--triples", str(filtered), "--model", str(tmp_path / "model")]) == 4
+
+
 def test_cli_segment_debug(tmp_path, capsys):
     sig = tmp_path / "sig.csv"
     sig.write_text("0\n0\n0\n5\n5\n5\n")
@@ -324,6 +364,12 @@ def test_cli_segment_debug(tmp_path, capsys):
     assert main(["segment-debug", "--signal", str(tmp_path / "no.csv"),
                  "--epsilon", "1"]) == 3
     assert main(["segment-debug", "--signal", str(sig), "--epsilon", "-1"]) == 2
+    assert main(["segment-debug", "--signal", str(sig), "--epsilon", "1",
+                 "--min-size", "0"]) == 2
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.warns(UserWarning):
+        assert main(["segment-debug", "--signal", str(empty), "--epsilon", "1"]) == 3
 
 
 def test_cli_run_exit_codes(tiny_dataset, tmp_path, capsys):
@@ -352,6 +398,31 @@ def test_cli_run_numeric_error(tiny_dataset, tmp_path):
     )
     with np.errstate(all="ignore"):
         assert main(["run", "--config", str(ini)]) == 4
+
+
+def test_cli_run_non_finite_model(tiny_dataset, tmp_path, monkeypatch):
+    import numpy as np
+
+    def nan_train(triples, num_entities, num_predicates, cfg, history=None):
+        return tkgkit.EmbeddingModel(
+            entity=np.full((num_entities, cfg.dimension), np.nan),
+            predicate=np.full((num_predicates, cfg.dimension), np.nan),
+        )
+
+    monkeypatch.setattr("tkgkit.pipeline.train", nan_train)
+    ini = write_ini(tmp_path / "c.ini", tiny_dataset, tmp_path / "out")
+    assert main(["run", "--config", str(ini)]) == 4
+
+
+def test_cli_value_error_propagates(tiny_dataset, tmp_path, monkeypatch):
+    # only config faults map to exit 2; any other ValueError is a bug
+    def broken(*args, **kwargs):
+        raise ValueError("bug in a stage")
+
+    monkeypatch.setattr("tkgkit.pipeline.apply_filter", broken)
+    ini = write_ini(tmp_path / "c.ini", tiny_dataset, tmp_path / "out")
+    with pytest.raises(ValueError, match="bug in a stage"):
+        main(["run", "--config", str(ini)])
 
 
 def test_cli_run_seed_override(tiny_dataset, tmp_path, capsys):
@@ -384,6 +455,10 @@ def test_cli_sweep_bad_spec(tiny_dataset, tmp_path):
     ini = write_ini(tmp_path / "c.ini", tiny_dataset, tmp_path / "out")
     assert main(["run", "--config", str(ini), "--sweep", "dimension=4"]) == 2
     assert main(["run", "--config", str(ini), "--sweep", "train.dimension="]) == 2
+    assert main(["run", "--config", str(ini), "--sweep", "train.epoch=1,2"]) == 2
+    # every grid point is checked before the first one runs
+    assert main(["run", "--config", str(ini), "--sweep", "train.epochs=1,-1"]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_env_override(tiny_dataset, tmp_path, monkeypatch, capsys):

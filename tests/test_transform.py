@@ -292,14 +292,6 @@ def test_split_cpd_out_of_span_point_skipped():
     assert res.report.splits_applied == 0
 
 
-def test_split_cpd_workers_equivalent():
-    g = _two_phase_graph()
-    a = split_cpd(g, cfg=CpdConfig(epsilon=0.01), workers=1)
-    b = split_cpd(g, cfg=CpdConfig(epsilon=0.01), workers=4)
-    assert a.graph.predicate_labels == b.graph.predicate_labels
-    assert list(a.graph.facts) == list(b.graph.facts)
-
-
 def test_split_cpd_coverage_preserved():
     g = _two_phase_graph()
     res = split_cpd(g, cfg=CpdConfig(epsilon=0.01))

@@ -41,7 +41,7 @@ def median_heuristic_gamma(signal: np.ndarray, max_pairs: int = 10000) -> float:
 
     Pairs are taken in a fixed order by striding the full (i < j) pair list.
     Falls back to 1.0 when the median distance is zero (constant signal) or
-    there are fewer than two samples.
+    so small that its inverse overflows, or there are fewer than two samples.
     """
     x = np.asarray(signal, dtype=np.float64)
     n = x.shape[0]
@@ -62,7 +62,7 @@ def median_heuristic_gamma(signal: np.ndarray, max_pairs: int = 10000) -> float:
     if all_d.size == 0:
         return 1.0
     med = float(np.median(all_d))
-    if med <= 0.0 or not math.isfinite(med):
+    if med <= 0.0 or not math.isfinite(med) or not math.isfinite(1.0 / med):
         return 1.0
     return 1.0 / med
 

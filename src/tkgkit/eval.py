@@ -8,12 +8,14 @@ the surviving candidates feeds MRR and hits@k.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .embed import EmbeddingModel
+from .embed import EmbeddingModel, NumericError
 from .graph import Quintuple, StaticTriple
 from .transform import LineageEntry
 
@@ -69,39 +71,68 @@ def rank_queries(
     ``filtered=True`` those candidates are excluded from the comparison,
     keeping only the query triple itself.  A model with non-finite values
     raises NumericError: NaN scores compare false with everything, which
-    would score MRR 1, 2 or inf depending on the tie rule.
+    would score MRR 1, 2 or inf depending on the tie rule.  So does a target
+    score that overflows to inf, which ties with every overflowing candidate.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}; expected one of {TIE_RULES}")
     model.assert_finite()
-    known_objects: dict[tuple[int, int], set[int]] = {}
-    known_subjects: dict[tuple[int, int], set[int]] = {}
-    if filtered:
-        for t in known:
-            known_objects.setdefault((t.s, t.p), set()).add(t.o)
-            known_subjects.setdefault((t.p, t.o), set()).add(t.s)
+    test = list(test)
+    q = _id_array(test)
+    k = _id_array(known if filtered else ())
+    drops = zip(
+        _known_answers(k[:, 1], k[:, 2], k[:, 0], q[:, 1], q[:, 2]),
+        _known_answers(k[:, 0], k[:, 1], k[:, 2], q[:, 0], q[:, 1]),
+    )
+    buf = np.empty_like(model.entity)
 
     records: list[RankRecord] = []
-    for t in test:
-        for side in ("subject", "object"):
+    for t, side_drops in zip(test, drops):
+        for side, drop in zip(("subject", "object"), side_drops):
             if side == "object":
-                scores = model.score_objects(t.s, t.p)
+                scores = model.score_objects(t.s, t.p, out=buf)
                 target = t.o
-                drop = known_objects.get((t.s, t.p))
             else:
-                scores = model.score_subjects(t.p, t.o)
+                scores = model.score_subjects(t.p, t.o, out=buf)
                 target = t.s
-                drop = known_subjects.get((t.p, t.o))
             target_score = scores[target]
-            if drop:
-                scores = scores.copy()
-                idx = np.fromiter((e for e in drop if e != target), dtype=np.int64)
-                if idx.size:
-                    scores[idx] = np.inf
-            n_better = int((scores < target_score).sum())
-            n_equal = int((scores == target_score).sum()) - 1
+            if not math.isfinite(target_score):
+                raise NumericError(
+                    f"score of {tuple(t)} is {target_score} ({side} query); the model's"
+                    " values are too large to rank"
+                )
+            # count over all candidates, then take back the filtered ones
+            dropped = scores[drop[drop != target]]
+            n_better = int(np.count_nonzero(scores < target_score)) - int(
+                np.count_nonzero(dropped < target_score))
+            n_equal = int(np.count_nonzero(scores == target_score)) - 1 - int(
+                np.count_nonzero(dropped == target_score))
             records.append(RankRecord(t, side, _rank_from_counts(n_better, n_equal, tie_rule)))
     return records
+
+
+def _id_array(triples: Iterable[StaticTriple]) -> np.ndarray:
+    return np.fromiter(itertools.chain.from_iterable(triples), dtype=np.int64).reshape(-1, 3)
+
+
+def _known_answers(a, b, answer, query_a, query_b) -> list[np.ndarray]:
+    """The distinct ``answer`` ids of the rows keyed (a, b), for each query key.
+
+    Keys are packed into one int64, ``a * width + b``, with ``width`` above
+    every b, so one sort and two ``searchsorted`` calls serve all queries.
+    """
+    width = int(max(b.max(initial=0), query_b.max(initial=0))) + 1
+    keys = a * width + b
+    order = np.lexsort((answer, keys))
+    keys, answer = keys[order], answer[order]
+    # first of each run of equal rows: drops duplicate known triples
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]) | (answer[1:] != answer[:-1])
+    keys, answer = keys[first], answer[first]
+    query = query_a * width + query_b
+    lo = np.searchsorted(keys, query).tolist()
+    hi = np.searchsorted(keys, query, side="right").tolist()
+    return [answer[i:j] for i, j in zip(lo, hi)]
 
 
 def metrics(records: list[RankRecord], ks: tuple[int, ...] = DEFAULT_HITS) -> MetricReport:

@@ -78,6 +78,11 @@ def test_median_heuristic_subsampling():
 def test_median_heuristic_degenerate():
     assert median_heuristic_gamma(np.zeros((5, 2))) == 1.0
     assert median_heuristic_gamma(np.zeros((1, 2))) == 1.0
+    # median squared distance 1.35e-314: its inverse overflows to inf, which
+    # made every Gram entry exp(-inf * 0) = nan and bottom_up fail
+    tiny = np.array([[1.16331175e-157], [0.0], [0.0], [0.0]])
+    assert median_heuristic_gamma(tiny) == 1.0
+    assert bottom_up(tiny, penalty=0.0).num_samples == 4
 
 
 def test_segment_cost_matches_naive():

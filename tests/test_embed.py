@@ -17,9 +17,15 @@ from tkgkit import (
     train,
 )
 from tkgkit.embed import (
+    ADAM_BLOCK,
     Adam,
+    _dphi,
     _draw_negatives,
+    _log_sigmoid,
     _neg_ids,
+    _phi_delta,
+    _resolve_weights,
+    _sigmoid,
     adversarial_weights,
     batch_gradients,
     batch_loss,
@@ -200,6 +206,73 @@ def test_gradient_zero_delta_is_safe():
 
 
 # ---------------------------------------------------------------------------
+# gradients against the scatter they replace, bit for bit
+# ---------------------------------------------------------------------------
+
+def scatter_reference_gradients(entity, predicate, pos, neg_entities, corrupt_object, cfg):
+    """batch_gradients as written with zeros_like and six np.add.at calls."""
+    B = pos.shape[0]
+    s, p, o = pos[:, 0], pos[:, 1], pos[:, 2]
+    phi_pos, delta_pos = _phi_delta(entity, predicate, s, p, o, cfg.norm)
+    s_neg, o_neg = _neg_ids(pos, neg_entities, corrupt_object)
+    p_neg = np.broadcast_to(p[:, None], neg_entities.shape)
+    phi_neg, delta_neg = _phi_delta(entity, predicate, s_neg, p_neg, o_neg, cfg.norm)
+    w = _resolve_weights(phi_neg, cfg, None)
+
+    g_neg = _log_sigmoid(phi_neg - cfg.margin)
+    per_pos = -_log_sigmoid(cfg.margin - phi_pos) - (w * g_neg).sum(axis=1)
+    loss = float(per_pos.mean())
+
+    coef_pos = _sigmoid(phi_pos - cfg.margin) / B
+    coef_neg = -w * _sigmoid(cfg.margin - phi_neg) / B
+    if cfg.adversarial and not cfg.detach_weights:
+        g_bar = (w * g_neg).sum(axis=1, keepdims=True)
+        coef_neg += cfg.temperature * w * (g_neg - g_bar) / B
+
+    d_entity = np.zeros_like(entity)
+    d_predicate = np.zeros_like(predicate)
+
+    dp_pos = coef_pos[:, None] * _dphi(delta_pos, phi_pos, cfg.norm)
+    np.add.at(d_entity, s, dp_pos)
+    np.add.at(d_entity, o, -dp_pos)
+    np.add.at(d_predicate, p, dp_pos)
+
+    dp_neg = coef_neg[..., None] * _dphi(delta_neg, phi_neg, cfg.norm)
+    dim = entity.shape[1]
+    flat = dp_neg.reshape(-1, dim)
+    np.add.at(d_entity, s_neg.ravel(), flat)
+    np.add.at(d_entity, o_neg.ravel(), -flat)
+    np.add.at(d_predicate, p_neg.ravel(), flat)
+    return loss, d_entity, d_predicate
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+@pytest.mark.parametrize("weights", ["detached", "attached", "uniform"])
+@pytest.mark.parametrize("k", [1, 4])
+def test_gradients_match_scatter_reference_bytes(norm, weights, k):
+    rng = np.random.default_rng(17 + k)
+    # 5 entities for 8 positives and 8k negatives: ids repeat within the batch
+    entity, predicate, pos, neg, corrupt = make_batch(rng, n_ent=5, B=8, K=k)
+    # triple (0, 1, 4) has delta exactly 0, and so has its object-side
+    # negative with entity 4: l1 signs and l2 quotients of 0 make +-0.0 rows
+    entity[4] = entity[0] + predicate[1]
+    pos[0] = (0, 1, 4)
+    neg[0, 0], corrupt[0, 0] = 4, True
+    # an all-zero predicate row and two equal entities give a second zero delta
+    predicate[2] = 0.0
+    entity[3] = entity[2]
+    pos[1] = (2, 2, 3)
+    cfg = TrainConfig(dimension=5, norm=norm, margin=1.5, temperature=0.7,
+                      adversarial=weights != "uniform", detach_weights=weights == "detached")
+    got = batch_gradients(entity, predicate, pos, neg, corrupt, cfg)
+    want = scatter_reference_gradients(entity, predicate, pos, neg, corrupt, cfg)
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
@@ -266,6 +339,42 @@ def test_adam_matches_reference():
         opt.step(grads)
     np.testing.assert_allclose(a0, want[0], atol=1e-12)
     np.testing.assert_allclose(a1, want[1], atol=1e-12)
+
+
+def whole_array_adam_step(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam.step as written with full-size temporaries."""
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    for p, g, m_, v_ in zip(params, grads, m, v):
+        m_ *= b1
+        m_ += (1.0 - b1) * g
+        v_ *= b2
+        v_ += (1.0 - b2) * np.square(g)
+        p -= lr * (m_ / c1) / (np.sqrt(v_ / c2) + eps)
+
+
+def test_adam_blocks_match_whole_array_bytes():
+    rng = np.random.default_rng(21)
+    cols = 7
+    # three full row blocks plus a partial one, and a single row
+    shapes = [(3 * (ADAM_BLOCK // cols) + 5, cols), (1, cols)]
+    params = [rng.normal(size=s) for s in shapes]
+    want = [p.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    opt = Adam(params, learning_rate=0.01)
+    for t in range(1, 8):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        grads[0][:3] = 0.0
+        before = [g.copy() for g in grads]
+        opt.step(grads)
+        whole_array_adam_step(want, grads, m, v, t, lr=0.01)
+        for g, b in zip(grads, before):
+            assert g.tobytes() == b.tobytes()
+        for got, ref in zip(params, want):
+            assert got.tobytes() == ref.tobytes()
+    for got, ref in zip(opt.m + opt.v, m + v):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_adam_first_step_size():

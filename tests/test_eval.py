@@ -63,12 +63,20 @@ def brute_force_ranks(model, test, known, tie_rule, filtered):
     return out
 
 
-def random_case(rng, n_ent=10, n_pred=3, dim=4):
-    model = EmbeddingModel(
-        entity=rng.normal(size=(n_ent, dim)),
-        predicate=rng.normal(size=(n_pred, dim)),
-        norm=rng.choice(["l1", "l2"]),
-    )
+def random_case(rng, n_ent=10, n_pred=3, dim=4, ties=False):
+    """A random model and triples; ``ties`` makes tie-heavy cases.
+
+    With ``ties``, embeddings are small integers, so many candidates score
+    exactly the target's score (filtered ones included), and ``known``
+    repeats some of its triples.
+    """
+    if ties:
+        entity = rng.integers(-1, 2, size=(n_ent, dim)).astype(float)
+        predicate = rng.integers(-1, 2, size=(n_pred, dim)).astype(float)
+    else:
+        entity = rng.normal(size=(n_ent, dim))
+        predicate = rng.normal(size=(n_pred, dim))
+    model = EmbeddingModel(entity=entity, predicate=predicate, norm=rng.choice(["l1", "l2"]))
     def draw(k):
         return [
             T(int(rng.integers(n_ent)), int(rng.integers(n_pred)), int(rng.integers(n_ent)))
@@ -76,6 +84,8 @@ def random_case(rng, n_ent=10, n_pred=3, dim=4):
         ]
     test = draw(int(rng.integers(1, 6)))
     known = draw(int(rng.integers(0, 25))) + test
+    if ties:
+        known += known[::2] + draw(40)
     return model, test, known
 
 
@@ -83,8 +93,8 @@ def random_case(rng, n_ent=10, n_pred=3, dim=4):
 @pytest.mark.parametrize("filtered", [True, False])
 def test_rank_queries_matches_bruteforce(tie_rule, filtered):
     rng = np.random.default_rng(123)
-    for _ in range(30):
-        model, test, known = random_case(rng)
+    for i in range(60):
+        model, test, known = random_case(rng, ties=i >= 30)
         got = rank_queries(model, test, known, tie_rule=tie_rule, filtered=filtered)
         want = brute_force_ranks(model, test, known, tie_rule, filtered)
         assert [(r.triple, r.side, r.rank) for r in got] == want
@@ -150,6 +160,18 @@ def test_non_finite_model_raises(tie_rule):
     model = EmbeddingModel(entity=np.full((3, 2), np.nan), predicate=np.full((1, 2), np.nan))
     with pytest.raises(NumericError):
         rank_queries(model, [T(0, 0, 1)], [T(0, 0, 1)], tie_rule=tie_rule)
+
+
+@pytest.mark.parametrize("norm, value", [("l1", 1e308), ("l2", 1e200)])
+def test_overflowing_scores_raise(norm, value):
+    # a finite model whose score sums (l1) or squares (l2) overflow: the
+    # target scores inf and would tie with every overflowing candidate
+    model = EmbeddingModel(entity=np.full((4, 2), value), predicate=np.full((1, 2), value),
+                           norm=norm)
+    model.assert_finite()
+    for filtered in (True, False):
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="inf"):
+            rank_queries(model, [T(0, 0, 1)], [T(0, 0, 1), T(0, 0, 2)], filtered=filtered)
 
 
 def test_unknown_tie_rule():

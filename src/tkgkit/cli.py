@@ -266,6 +266,8 @@ def cmd_segment_debug(args) -> int:
         raise DataError(f"cannot read signal {args.signal}: {exc}") from exc
     if signal.size == 0:
         raise DataError(f"signal {args.signal} is empty")
+    if not np.isfinite(signal).all():
+        raise DataError(f"signal {args.signal} has non-finite values")
     if args.normalize:
         signal = normalize_rows(signal)
     seg = bottom_up(

@@ -86,8 +86,8 @@ class CpdConfig:
             raise ValueError("min_size must be >= 1")
         if self.jump < 1:
             raise ValueError("jump must be >= 1")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be > 0 when given")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and > 0 when given")
 
 
 @dataclass
@@ -122,6 +122,10 @@ class _GramCosts:
         n = x.shape[0]
         self._prefix = np.zeros((n + 1, n + 1))
         self._prefix[1:, 1:] = gram.cumsum(axis=0).cumsum(axis=1)
+        # kernel values are >= 0, so a finite grand total means every prefix
+        # sum, cost and merge gain is finite too
+        if not math.isfinite(self._prefix[n, n]):
+            raise ValueError("kernel matrix is not finite: signal values too large")
 
     def block_sum(self, a: int, b: int) -> float:
         p = self._prefix
@@ -155,7 +159,8 @@ def bottom_up(
     keeping every segment at least ``min_size`` long.  Adjacent segments are
     merged smallest-gain-first (gain = merged cost minus the two parts'
     costs; ties broken on the smaller left boundary) until accepting the next
-    merge would make the total segmentation cost exceed ``penalty``.
+    merge would make the total segmentation cost exceed ``penalty``.  A NaN
+    or infinite signal or ``gamma``, or a NaN ``penalty``, is a ValueError.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim == 1:
@@ -167,8 +172,12 @@ def bottom_up(
         raise ValueError("min_size must be >= 1")
     if jump < 1:
         raise ValueError("jump must be >= 1")
-    if penalty < 0:
-        raise ValueError("penalty must be >= 0")
+    if not penalty >= 0:
+        raise ValueError(f"penalty must be >= 0, got {penalty}")
+    if not np.isfinite(x).all():
+        raise ValueError("signal has non-finite values")
+    if gamma is not None and not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
 
     warnings: list[str] = []
     if n < 2 * min_size:
@@ -193,28 +202,33 @@ def bottom_up(
             bounds.append(k)
     bounds.append(n)
 
-    seg_cost = {
-        (bounds[i], bounds[i + 1]): costs.cost(bounds[i], bounds[i + 1])
-        for i in range(len(bounds) - 1)
-    }
-    total = sum(seg_cost.values())
+    # seg[j] is the cost of [bounds[j], bounds[j + 1]); merged[i] and gain[i]
+    # are the cost of [bounds[i - 1], bounds[i + 1]) and what dropping
+    # bounds[i] adds to the total (inf at the two ends, which never merge).
+    # A merge changes only its two neighbours' entries.
+    seg = [costs.cost(a, b) for a, b in zip(bounds, bounds[1:])]
+    total = sum(seg)
+    merged = [0.0] * len(bounds)
+    gain = [math.inf] * len(bounds)
 
+    def refresh(i: int) -> None:
+        if 0 < i < len(bounds) - 1:
+            merged[i] = costs.cost(bounds[i - 1], bounds[i + 1])
+            gain[i] = merged[i] - seg[i - 1] - seg[i]
+
+    for i in range(1, len(bounds) - 1):
+        refresh(i)
     while len(bounds) > 2:
-        best_gain = math.inf
-        best_i = -1
-        for i in range(1, len(bounds) - 1):
-            a, m, b = bounds[i - 1], bounds[i], bounds[i + 1]
-            gain = costs.cost(a, b) - seg_cost[(a, m)] - seg_cost[(m, b)]
-            if gain < best_gain:
-                best_gain = gain
-                best_i = i
+        # min() keeps the first of equal gains: ties go to the smaller boundary
+        best_gain = min(gain)
         if total + best_gain > penalty:
             break
-        a, m, b = bounds[best_i - 1], bounds[best_i], bounds[best_i + 1]
-        del seg_cost[(a, m)], seg_cost[(m, b)]
-        seg_cost[(a, b)] = costs.cost(a, b)
+        i = gain.index(best_gain)
+        seg[i - 1] = merged[i]
+        del bounds[i], seg[i], merged[i], gain[i]
         total += best_gain
-        del bounds[best_i]
+        refresh(i - 1)
+        refresh(i)
 
     return Segmentation(
         breakpoints=bounds[1:],

@@ -38,20 +38,28 @@ def parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def parse_float(text: str) -> float:
+    """float(text), refusing NaN, which passes every range check; inf stays."""
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError("not a number")
+    return value
+
+
 # The [train] section of a pipeline config: key -> (parser, default as
 # written in a config file).  TrainConfig's defaults are parsed from it, so
 # each default is written once; range checks live in TrainConfig.validate.
 TRAIN_KEYS = {
     "dimension": (int, "100"),
     "epochs": (int, "200"),
-    "learning_rate": (float, "1e-3"),
+    "learning_rate": (parse_float, "1e-3"),
     "batch_size": (int, "500"),
     "negative_samples": (int, "500"),
     # per_batch: negative_samples is the per-batch total, shared out as
     # ceil(total / batch positives) per positive; per_positive: used directly
     "negative_mode": (str, "per_batch"),
-    "margin": (float, "1.0"),
-    "temperature": (float, "0.5"),
+    "margin": (parse_float, "1.0"),
+    "temperature": (parse_float, "0.5"),
     "norm": (str, "l1"),
     "seed": (int, "0"),
     "adversarial": (parse_bool, "true"),

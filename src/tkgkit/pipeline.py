@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .cpd import CpdConfig
-from .embed import TRAIN_KEYS, TrainConfig, config_dict, parse_bool, save_model, train
+from .embed import (TRAIN_KEYS, TrainConfig, config_dict, parse_bool, parse_float,
+                    save_model, train)
 from .eval import DEFAULT_HITS, TIE_RULES, evaluate, ranks_tsv
 from .graph import (
     DATA_FORMATS,
@@ -75,13 +76,13 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "dataset": {"path": (Path, None), "format": (DATA_FORMATS, "valid_time")},
     "transform": {
         "method": (TRANSFORM_METHODS, "none"),
-        "grow": (float, None),
-        "shrink": (float, None),
-        "epsilon": (float, None),
+        "grow": (parse_float, None),
+        "shrink": (parse_float, None),
+        "epsilon": (parse_float, None),
         "score": (PROXIMITY_MEASURES, "pref"),
         "min_size": (int, str(CpdConfig.min_size)),
         "jump": (int, str(CpdConfig.jump)),
-        "gamma": (float, None),
+        "gamma": (parse_float, None),
         "scope": (SIGNATURE_SCOPES, "predicate"),
         "seed": (int, "0"),
     },

@@ -106,11 +106,26 @@ class SignatureSeries:
         return self.matrix.shape
 
 
+def _edges_by_stamp(facts, num_timestamps: int) -> list[list[tuple[int, int]]]:
+    """The (s, o) edge of every fact valid at each timestamp, in fact order."""
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(num_timestamps)]
+    for f in facts:
+        for t in range(f.b, f.e + 1):
+            edges[t].append((f.s, f.o))
+    return edges
+
+
+def neighbor_slices(facts, num_timestamps: int) -> list[NeighborIndex]:
+    """One NeighborIndex per timestamp over the facts valid then."""
+    return [NeighborIndex(e) for e in _edges_by_stamp(facts, num_timestamps)]
+
+
 def signature_series(
     g: TemporalGraph,
     predicate: int,
     measure: str = "pref",
     scope: str = "predicate",
+    slices: list[NeighborIndex] | None = None,
 ) -> SignatureSeries:
     """Build the proximity signature of one predicate across all timestamps.
 
@@ -118,9 +133,16 @@ def signature_series(
     ``"predicate"`` uses only the predicate's own facts valid then (the
     default), ``"graph"`` uses every fact valid then.  Scores are written
     only for pairs connected at the row's timestamp; other cells stay zero.
+    ``slices`` is ``neighbor_slices(g.facts, g.num_timestamps)``, the graph
+    scope's indexes, which callers scoring many predicates build once; it is
+    built here when not given.
     """
     if scope not in SIGNATURE_SCOPES:
         raise ValueError(f"unknown signature scope {scope!r}")
+    if slices is not None and (scope != "graph" or len(slices) != g.num_timestamps):
+        raise ValueError("slices are the graph scope's index for each timestamp")
+    if not 0 <= predicate < g.num_predicates:
+        raise ValueError(f"predicate id {predicate} not in graph")
     score = get_measure(measure)
 
     mine = [g.facts[i] for i in g.by_predicate().get(predicate, [])]
@@ -139,20 +161,14 @@ def signature_series(
         for t in range(f.b, f.e + 1):
             active[t].add(pq)
 
-    if scope == "predicate":
-        pool = mine
-    else:
-        pool = list(g.facts)
-    edges: list[list[tuple[int, int]]] = [[] for _ in range(n_t)]
-    for f in pool:
-        for t in range(f.b, f.e + 1):
-            edges[t].append((f.s, f.o))
+    if slices is None:
+        edges = _edges_by_stamp(mine if scope == "predicate" else g.facts, n_t)
 
     col = series.pair_index
     for t in range(n_t):
         if not active[t]:
             continue
-        index = NeighborIndex(edges[t])
+        index = NeighborIndex(edges[t]) if slices is None else slices[t]
         row = matrix[t]
         for u, v in active[t]:
             row[col[(u, v)]] = score(index, u, v)

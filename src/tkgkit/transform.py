@@ -28,7 +28,7 @@ import numpy as np
 
 from .cpd import CpdConfig, bottom_up, normalize_rows
 from .graph import DataError, Quintuple, TemporalGraph
-from .proximity import signature_series
+from .proximity import neighbor_slices, signature_series
 
 logger = logging.getLogger(__name__)
 
@@ -420,8 +420,10 @@ def split_cpd(
         g,
     )
 
+    # built once here, not cached on g: at 0.1 x Wikidata12k it holds ~9 MB
+    slices = neighbor_slices(g.facts, g.num_timestamps) if scope == "graph" else None
     for pid in range(g.num_predicates):
-        series = signature_series(g, pid, measure=score, scope=scope)
+        series = signature_series(g, pid, measure=score, scope=scope, slices=slices)
         if series.matrix.size == 0 or bool(np.all(series.matrix == series.matrix[0])):
             continue
         x = normalize_rows(series.matrix)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,6 +18,7 @@ from tkgkit import (
     rbf_kernel,
     segment_cost,
 )
+from tkgkit.cpd import _GramCosts
 
 
 def naive_cost(x: np.ndarray, a: int, b: int, gamma: float) -> float:
@@ -172,6 +175,24 @@ def test_bottom_up_input_validation():
         bottom_up(np.zeros(5), penalty=1.0, jump=0)
 
 
+@pytest.mark.parametrize(
+    "signal,kwargs,hint",
+    [
+        ([0.0, 1.0, np.nan, 1.0, 0.0], {}, "non-finite"),
+        ([0.0, 1.0, np.inf, 1.0, 0.0], {}, "non-finite"),
+        ([0.0, 1.0, 1.0, 0.0], {"gamma": np.nan}, "gamma must be finite"),
+        ([0.0, 1.0, 1.0, 0.0], {"gamma": np.inf}, "gamma must be finite"),
+        ([0.0, 1.0, 1.0, 0.0], {"penalty": np.nan}, "penalty"),
+        ([0.0, 1e200, 0.0, 1e200], {"gamma": 1.0}, "kernel matrix is not finite"),
+    ],
+)
+def test_bottom_up_rejects_non_finite(signal, kwargs, hint):
+    """A NaN gain would pick no merge; fail before the search starts."""
+    kwargs = {"penalty": 1.0, **kwargs}
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=hint):
+        bottom_up(np.array(signal), **kwargs)
+
+
 def test_cpd_config_validation():
     CpdConfig().validate()
     with pytest.raises(ValueError):
@@ -182,6 +203,9 @@ def test_cpd_config_validation():
         CpdConfig(jump=0).validate()
     with pytest.raises(ValueError):
         CpdConfig(gamma=-1.0).validate()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            CpdConfig(gamma=bad).validate()
 
 
 @settings(max_examples=30, deadline=None)
@@ -207,3 +231,84 @@ def test_merge_gains_nonnegative(x):
         whole = segment_cost(x, 0, n, gamma)
         parts = segment_cost(x, 0, m, gamma) + segment_cost(x, m, n, gamma)
         assert whole >= parts - 1e-9
+
+
+def reference_bottom_up(x, penalty, min_size=1, jump=1, gamma=None):
+    """The bottom-up search as first written: every pass recomputes the gain
+    of every adjacent pair.  Returns (breakpoints, total cost, gamma)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    n = x.shape[0]
+    g = gamma if gamma is not None else median_heuristic_gamma(x)
+    costs = _GramCosts(x, g)
+    if n < 2 * min_size:
+        return [n], costs.cost(0, n), g
+    bounds = [0]
+    for k in range(jump, n, jump):
+        if k - bounds[-1] >= min_size and n - k >= min_size:
+            bounds.append(k)
+    bounds.append(n)
+    seg_cost = {
+        (bounds[i], bounds[i + 1]): costs.cost(bounds[i], bounds[i + 1])
+        for i in range(len(bounds) - 1)
+    }
+    total = sum(seg_cost.values())
+    while len(bounds) > 2:
+        best_gain = math.inf
+        best_i = -1
+        for i in range(1, len(bounds) - 1):
+            a, m, b = bounds[i - 1], bounds[i], bounds[i + 1]
+            gain = costs.cost(a, b) - seg_cost[(a, m)] - seg_cost[(m, b)]
+            if gain < best_gain:
+                best_gain = gain
+                best_i = i
+        if total + best_gain > penalty:
+            break
+        a, m, b = bounds[best_i - 1], bounds[best_i], bounds[best_i + 1]
+        del seg_cost[(a, m)], seg_cost[(m, b)]
+        seg_cost[(a, b)] = costs.cost(a, b)
+        total += best_gain
+        del bounds[best_i]
+    return bounds[1:], total, g
+
+
+def assert_same_as_reference(x, penalty, min_size, jump, gamma=None):
+    seg = bottom_up(x, penalty, min_size=min_size, jump=jump, gamma=gamma)
+    breakpoints, total, g = reference_bottom_up(x, penalty, min_size, jump, gamma)
+    assert seg.breakpoints == breakpoints
+    assert seg.total_cost.hex() == float(total).hex()
+    assert seg.gamma == g
+
+
+grid = st.sampled_from([1, 2, 3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 40), st.integers(1, 3)),
+        elements=st.floats(-3, 3),
+    ),
+    penalty=st.floats(0.0, 6.0),
+    min_size=grid,
+    jump=grid,
+)
+def test_bottom_up_matches_reference(x, penalty, min_size, jump):
+    assert_same_as_reference(x, penalty, min_size, jump)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.lists(st.integers(0, 2), min_size=1, max_size=40).map(np.array),
+    penalty=st.integers(0, 40).map(lambda k: k / 4),
+    gamma=st.sampled_from([None, 1.0, 1000.0, 1000.0]),
+    min_size=grid,
+    jump=grid,
+)
+@example(x=np.array([0, 1, 0, 1]), penalty=1.0, gamma=1000.0, min_size=1, jump=1)
+def test_bottom_up_matches_reference_on_ties(x, penalty, gamma, min_size, jump):
+    # few distinct values: many merges have equal gains, exactly so at
+    # gamma = 1000, where every kernel value is 0 or 1
+    assert_same_as_reference(x, penalty, min_size, jump, gamma)

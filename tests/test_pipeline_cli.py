@@ -128,6 +128,13 @@ def base_raw(tiny_dataset, tmp_path):
         ("transform", "min_size", "0", r"\[transform\] min_size must be >= 1"),
         ("transform", "jump", "0", r"\[transform\] jump must be >= 1"),
         ("cli", "train --epochs", "-1", r"^\[train\] epochs must be >= 0$"),
+        ("transform", "epsilon", "nan", r"\[transform\] epsilon: cannot parse 'nan'"),
+        ("transform", "gamma", "nan", r"\[transform\] gamma: cannot parse 'nan'"),
+        ("transform", "gamma", "inf", r"\[transform\] gamma must be finite"),
+        ("env", "TKGKIT_TRANSFORM_EPSILON", "nan", r"\[transform\] epsilon: cannot parse"),
+        ("train", "learning_rate", "nan", r"\[train\] learning_rate: cannot parse"),
+        ("train", "margin", "NaN", r"\[train\] margin: cannot parse"),
+        ("cli", "train --temperature", "nan", r"\[train\] temperature: cannot parse"),
     ],
 )
 def test_build_config_rejects(tiny_dataset, tmp_path, section, key, value, hint):
@@ -370,6 +377,19 @@ def test_cli_segment_debug(tmp_path, capsys):
     empty.write_text("")
     with pytest.warns(UserWarning):
         assert main(["segment-debug", "--signal", str(empty), "--epsilon", "1"]) == 3
+
+
+def test_cli_segment_debug_non_finite(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    sig.write_text("0\n0\n0\n5\n5\n5\n")
+    for flag, value in (("--gamma", "nan"), ("--gamma", "inf"), ("--epsilon", "nan")):
+        args = ["segment-debug", "--signal", str(sig), "--epsilon", "1", flag, value]
+        assert main(args) == 2, (flag, value)
+    assert "gamma must be finite" in capsys.readouterr().err
+    bad = tmp_path / "nan.csv"
+    bad.write_text("0\n0\n0\nnan\n5\n5\n")
+    assert main(["segment-debug", "--signal", str(bad), "--epsilon", "1"]) == 3
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_cli_run_exit_codes(tiny_dataset, tmp_path, capsys):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tkgkit import (
@@ -16,7 +16,13 @@ from tkgkit import (
     pref_attachment,
     signature_series,
 )
-from tkgkit.proximity import PROXIMITY_MEASURES, get_measure, signature_csv
+from tkgkit.proximity import (
+    PROXIMITY_MEASURES,
+    SIGNATURE_SCOPES,
+    get_measure,
+    neighbor_slices,
+    signature_csv,
+)
 
 from conftest import build_graph
 
@@ -167,6 +173,18 @@ def test_signature_rejects_bad_args():
         signature_series(g, 0, measure="simrank")
     with pytest.raises(ValueError):
         signature_series(g, 0, scope="global")
+    slices = neighbor_slices(g.facts, g.num_timestamps)
+    with pytest.raises(ValueError, match="slices"):
+        signature_series(g, 0, slices=slices)  # predicate scope
+    with pytest.raises(ValueError, match="slices"):
+        signature_series(g, 0, scope="graph", slices=slices[:3])
+
+
+@pytest.mark.parametrize("predicate", [2, 999, -1])
+def test_signature_rejects_unknown_predicate(predicate):
+    g = _demo_graph()  # predicates 0 and 1
+    with pytest.raises(ValueError, match=f"predicate id {predicate} not in graph"):
+        signature_series(g, predicate)
 
 
 def test_signature_csv_layout():
@@ -176,3 +194,67 @@ def test_signature_csv_layout():
     lines = text.strip().split("\n")
     assert len(lines) == 1 + g.num_timestamps
     assert lines[0].count("|") == len(sig.pairs)
+
+
+def reference_signature(g, predicate, measure, scope):
+    """signature_series as first written: every call buckets the scope's
+    facts per timestamp and builds each active timestamp's index anew."""
+    score = get_measure(measure)
+    mine = [g.facts[i] for i in g.by_predicate().get(predicate, [])]
+    pairs = sorted({(min(f.s, f.o), max(f.s, f.o)) for f in mine})
+    n_t = g.num_timestamps
+    matrix = np.zeros((n_t, len(pairs)), dtype=np.float64)
+    if not pairs:
+        return matrix
+    col = {pq: j for j, pq in enumerate(pairs)}
+    active = [set() for _ in range(n_t)]
+    for f in mine:
+        pq = (min(f.s, f.o), max(f.s, f.o))
+        for t in range(f.b, f.e + 1):
+            active[t].add(pq)
+    pool = mine if scope == "predicate" else list(g.facts)
+    edges = [[] for _ in range(n_t)]
+    for f in pool:
+        for t in range(f.b, f.e + 1):
+            edges[t].append((f.s, f.o))
+    for t in range(n_t):
+        if not active[t]:
+            continue
+        index = NeighborIndex(edges[t])
+        for u, v in active[t]:
+            matrix[t, col[(u, v)]] = score(index, u, v)
+    return matrix
+
+
+# (s, p, o, begin, length): six entities make self-loops and repeated
+# (parallel) edges likely; intervals cover up to four stamps of eight.  The
+# ids share one hash slot, so a neighbour set's iteration order, and with it
+# the Adamic-Adar sum, depends on the order its edges were added.
+ENTITY = st.sampled_from([0, 8, 16, 24, 32, 40])
+quintuples = st.lists(
+    st.tuples(ENTITY, st.integers(0, 2), ENTITY, st.integers(0, 7), st.integers(0, 3)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=quintuples)
+# every run covers a self-loop, a parallel edge and multi-stamp intervals,
+# and a triangle whose Adamic-Adar sum changes with the edge order
+@example(rows=[(0, 0, 0, 0, 3), (0, 0, 8, 1, 3), (0, 0, 8, 1, 1), (8, 1, 16, 0, 5),
+               (16, 1, 16, 2, 0), (8, 0, 0, 3, 2), (16, 2, 24, 0, 1), (24, 2, 8, 4, 1)])
+@example(rows=[(0, 0, 0, 0, 0), (0, 0, 8, 0, 0), (0, 0, 16, 0, 0), (8, 0, 16, 0, 0)])
+def test_signature_bytes_match_reference(rows):
+    facts = [(s, p, o, b, min(b + k, 7)) for s, p, o, b, k in rows]
+    g = build_graph(facts, num_entities=41, num_predicates=3, num_times=8)
+    shared = neighbor_slices(g.facts, g.num_timestamps)
+    for measure in PROXIMITY_MEASURES:
+        for pid in range(g.num_predicates):
+            for scope in SIGNATURE_SCOPES:
+                want = reference_signature(g, pid, measure, scope).tobytes()
+                got = signature_series(g, pid, measure=measure, scope=scope)
+                assert got.matrix.tobytes() == want, (measure, pid, scope)
+            got = signature_series(g, pid, measure=measure, scope="graph", slices=shared)
+            assert got.matrix.tobytes() == reference_signature(g, pid, measure, "graph").tobytes()
+

@@ -67,12 +67,13 @@ def rank_queries(
 ) -> list[RankRecord]:
     """Rank the true entity on both query sides of every test triple.
 
-    ``known`` is the union of all true triples (train, valid, test); under
-    ``filtered=True`` those candidates are excluded from the comparison,
-    keeping only the query triple itself.  A model with non-finite values
-    raises NumericError: NaN scores compare false with everything, which
-    would score MRR 1, 2 or inf depending on the tie rule.  So does a target
-    score that overflows to inf, which ties with every overflowing candidate.
+    ``known`` holds all true triples (train, valid, test; duplicates are
+    fine); under ``filtered=True`` those candidates are excluded from the
+    comparison, keeping only the query triple itself.  A model with
+    non-finite values raises NumericError: NaN scores compare false with
+    everything, which would score MRR 1, 2 or inf depending on the tie rule.
+    So does a target score that overflows to inf, which ties with every
+    overflowing candidate.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}; expected one of {TIE_RULES}")

@@ -2,16 +2,20 @@
 
 Facts are quintuples ``(s, p, o, b, e)`` over interned integer identifiers:
 entities and predicates are numbered in first-seen order, timestamps in
-chronological order.  Event-style quadruples ``(s, p, o, h)`` are converted
-on load via :func:`to_valid_time`.  A :class:`TemporalGraph` is treated as
-immutable after construction; every transformation builds a new graph.
+chronological order.  Event-style quadruples ``(s, p, o, h)`` load as
+quintuples with b = e = h (:func:`to_valid_time`).  A :class:`TemporalGraph`
+is treated as immutable after construction; every transformation builds a
+new graph.
 """
 from __future__ import annotations
 
 import logging
+import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, repeat
+from operator import le
 from pathlib import Path
 from typing import NamedTuple
 
@@ -214,29 +218,62 @@ def _parse_year(token: str, missing_tokens: frozenset[str]) -> int | None:
     return int(m.group(1))
 
 
-def _read_rows(path: Path, fmt: str) -> list[tuple]:
-    """Read one split file; returns (s, p, o, time fields..., lineno) rows.
+def _read_columns(path: Path, arity: int, what: str) -> list[list[str]]:
+    """Read one split file into ``arity`` columns of stripped fields.
 
-    Structurally malformed lines (wrong column count, empty core fields) are
-    dropped with a logged warning carrying the line number.
+    Blank lines are skipped.  Lines with the wrong number of tab-separated
+    fields or an empty subject, predicate or object are dropped with a
+    logged warning carrying the line number, in line order.  A file left
+    with no rows raises DataError.
     """
-    arity = 5 if fmt == "valid_time" else 4
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != arity or not all(p.strip() for p in parts[:3]):
-            logger.warning("%s:%d: malformed line dropped: %r", path, lineno, line)
-            continue
-        rows.append((*[p.strip() for p in parts], lineno))
-    if not rows:
-        raise DataError(f"{path} contains no facts")
-    return rows
+    lines = text.splitlines()
+    tabs = list(map(str.count, lines, repeat("\t")))
+    # indices of the lines with the right number of fields, and of the rest
+    at: range | list[int] = range(len(lines))
+    bad: list[int] = []
+    good = lines
+    if tabs.count(arity - 1) < len(lines):
+        bad = [i for i in at if tabs[i] != arity - 1]
+        at = [i for i in at if tabs[i] == arity - 1]
+        good = [lines[i] for i in at]
+    cols: list[list[str]] = [[] for _ in range(arity)]
+    if good:
+        fields = list(map(str.strip, "\t".join(good).split("\t")))
+        cols = [fields[k::arity] for k in range(arity)]
+    if any("" in col for col in cols[:3]):
+        keep = ["" not in row for row in zip(*cols[:3])]
+        bad.extend(i for i, ok in zip(at, keep) if not ok)
+        cols = [list(compress(col, keep)) for col in cols]
+    for i in sorted(bad):
+        if lines[i].strip():  # blank lines are skipped without a word
+            logger.warning("%s:%d: malformed line dropped: %r", path, i + 1, lines[i])
+    if not cols[0]:
+        raise DataError(f"{path} contains no {what}")
+    return cols
+
+
+def _intern(per_split: list[list[list[str]]]):
+    """Subject, predicate and object id columns over all splits, and the
+    entity and predicate labels, numbered in first-seen order (subject
+    before object)."""
+    subjects, predicates, objects = (
+        list(chain.from_iterable(cols[k] for cols in per_split)) for k in range(3)
+    )
+    entities: list[str | None] = [None] * (2 * len(subjects))
+    entities[0::2] = subjects
+    entities[1::2] = objects
+    entity_id = dict(zip(dict.fromkeys(entities), count()))
+    predicate_id = dict(zip(dict.fromkeys(predicates), count()))
+    ids = (
+        map(entity_id.__getitem__, subjects),
+        map(predicate_id.__getitem__, predicates),
+        map(entity_id.__getitem__, objects),
+    )
+    return ids, tuple(entity_id), tuple(predicate_id)
 
 
 def load_dataset(
@@ -250,90 +287,71 @@ def load_dataset(
     event files ``s p o timestamp``.  Valid-time begin/end fields are parsed
     at year granularity; a missing begin is set to the first timestamp, a
     missing end to the last, and facts whose end precedes their begin are
-    removed.  Event facts become quintuples with b = e = h.
+    removed (a split left empty by that raises DataError).  Event facts
+    become quintuples with b = e = h.
     """
     if fmt not in DATA_FORMATS:
         raise ValueError(f"unknown dataset format {fmt!r}")
     root = Path(path)
-    per_split = {}
-    for name in SPLIT_NAMES:
-        per_split[name] = _read_rows(root / f"{name}.txt", fmt)
-
-    entities: dict[str, int] = {}
-    predicates: dict[str, int] = {}
-
-    def intern(table: dict[str, int], label: str) -> int:
-        if label not in table:
-            table[label] = len(table)
-        return table[label]
+    arity = 5 if fmt == "valid_time" else 4
+    per_split = [_read_columns(root / f"{name}.txt", arity, "facts") for name in SPLIT_NAMES]
 
     if fmt == "valid_time":
-        parsed = []  # (split_idx, s, p, o, b|None, e|None)
-        years: set[int] = set()
+        stamps = set().union(*(cols[k] for cols in per_split for k in (3, 4)))
+        year = {tok: _parse_year(tok, missing_tokens) for tok in stamps}
+        # a missing begin sorts before every year and a missing end after
+        low = {tok: -math.inf if y is None else y for tok, y in year.items()}
+        high = {tok: math.inf if y is None else y for tok, y in year.items()}
         n_invalid = 0
-        for split_idx, name in enumerate(SPLIT_NAMES):
-            for s, p, o, b_tok, e_tok, lineno in per_split[name]:
-                b = _parse_year(b_tok, missing_tokens)
-                e = _parse_year(e_tok, missing_tokens)
-                if b is not None and e is not None and e < b:
-                    n_invalid += 1
-                    continue
-                parsed.append((split_idx, s, p, o, b, e))
-                if b is not None:
-                    years.add(b)
-                if e is not None:
-                    years.add(e)
+        for i, cols in enumerate(per_split):
+            keep = list(map(le, map(low.__getitem__, cols[3]), map(high.__getitem__, cols[4])))
+            if not all(keep):
+                n_invalid += keep.count(False)
+                per_split[i] = [list(compress(col, keep)) for col in cols]
+        if n_invalid:
+            stamps = set().union(*(cols[k] for cols in per_split for k in (3, 4)))
+        years = {year[tok] for tok in stamps} - {None}
         if not years:
             raise DataError(f"{root}: no parseable timestamps in any split")
         if n_invalid:
             logger.info("%s: removed %d facts with end before begin", root, n_invalid)
+            for name, cols in zip(SPLIT_NAMES, per_split):
+                if not cols[0]:
+                    raise DataError(
+                        f"{root / name}.txt contains no facts once those with end"
+                        " before begin are removed"
+                    )
         ordered = sorted(years)
-        time_id = {y: i for i, y in enumerate(ordered)}
+        time_id = dict(zip(ordered, count()))
         first, last = 0, len(ordered) - 1
-        facts, splits = [], []
-        for split_idx, s, p, o, b, e in parsed:
-            facts.append(
-                Quintuple(
-                    intern(entities, s),
-                    intern(predicates, p),
-                    intern(entities, o),
-                    first if b is None else time_id[b],
-                    last if e is None else time_id[e],
-                )
-            )
-            splits.append(split_idx)
-        time_labels = tuple(str(y) for y in ordered)
+        begin_id = {tok: first if year[tok] is None else time_id[year[tok]] for tok in stamps}
+        end_id = {tok: last if year[tok] is None else time_id[year[tok]] for tok in stamps}
+        begins = map(begin_id.__getitem__, chain.from_iterable(cols[3] for cols in per_split))
+        ends = map(end_id.__getitem__, chain.from_iterable(cols[4] for cols in per_split))
+        time_labels = tuple(map(str, ordered))
     else:
-        parsed_ev = []  # (split_idx, s, p, o, h_token)
-        tokens: set[str] = set()
-        for split_idx, name in enumerate(SPLIT_NAMES):
-            for s, p, o, h_tok, lineno in per_split[name]:
-                parsed_ev.append((split_idx, s, p, o, h_tok))
-                tokens.add(h_tok)
+        # first-seen order, so equal numeric values sort the same every run;
         # numeric labels sort numerically, anything else lexicographically
         # (ISO dates are lexicographic-chronological)
+        tokens = dict.fromkeys(chain.from_iterable(cols[3] for cols in per_split))
         try:
-            ordered_tok = sorted(tokens, key=int)
+            time_labels = tuple(sorted(tokens, key=int))
         except ValueError:
-            ordered_tok = sorted(tokens)
-        time_id = {tok: i for i, tok in enumerate(ordered_tok)}
-        facts, splits = [], []
-        for split_idx, s, p, o, h_tok in parsed_ev:
-            quad = Quadruple(
-                intern(entities, s),
-                intern(predicates, p),
-                intern(entities, o),
-                time_id[h_tok],
-            )
-            facts.append(to_valid_time(quad))
-            splits.append(split_idx)
-        time_labels = tuple(ordered_tok)
+            time_labels = tuple(sorted(tokens))
+        time_id = dict(zip(time_labels, count()))
+        begins = ends = list(
+            map(time_id.__getitem__, chain.from_iterable(cols[3] for cols in per_split))
+        )
 
+    (subjects, predicates, objects), entity_labels, predicate_labels = _intern(per_split)
+    facts = zip(subjects, predicates, objects, begins, ends)
     return TemporalGraph(
-        facts=tuple(facts),
-        splits=tuple(splits),
-        entity_labels=tuple(entities),
-        predicate_labels=tuple(predicates),
+        facts=tuple(map(Quintuple._make, facts)),
+        splits=tuple(chain.from_iterable(
+            repeat(i, len(cols[0])) for i, cols in enumerate(per_split)
+        )),
+        entity_labels=entity_labels,
+        predicate_labels=predicate_labels,
         time_labels=time_labels,
     )
 
@@ -399,32 +417,12 @@ def load_triples(
 ) -> tuple[dict[str, list[StaticTriple]], tuple[str, ...], tuple[str, ...]]:
     """Load three-column triple files, interning labels in first-seen order."""
     root = Path(path)
-    entities: dict[str, int] = {}
-    predicates: dict[str, int] = {}
-
-    def intern(table: dict[str, int], label: str) -> int:
-        if label not in table:
-            table[label] = len(table)
-        return table[label]
-
+    per_split = [_read_columns(root / f"{name}.txt", 3, "triples") for name in SPLIT_NAMES]
+    ids, entity_labels, predicate_labels = _intern(per_split)
+    triples = list(map(StaticTriple._make, zip(*ids)))
     out: dict[str, list[StaticTriple]] = {}
-    for name in SPLIT_NAMES:
-        fp = root / f"{name}.txt"
-        try:
-            text = fp.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot read {fp}: {exc}") from exc
-        rows = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not all(p.strip() for p in parts):
-                logger.warning("%s:%d: malformed line dropped: %r", fp, lineno, line)
-                continue
-            s, p, o = (x.strip() for x in parts)
-            rows.append(StaticTriple(intern(entities, s), intern(predicates, p), intern(entities, o)))
-        if not rows:
-            raise DataError(f"{fp} contains no triples")
-        out[name] = rows
-    return out, tuple(entities), tuple(predicates)
+    start = 0
+    for name, cols in zip(SPLIT_NAMES, per_split):
+        out[name] = triples[start:start + len(cols[0])]
+        start += len(cols[0])
+    return out, entity_labels, predicate_labels

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -360,7 +361,7 @@ def run_pipeline(cfg: PipelineConfig):
     )
 
     logger.info("evaluating %d test triples", len(f_test))
-    known = set(f_train) | set(f_valid) | set(f_test)
+    known = itertools.chain(f_train, f_valid, f_test)
     report, records = evaluate(
         model, f_test, known, tie_rule=cfg.tie_rule, ks=cfg.hits_ks
     )

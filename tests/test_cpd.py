@@ -210,7 +210,9 @@ def test_cpd_config_validation():
 
 @settings(max_examples=30, deadline=None)
 @given(
-    x=arrays(np.float64, st.integers(4, 16), elements=st.floats(-3, 3)),
+    x=arrays(
+        np.float64, st.integers(4, 16), elements=st.floats(-3, 3), fill=st.nothing()
+    ),
     e1=st.floats(0.0, 2.0),
     e2=st.floats(0.0, 2.0),
 )
@@ -222,7 +224,9 @@ def test_epsilon_monotone(x, e1, e2):
 
 
 @settings(max_examples=30, deadline=None)
-@given(arrays(np.float64, st.integers(2, 12), elements=st.floats(-3, 3)))
+@given(
+    arrays(np.float64, st.integers(2, 12), elements=st.floats(-3, 3), fill=st.nothing())
+)
 def test_merge_gains_nonnegative(x):
     # merging adjacent segments can never lower the kernel scatter cost
     gamma = 1.0
@@ -290,6 +294,7 @@ grid = st.sampled_from([1, 2, 3])
         np.float64,
         st.tuples(st.integers(1, 40), st.integers(1, 3)),
         elements=st.floats(-3, 3),
+        fill=st.nothing(),
     ),
     penalty=st.floats(0.0, 6.0),
     min_size=grid,

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import logging
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tkgkit import (
     DataError,
@@ -21,7 +26,13 @@ from tkgkit import (
     strip_temporal,
     to_valid_time,
 )
-from tkgkit.graph import SPLIT_NAMES, format_stats, restrict_predicate
+from tkgkit.graph import (
+    DATA_FORMATS,
+    DEFAULT_MISSING_TOKENS,
+    SPLIT_NAMES,
+    format_stats,
+    restrict_predicate,
+)
 
 from conftest import build_graph, write_split_files
 
@@ -90,6 +101,19 @@ def test_end_before_begin_dropped(tmp_path):
     )
     g = load_dataset(root)
     assert dataset_stats(g).train == 1
+
+
+def test_split_emptied_by_end_before_begin_raises(tmp_path):
+    root = write_split_files(
+        tmp_path / "d",
+        {
+            "train": [("a", "r", "b", "2001", "2005")],
+            "valid": [("a", "r", "b", "2005", "2001"), ("b", "r", "a", "2003", "2002")],
+            "test": [("b", "r", "a", "2005", "2005")],
+        },
+    )
+    with pytest.raises(DataError, match="valid.txt contains no facts"):
+        load_dataset(root)
 
 
 def test_malformed_line_dropped_with_warning(tmp_path, caplog):
@@ -243,3 +267,291 @@ def test_format_stats(tiny_graph):
     text = format_stats(dataset_stats(tiny_graph))
     assert text.splitlines()[0].split() == ["entities", "3"]
     assert len(text.splitlines()) == 6
+
+
+# ---------------------------------------------------------------------------
+# byte reference: the row-by-row loader the column reader replaced
+# ---------------------------------------------------------------------------
+
+_ref_logger = logging.getLogger("tkgkit.graph")
+_REF_YEAR_RE = re.compile(r"^\s*(-?\d+)")
+
+
+def _ref_parse_year(token, missing_tokens):
+    if token.strip() in missing_tokens:
+        return None
+    m = _REF_YEAR_RE.match(token)
+    if m is None:
+        return None
+    return int(m.group(1))
+
+
+def _ref_read_rows(path, fmt):
+    arity = 5 if fmt == "valid_time" else 4
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != arity or not all(p.strip() for p in parts[:3]):
+            _ref_logger.warning("%s:%d: malformed line dropped: %r", path, lineno, line)
+            continue
+        rows.append((*[p.strip() for p in parts], lineno))
+    if not rows:
+        raise DataError(f"{path} contains no facts")
+    return rows
+
+
+def reference_load_dataset(path, fmt="valid_time", missing_tokens=DEFAULT_MISSING_TOKENS):
+    """``load_dataset`` as first written: one tuple, regex match and intern
+    call per row."""
+    root = Path(path)
+    per_split = {name: _ref_read_rows(root / f"{name}.txt", fmt) for name in SPLIT_NAMES}
+    entities, predicates = {}, {}
+
+    def intern(table, label):
+        if label not in table:
+            table[label] = len(table)
+        return table[label]
+
+    facts, splits = [], []
+    if fmt == "valid_time":
+        parsed, years, n_invalid = [], set(), 0
+        for split_idx, name in enumerate(SPLIT_NAMES):
+            for s, p, o, b_tok, e_tok, lineno in per_split[name]:
+                b = _ref_parse_year(b_tok, missing_tokens)
+                e = _ref_parse_year(e_tok, missing_tokens)
+                if b is not None and e is not None and e < b:
+                    n_invalid += 1
+                    continue
+                parsed.append((split_idx, s, p, o, b, e))
+                years.update(y for y in (b, e) if y is not None)
+        if not years:
+            raise DataError(f"{root}: no parseable timestamps in any split")
+        if n_invalid:
+            _ref_logger.info("%s: removed %d facts with end before begin", root, n_invalid)
+        ordered = sorted(years)
+        time_id = {y: i for i, y in enumerate(ordered)}
+        for split_idx, s, p, o, b, e in parsed:
+            facts.append(Quintuple(
+                intern(entities, s), intern(predicates, p), intern(entities, o),
+                0 if b is None else time_id[b],
+                len(ordered) - 1 if e is None else time_id[e],
+            ))
+            splits.append(split_idx)
+        time_labels = tuple(str(y) for y in ordered)
+    else:
+        parsed_ev, tokens = [], set()
+        for split_idx, name in enumerate(SPLIT_NAMES):
+            for s, p, o, h_tok, lineno in per_split[name]:
+                parsed_ev.append((split_idx, s, p, o, h_tok))
+                tokens.add(h_tok)
+        try:
+            ordered_tok = sorted(tokens, key=int)
+        except ValueError:
+            ordered_tok = sorted(tokens)
+        time_id = {tok: i for i, tok in enumerate(ordered_tok)}
+        for split_idx, s, p, o, h_tok in parsed_ev:
+            quad = Quadruple(
+                intern(entities, s), intern(predicates, p), intern(entities, o), time_id[h_tok]
+            )
+            facts.append(to_valid_time(quad))
+            splits.append(split_idx)
+        time_labels = tuple(ordered_tok)
+    return TemporalGraph(
+        facts=tuple(facts),
+        splits=tuple(splits),
+        entity_labels=tuple(entities),
+        predicate_labels=tuple(predicates),
+        time_labels=time_labels,
+    )
+
+
+def reference_load_triples(path):
+    root = Path(path)
+    entities, predicates = {}, {}
+
+    def intern(table, label):
+        if label not in table:
+            table[label] = len(table)
+        return table[label]
+
+    out = {}
+    for name in SPLIT_NAMES:
+        fp = root / f"{name}.txt"
+        try:
+            text = fp.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"cannot read {fp}: {exc}") from exc
+        rows = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3 or not all(p.strip() for p in parts):
+                _ref_logger.warning("%s:%d: malformed line dropped: %r", fp, lineno, line)
+                continue
+            s, p, o = (x.strip() for x in parts)
+            rows.append(
+                StaticTriple(intern(entities, s), intern(predicates, p), intern(entities, o))
+            )
+        if not rows:
+            raise DataError(f"{fp} contains no triples")
+        out[name] = rows
+    return out, tuple(entities), tuple(predicates)
+
+
+def outcome(load, *args):
+    """(result or DataError text, ordered (level, message) log records)."""
+    records = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = lambda r: records.append((r.levelname, r.getMessage()))
+    level = _ref_logger.level
+    _ref_logger.addHandler(handler)
+    _ref_logger.setLevel(logging.INFO)
+    try:
+        result = load(*args)
+    except DataError as exc:
+        result = ("DataError", str(exc))
+    finally:
+        _ref_logger.removeHandler(handler)
+        _ref_logger.setLevel(level)
+    return result, records
+
+
+def write_texts(root: Path, texts: dict[str, str]) -> Path:
+    root.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (root / f"{name}.txt").write_bytes(text.encode("utf-8"))
+    return root
+
+
+def assert_loads_as_reference(root: Path, fmt: str | None) -> None:
+    """``fmt=None`` compares ``load_triples``, otherwise ``load_dataset``."""
+    if fmt is None:
+        assert outcome(load_triples, root) == outcome(reference_load_triples, root)
+        return
+    got, got_log = outcome(load_dataset, root, fmt)
+    want, want_log = outcome(reference_load_dataset, root, fmt)
+    assert got_log == want_log
+    if isinstance(want, TemporalGraph) and 0 in want.split_sizes().values():
+        # the row loader kept a split that end-before-begin removal emptied
+        assert got[0] == "DataError" and "once those with end before begin" in got[1]
+    else:
+        assert got == want
+
+
+# every case the loader's line rules name, each file mixing them
+EDGE_TEXTS = {
+    "valid_time": {
+        "train": (
+            "a\tr\tb\t1990\t2000\r\n"
+            "\tr\tb\t1990\t2000\r\n"           # empty subject, right column count
+            "a\tr\tb\t1990\r\n"                # wrong column count
+            "\r\n"
+            "  \t \t\xa0\t\t\r\n"              # whitespace only, right column count
+            " \xa0\r\n"
+            " a \t\xa0r\tc\xa0\t####\t-\r\n"   # padded fields, missing begin and end
+            "b\tq\t \t2001\t2002\r\n"          # whitespace-only object
+            "c\tq\ta\t####-##-##\t\r\n"
+            "c\tr\ta\t-12\t1850\r\n"           # negative year
+            "d\tr\ta\tabc\t12abc\r\n"          # unparseable begin, year prefix end
+            "d\tq\tb\t2001-05-03\t2010\r\n"
+            "a\tq\td\t2005\t2001\r\n"          # end before begin
+            "a\tr\tb\t1990\t2000\t9\r\n"
+            "b\tr\td\t٣\t0\r\n"
+        ),
+        "valid": "e\tr\ta\t2000\t1990\nb\tr\te\t1990\t2000\n\n",
+        "test": "a\tq\tc\t 1990 \t2001",
+    },
+    "event": {
+        "train": (
+            "a\tr\tb\t10\n"
+            "a\tr\t\t10\n"
+            "a\tr\tb\n"
+            "\t\t\t\n"
+            "\xa0b\xa0\tq\tc\t2\n"
+            "c\tq\ta\t100\n"
+            "c\tq\ta\t10\textra\n"
+            "d\tr\tb\t-3\n"
+        ),
+        "valid": "b\tr\td\t2\r\n",
+        "test": "d\tq\ta\t100\n \n",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", DATA_FORMATS)
+def test_loader_matches_reference_on_edge_cases(tmp_path, fmt):
+    root = write_texts(tmp_path / "d", EDGE_TEXTS[fmt])
+    assert_loads_as_reference(root, fmt)
+    got, log = outcome(load_dataset, root, fmt)
+    assert isinstance(got, TemporalGraph)
+    malformed = [int(m.group(1)) for _, msg in log if (m := re.search(r":(\d+): malformed", msg))]
+    assert malformed == sorted(malformed) and len(malformed) >= 3
+
+
+def test_load_triples_matches_reference_on_edge_cases(tmp_path):
+    root = write_texts(tmp_path / "t", {
+        "train": "a\tr\tb\n\tr\tb\na\tr\n\n \t \t \nb\xa0\t q\t c \r\nc\tr\ta\tx\nd\tq\ta",
+        "valid": "b\tr\td\n a\t\tb\n",
+        "test": "e\tq\ta\r\n",
+    })
+    assert_loads_as_reference(root, None)
+
+
+def test_loader_matches_reference_on_empty_and_unparseable(tmp_path):
+    cases = {
+        "empty": {"train": "", "valid": "a\tr\tb\t1\t2\n", "test": "a\tr\tb\t1\t2\n"},
+        "blank": {"train": "a\tr\tb\t1\t2\n", "valid": "\n \n", "test": "a\tr\tb\t1\t2\n"},
+        "malformed": {"train": "a\tr\tb\t1\t2\n", "valid": "a\tr\tb\t1\t2\n", "test": "x\ty\n"},
+        "no years": {name: "a\tr\tb\t-\tabc\n" for name in SPLIT_NAMES},
+        "emptied": {"train": "a\tr\tb\t1\t2\n", "valid": "a\tr\tb\t1\t2\n",
+                    "test": "a\tr\tb\t5\t2\nb\tr\ta\t9\t3\n"},
+    }
+    for label, texts in cases.items():
+        root = write_texts(tmp_path / label.replace(" ", "_"), texts)
+        assert_loads_as_reference(root, "valid_time")
+        assert_loads_as_reference(root, None)
+
+
+LABELS = ["a", "b", "c", "d", "e", " a", "b ", "\xa0c", "d\xa0", "", " ", "x\x1cy"]
+YEARS = ["1990", "2001", "1850", " 2001", "007", "0", "-12", "-0", "abc", "12abc",
+         "2001-05-03", "٣", "-", "####", "####-##-##", "", " "]
+NUMERIC_STAMPS = ["1", "2", "10", "-5", "100"]
+ISO_STAMPS = ["2014-01-15", "2014-02-01", "2014-12-31", "2013-12-31"]
+
+
+def split_text(draw, arity, stamps):
+    fields = st.one_of(
+        st.tuples(*[st.sampled_from(LABELS)] * 3, *[st.sampled_from(stamps)] * (arity - 3)),
+        st.lists(st.sampled_from(LABELS + stamps), min_size=1, max_size=arity + 2),
+        st.sampled_from([(), ("",) * arity, (" ", "\xa0")]),
+    )
+    lines = draw(st.lists(fields.map("\t".join), max_size=12))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@st.composite
+def dataset_texts(draw):
+    fmt = draw(st.sampled_from([None, *DATA_FORMATS]))
+    if fmt == "valid_time":
+        arity, stamps = 5, YEARS
+    elif fmt == "event":
+        arity, stamps = 4, draw(st.sampled_from([NUMERIC_STAMPS, ISO_STAMPS, ISO_STAMPS + ["5"]]))
+    else:
+        arity, stamps = 3, []
+    return fmt, {name: split_text(draw, arity, stamps) for name in SPLIT_NAMES}
+
+
+@settings(max_examples=200, deadline=None)
+@given(dataset_texts())
+def test_loader_matches_reference(case):
+    fmt, texts = case
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_loads_as_reference(write_texts(Path(tmp) / "d", texts), fmt)

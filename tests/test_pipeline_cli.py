@@ -409,6 +409,20 @@ def test_cli_run_data_error(tmp_path):
     assert main(["run", "--config", str(ini)]) == 3
 
 
+def test_cli_run_split_emptied_by_load(tmp_path, capsys):
+    # every test fact ends before it begins: load drops them all, and the run
+    # must stop there instead of training a model it cannot evaluate
+    root = tmp_path / "d"
+    root.mkdir()
+    (root / "train.txt").write_text("a\tr\tb\t2000\t2004\nb\tr\tc\t2001\t2002\n")
+    (root / "valid.txt").write_text("a\tr\tc\t2000\t2001\n")
+    (root / "test.txt").write_text("b\tr\ta\t2004\t2001\nc\tr\ta\t2002\t2000\n")
+    ini = write_ini(tmp_path / "c.ini", root, tmp_path / "out")
+    assert main(["run", "--config", str(ini)]) == 3
+    assert "test.txt contains no facts" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model").exists()
+
+
 def test_cli_run_numeric_error(tiny_dataset, tmp_path):
     import numpy as np
 

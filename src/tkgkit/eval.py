@@ -74,6 +74,11 @@ def rank_queries(
     everything, which would score MRR 1, 2 or inf depending on the tie rule.
     So does a target score that overflows to inf, which ties with every
     overflowing candidate.
+
+    Each query scores every entity with one ``score_objects`` or
+    ``score_subjects`` call, which works through the entity matrix a row
+    block at a time in block-sized scratch that all queries share; scores
+    and ranks are those of scoring the whole matrix at once.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}; expected one of {TIE_RULES}")
@@ -85,7 +90,7 @@ def rank_queries(
         _known_answers(k[:, 1], k[:, 2], k[:, 0], q[:, 1], q[:, 2]),
         _known_answers(k[:, 0], k[:, 1], k[:, 2], q[:, 0], q[:, 1]),
     )
-    buf = np.empty_like(model.entity)
+    buf = model.score_scratch()
 
     records: list[RankRecord] = []
     for t, side_drops in zip(test, drops):

@@ -6,6 +6,8 @@ environment variables named TKGKIT_<SECTION>_<KEY>.  A run writes every
 artifact (transformed dataset, lineage, reports, checkpoint, metrics) into
 one output directory together with a manifest carrying the config hash,
 seed and package version, and is byte-reproducible for a fixed config.
+The manifest is written last and removed when a run starts, so a directory
+holds one only after a complete run.
 """
 from __future__ import annotations
 
@@ -300,6 +302,9 @@ def run_pipeline(cfg: PipelineConfig):
     """Execute all stages and write artifacts; returns the metric report."""
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
+    # a manifest marks a complete run: drop a previous run's before this
+    # run overwrites any of its artifacts
+    (out / "manifest.json").unlink(missing_ok=True)
     artifacts: list[str] = []
 
     def write(name: str, text: str) -> None:

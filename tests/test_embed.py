@@ -19,6 +19,7 @@ from tkgkit import (
 from tkgkit.embed import (
     ADAM_BLOCK,
     Adam,
+    GradientWorkspace,
     _dphi,
     _draw_negatives,
     _log_sigmoid,
@@ -270,6 +271,79 @@ def test_gradients_match_scatter_reference_bytes(norm, weights, k):
     for g, w in zip(got[1:], want[1:]):
         assert g.shape == w.shape and g.dtype == w.dtype
         assert g.tobytes() == w.tobytes()
+
+
+def test_shared_workspace_leaks_no_stale_rows():
+    # 40 entities and 30 predicates: a batch of one positive with one
+    # negative writes a few rows (compact path), one with 60 negatives
+    # lists more ids than there are rows and writes them all (dense path)
+    rng = np.random.default_rng(5)
+    entity, predicate = rng.normal(size=(40, 6)), rng.normal(size=(30, 6))
+    cfg = TrainConfig(dimension=6, detach_weights=False)
+    calls = [
+        (np.array([[0, 0, 1]]), np.array([[2]]), np.array([[True]])),
+        (np.array([[3, 1, 4]]), np.array([[5]]), np.array([[False]])),
+        (np.array([[6, 2, 7]]), rng.integers(8, 40, size=(1, 60)), rng.random((1, 60)) < 0.5),
+        (np.array([[0, 3, 1]]), np.array([[2]]), np.array([[True]])),
+        (np.array([[9, 4, 10]]), np.array([[11]]), np.array([[False]])),
+    ]
+    work = GradientWorkspace(entity.shape, predicate.shape)
+    for pos, neg, corrupt in calls:
+        got = batch_gradients(entity, predicate, pos, neg, corrupt, cfg, work=work)
+        want = batch_gradients(entity, predicate, pos, neg, corrupt, cfg)
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def reference_train(triples, num_entities, num_predicates, cfg, history):
+    """train() as written before the workspace: fresh gradients every step,
+    from the np.add.at form of batch_gradients."""
+    arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    n = arr.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    entity = xavier_uniform(rng, num_entities, cfg.dimension)
+    predicate = xavier_uniform(rng, num_predicates, cfg.dimension)
+    opt = Adam([entity, predicate], cfg.learning_rate)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = arr[order[start:start + cfg.batch_size]]
+            k = cfg.negatives_per_positive(batch.shape[0])
+            negs, corrupt_object = _draw_negatives(batch, k, num_entities, rng)
+            loss, d_ent, d_pred = scatter_reference_gradients(
+                entity, predicate, batch, negs, corrupt_object, cfg
+            )
+            opt.step([d_ent, d_pred])
+            epoch_loss += loss * batch.shape[0]
+        history.append(epoch_loss / n)
+    return entity, predicate
+
+
+@pytest.mark.parametrize("negative_mode", ["per_batch", "per_positive"])
+@pytest.mark.parametrize("detach_weights", [True, False])
+@pytest.mark.parametrize("num_entities, num_predicates", [(90, 40), (40, 20)])
+def test_train_matches_fresh_gradient_reference_bytes(
+    negative_mode, detach_weights, num_entities, num_predicates
+):
+    # 37 triples in batches of 8: four full batches and a short one of 5,
+    # each positive with 2 negatives.  With 90 x 40 every step writes only
+    # the rows it touches; with 40 x 20 the full batches list more ids than
+    # there are rows and write every row, and the short one writes a few
+    rng = np.random.default_rng(3)
+    triples = np.stack([rng.integers(0, num_entities, 37), rng.integers(0, num_predicates, 37),
+                        rng.integers(0, num_entities, 37)], axis=1)
+    negatives = 9 if negative_mode == "per_batch" else 2
+    cfg = TrainConfig(dimension=5, epochs=3, batch_size=8, negative_samples=negatives,
+                      negative_mode=negative_mode, detach_weights=detach_weights,
+                      learning_rate=0.05, norm="l2" if detach_weights else "l1", seed=4)
+    history, want_history = [], []
+    model = train(triples, num_entities, num_predicates, cfg, history=history)
+    entity, predicate = reference_train(triples, num_entities, num_predicates, cfg, want_history)
+    assert history == want_history
+    assert model.entity.tobytes() == entity.tobytes()
+    assert model.predicate.tobytes() == predicate.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import tkgkit.embed
 from tkgkit import (
     EmbeddingModel,
     LineageEntry,
@@ -16,7 +17,14 @@ from tkgkit import (
     predict_predicates,
     rank_queries,
 )
-from tkgkit.eval import TIE_RULES, RankRecord, ranks_tsv
+from tkgkit.eval import (
+    TIE_RULES,
+    RankRecord,
+    _id_array,
+    _known_answers,
+    _rank_from_counts,
+    ranks_tsv,
+)
 
 T = StaticTriple
 
@@ -91,13 +99,82 @@ def random_case(rng, n_ent=10, n_pred=3, dim=4, ties=False):
 
 @pytest.mark.parametrize("tie_rule", TIE_RULES)
 @pytest.mark.parametrize("filtered", [True, False])
-def test_rank_queries_matches_bruteforce(tie_rule, filtered):
-    rng = np.random.default_rng(123)
-    for i in range(60):
-        model, test, known = random_case(rng, ties=i >= 30)
-        got = rank_queries(model, test, known, tie_rule=tie_rule, filtered=filtered)
-        want = brute_force_ranks(model, test, known, tie_rule, filtered)
-        assert [(r.triple, r.side, r.rank) for r in got] == want
+def test_rank_queries_matches_bruteforce(tie_rule, filtered, monkeypatch):
+    for block in (None, 12):
+        # block 12 scores the 10 x 4 entity matrix 3 rows at a time: three
+        # full row blocks and a partial one per query
+        if block is not None:
+            monkeypatch.setattr(tkgkit.embed, "SCORE_BLOCK", block)
+        rng = np.random.default_rng(123)
+        for i in range(60):
+            model, test, known = random_case(rng, ties=i >= 30)
+            got = rank_queries(model, test, known, tie_rule=tie_rule, filtered=filtered)
+            want = brute_force_ranks(model, test, known, tie_rule, filtered)
+            assert [(r.triple, r.side, r.rank) for r in got] == want
+
+
+def whole_matrix_scores(model, side, a, b):
+    """Candidate scores as computed before row blocking: one (N, d) difference."""
+    if side == "object":
+        delta = (model.entity[a] + model.predicate[b])[None, :] - model.entity
+    else:
+        delta = model.entity + (model.predicate[a] - model.entity[b])[None, :]
+    if model.norm == "l1":
+        return np.abs(delta).sum(axis=-1)
+    return np.sqrt(np.square(delta).sum(axis=-1))
+
+
+def reference_rank_queries(model, test, known, tie_rule, filtered):
+    """rank_queries as written before row blocking, one whole-matrix pass a query."""
+    test = list(test)
+    q = _id_array(test)
+    k = _id_array(known if filtered else ())
+    drops = zip(
+        _known_answers(k[:, 1], k[:, 2], k[:, 0], q[:, 1], q[:, 2]),
+        _known_answers(k[:, 0], k[:, 1], k[:, 2], q[:, 0], q[:, 1]),
+    )
+    records = []
+    for t, side_drops in zip(test, drops):
+        for side, drop in zip(("subject", "object"), side_drops):
+            if side == "object":
+                scores = whole_matrix_scores(model, side, t.s, t.p)
+                target = t.o
+            else:
+                scores = whole_matrix_scores(model, side, t.p, t.o)
+                target = t.s
+            target_score = scores[target]
+            dropped = scores[drop[drop != target]]
+            n_better = int(np.count_nonzero(scores < target_score)) - int(
+                np.count_nonzero(dropped < target_score))
+            n_equal = int(np.count_nonzero(scores == target_score)) - 1 - int(
+                np.count_nonzero(dropped == target_score))
+            records.append(RankRecord(t, side, _rank_from_counts(n_better, n_equal, tie_rule)))
+    return records
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+@pytest.mark.parametrize("ties", [False, True])
+def test_rank_queries_across_real_blocks_match_whole_matrix(norm, ties):
+    # 2,000 x 20 entities: more than one real score block, the last one partial
+    n_ent, dim = 2000, 20
+    assert n_ent * dim > tkgkit.embed.SCORE_BLOCK
+    assert n_ent % (tkgkit.embed.SCORE_BLOCK // dim)
+    rng = np.random.default_rng(31 + ties)
+    model, test, known = random_case(rng, n_ent=n_ent, n_pred=4, dim=dim, ties=ties)
+    model.norm = norm
+    test += [T(int(rng.integers(n_ent)), int(rng.integers(4)), int(rng.integers(n_ent)))
+             for _ in range(20)]
+    known += test
+    for t in test:
+        for side, a, b in (("object", t.s, t.p), ("subject", t.p, t.o)):
+            score = model.score_objects if side == "object" else model.score_subjects
+            got = score(a, b, out=model.score_scratch())
+            assert got.tobytes() == whole_matrix_scores(model, side, a, b).tobytes()
+    for tie_rule in TIE_RULES:
+        for filtered in (True, False):
+            got = rank_queries(model, test, known, tie_rule=tie_rule, filtered=filtered)
+            want = reference_rank_queries(model, test, known, tie_rule, filtered)
+            assert got == want
 
 
 def test_two_records_per_triple():

@@ -434,6 +434,22 @@ def test_cli_run_numeric_error(tiny_dataset, tmp_path):
         assert main(["run", "--config", str(ini)]) == 4
 
 
+def test_cli_failed_rerun_leaves_no_manifest(tiny_dataset, tmp_path):
+    # a manifest vouches for a complete run: a rerun into the same directory
+    # that fails in training must not leave the first run's manifest next
+    # to its own partial artifacts
+    import numpy as np
+
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_ini(tmp_path / "ok.ini", tiny_dataset, out))]) == 0
+    assert (out / "manifest.json").is_file()
+    bad = write_ini(tmp_path / "bad.ini", tiny_dataset, out,
+                    train__learning_rate="1e308", train__epochs="3")
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(bad)]) == 4
+    assert not (out / "manifest.json").exists()
+
+
 def test_cli_run_non_finite_model(tiny_dataset, tmp_path, monkeypatch):
     import numpy as np
 

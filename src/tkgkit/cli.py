@@ -270,9 +270,13 @@ def cmd_segment_debug(args) -> int:
         raise DataError(f"signal {args.signal} has non-finite values")
     if args.normalize:
         signal = normalize_rows(signal)
-    seg = bottom_up(
-        signal, cfg.epsilon, min_size=cfg.min_size, jump=cfg.jump, gamma=cfg.gamma
-    )
+    try:
+        seg = bottom_up(
+            signal, cfg.epsilon, min_size=cfg.min_size, jump=cfg.jump, gamma=cfg.gamma
+        )
+    except ValueError as exc:
+        # input and settings are checked above, so what is left is overflow
+        raise NumericError(f"cannot segment {args.signal}: {exc}") from exc
     print("breakpoints: " + " ".join(str(k) for k in seg.breakpoints))
     print(f"total_cost: {seg.total_cost:.6f}")
     print(f"gamma: {seg.gamma:.6g}")

@@ -17,11 +17,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# difference elements median_heuristic_gamma holds at once (256 KB)
+_CHUNK_ELEMENTS = 1 << 15
+
 
 def normalize_rows(signal: np.ndarray) -> np.ndarray:
     """Scale each row to unit L2 norm; all-zero rows are left untouched."""
     signal = np.asarray(signal, dtype=np.float64)
-    norms = np.linalg.norm(signal, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(signal, axis=1, keepdims=True)
+    # squares of values near 1e-160 lose precision and those near 1e160
+    # overflow: such a row is first scaled to a largest magnitude of 1
+    peak = np.maximum(
+        signal.max(axis=1, keepdims=True, initial=0.0),
+        -signal.min(axis=1, keepdims=True, initial=0.0),
+    )
+    rescale = ((norms < 1e-150) | np.isinf(norms)) & (peak > 0.0) & np.isfinite(peak)
+    if rescale.any():
+        signal = signal / np.where(rescale, peak, 1.0)
+        norms = np.where(rescale, np.linalg.norm(signal, axis=1, keepdims=True), norms)
     safe = np.where(norms == 0.0, 1.0, norms)
     return signal / safe
 
@@ -49,18 +63,19 @@ def median_heuristic_gamma(signal: np.ndarray, max_pairs: int = 10000) -> float:
         return 1.0
     total = n * (n - 1) // 2
     stride = -(-total // max_pairs)
-    dists = []
-    flat = 0
-    for i in range(n - 1):
-        row = x[i + 1 :] - x[i]
-        sq = np.einsum("ij,ij->i", row, row)
-        take = np.arange((-flat) % stride, sq.shape[0], stride)
-        if take.size:
-            dists.append(sq[take])
-        flat += sq.shape[0]
-    all_d = np.concatenate(dists) if dists else np.zeros(0)
-    if all_d.size == 0:
-        return 1.0
+    # flat index f of pair (i, j) is start[i] + j - i - 1; only the sampled
+    # pairs are computed, a bounded chunk of difference rows at a time
+    rows = np.arange(n - 1)
+    start = rows * (2 * n - rows - 1) // 2
+    flat = np.arange(0, total, stride)
+    i = np.searchsorted(start, flat, side="right") - 1
+    j = flat - start[i] + i + 1
+    step = max(1, _CHUNK_ELEMENTS // max(1, x.shape[1]))
+    all_d = np.empty(flat.size)
+    for a in range(0, flat.size, step):
+        diff = x[j[a : a + step]]
+        diff -= x[i[a : a + step]]
+        all_d[a : a + step] = np.einsum("ij,ij->i", diff, diff)
     med = float(np.median(all_d))
     if med <= 0.0 or not math.isfinite(med) or not math.isfinite(1.0 / med):
         return 1.0
@@ -115,10 +130,12 @@ class _GramCosts:
 
     def __init__(self, signal: np.ndarray, gamma: float):
         x = np.asarray(signal, dtype=np.float64)
-        sq = np.einsum("ij,ij->i", x, x)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        np.maximum(d2, 0.0, out=d2)
-        gram = np.exp(-gamma * d2)
+        # overflow shows as a non-finite total below, raised as one error
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = np.einsum("ij,ij->i", x, x)
+            d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+            np.maximum(d2, 0.0, out=d2)
+            gram = np.exp(-gamma * d2)
         n = x.shape[0]
         self._prefix = np.zeros((n + 1, n + 1))
         self._prefix[1:, 1:] = gram.cumsum(axis=0).cumsum(axis=1)

@@ -63,6 +63,19 @@ def adamic_adar(index: NeighborIndex, u: int, v: int) -> float:
     return total
 
 
+def can_share_neighbors(edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether the endpoints of some edge have a common neighbor.
+
+    True when the undirected edge set holds a triangle or a self-loop, which
+    puts a node in its own neighborhood.  When False, no edge's endpoints
+    share a neighbor in any subgraph of ``edges`` either, and ``jaccard`` and
+    ``adamic_adar`` score every such pair 0.
+    """
+    edges = set(edges)
+    index = NeighborIndex(edges)
+    return any(not index.neighbors(s).isdisjoint(index.neighbors(o)) for s, o in edges)
+
+
 def pref_attachment(index: NeighborIndex, u: int, v: int) -> float:
     """deg(u) * deg(v)."""
     return float(index.degree(u) * index.degree(v))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cpd import CpdConfig, bottom_up, normalize_rows
 from .graph import DataError, Quintuple, TemporalGraph
-from .proximity import neighbor_slices, signature_series
+from .proximity import can_share_neighbors, neighbor_slices, signature_series
 
 logger = logging.getLogger(__name__)
 
@@ -169,23 +169,47 @@ class _MutableTKG:
             raise ValueError(
                 f"split point {t} outside active span {span} of {self.labels[pid]!r}"
             )
-        src = self.source[pid]
-        lo, hi = self.interval[pid]
-        tl = self.g.time_labels
-        n = self._ordinal[src]
-        self._ordinal[src] = n + 2
-        r1 = self.new_predicate(f"{src}#{n + 1}[{tl[lo]},{tl[t]}]", src, (lo, t))
-        r2 = self.new_predicate(f"{src}#{n + 2}[{tl[t]},{tl[hi]}]", src, (t, hi))
-        for s, o, b, e, sp in self.buckets.pop(pid):
-            if b <= t <= e:
-                self.buckets[r1].append((s, o, b, t, sp))
-                self.buckets[r2].append((s, o, t, e, sp))
-            elif e <= t:
-                self.buckets[r1].append((s, o, b, e, sp))
-            else:
-                self.buckets[r2].append((s, o, b, e, sp))
-        self.live.discard(pid)
+        (r1, r2), _ = self.split_at(pid, [t])
         return r1, r2
+
+    def split_at(self, pid: int, cuts: list[int]) -> tuple[list[int], list[int]]:
+        """Cut ``pid`` at each of one or more increasing timestamps at once.
+
+        The result equals ``split_once`` at each cut in turn, each time on
+        the right child of the last one: the same labels, ids and row order.
+        Cuts are not checked against the span.  Returns the children in time
+        order, and the ids the cuts replaced: ``pid``, then each right child
+        that a later cut replaced, whose label stays taken.
+        """
+        lo, hi = self.interval[pid]
+        src = self.source[pid]
+        tl = self.g.time_labels
+        replaced = [pid]
+        children = []
+        for t in cuts:
+            n = self._ordinal[src]
+            self._ordinal[src] = n + 2
+            left = f"{src}#{n + 1}[{tl[lo]},{tl[t]}]"
+            right = f"{src}#{n + 2}[{tl[t]},{tl[hi]}]"
+            children.append(self.new_predicate(left, src, (lo, t)))
+            replaced.append(self.new_predicate(right, src, (t, hi)))
+            lo = t
+        children.append(replaced.pop())
+        self.live.difference_update(replaced)
+        # a row lands whole in the child between the cuts around it, or is
+        # cut into every child from the one holding b to the one holding e
+        out = [self.buckets[c] for c in children]
+        for row in self.buckets.pop(pid):
+            s, o, b, e, sp = row
+            first, last = bisect_left(cuts, b), bisect_right(cuts, e)
+            if first == last:
+                out[first].append(row)
+                continue
+            out[first].append((s, o, b, cuts[first], sp))
+            for i in range(first + 1, last):
+                out[i].append((s, o, cuts[i - 1], cuts[i], sp))
+            out[last].append((s, o, cuts[last - 1], e, sp))
+        return children, replaced
 
     def finalize(self) -> tuple[TemporalGraph, dict[int, LineageEntry]]:
         """Compact live predicates into a fresh graph plus its lineage."""
@@ -391,6 +415,30 @@ def split_parameterized(g: TemporalGraph, method: str, grow: float) -> Transform
     return _finish(mg, report)
 
 
+def _cpd_cuts(rows: list[_Row], points: list[int]) -> tuple[list[int], int]:
+    """The increasing ``points`` that split_cpd applies, and how many it skips.
+
+    Each point cuts the right child of the last cut, and is skipped when that
+    child's active span is one stamp or does not hold it.  The span is taken
+    from the rows' sorted ends: every child made this way keeps the latest
+    end, and the child right of a cut at c holds the rows ending at or after
+    c, so it begins at c or at the earliest begin among them.
+    """
+    arr = np.array(rows, dtype=np.int64)
+    order = np.argsort(arr[:, 3], kind="stable")
+    ends = arr[order, 3]
+    # first_begin[i]: the earliest begin among rows ending at or after ends[i]
+    first_begin = np.minimum.accumulate(arr[order, 2][::-1])[::-1]
+    lo, hi = int(first_begin[0]), int(ends[-1])
+    cuts: list[int] = []
+    for k in points:
+        if lo >= hi or not lo <= k <= hi:
+            continue
+        cuts.append(k)
+        lo = max(k, int(first_begin[np.searchsorted(ends, k)]))
+    return cuts, len(points) - len(cuts)
+
+
 def split_cpd(
     g: TemporalGraph,
     score: str = "pref",
@@ -403,6 +451,13 @@ def split_cpd(
     detection, then apply the interior breakpoints left to right (each one
     lands in the rightmost child produced so far).  Breakpoints falling
     outside the current child's active span are skipped and counted.
+
+    A constant signature leaves its predicate whole.  With ``scope =
+    "predicate"`` and ``score`` ``adar`` or ``jaccard``, a predicate whose
+    own edges, over all timestamps, hold no self-loop and no triangle is
+    left whole before its signature is built: no pair it connects can have
+    a common neighbor, so the signature would be all zero.  Skipping it does
+    not change the output.
     """
     cfg = cfg or CpdConfig()
     cfg.validate()
@@ -422,29 +477,28 @@ def split_cpd(
 
     # built once here, not cached on g: at 0.1 x Wikidata12k it holds ~9 MB
     slices = neighbor_slices(g.facts, g.num_timestamps) if scope == "graph" else None
+    zero_unless_shared = scope == "predicate" and score in ("adar", "jaccard")
+    tl = g.time_labels
     for pid in range(g.num_predicates):
+        rows = mg.buckets[pid]
+        if zero_unless_shared and not can_share_neighbors((r[0], r[1]) for r in rows):
+            continue
         series = signature_series(g, pid, measure=score, scope=scope, slices=slices)
         if series.matrix.size == 0 or bool(np.all(series.matrix == series.matrix[0])):
             continue
         x = normalize_rows(series.matrix)
         seg = bottom_up(x, cfg.epsilon, min_size=cfg.min_size, jump=cfg.jump, gamma=cfg.gamma)
-        current = pid
-        applied: list[int] = []
-        for k in seg.change_points:
-            span = mg.span(current)
-            if span is None or span[0] >= span[1] or not span[0] <= k <= span[1]:
-                report.skipped_points += 1
-                continue
-            label = mg.labels[current]
-            _, current = mg.split_once(current, k)
-            report.split_points.append((label, g.time_labels[k]))
-            report.splits_applied += 1
-            applied.append(k)
-        if applied:
-            report.notes.append(
-                f"{g.predicate_labels[pid]}: change points at "
-                + ",".join(g.time_labels[k] for k in applied)
-            )
+        cuts, skipped = _cpd_cuts(rows, seg.change_points)
+        report.skipped_points += skipped
+        if not cuts:
+            continue
+        _, replaced = mg.split_at(pid, cuts)
+        report.split_points.extend((mg.labels[r], tl[k]) for r, k in zip(replaced, cuts))
+        report.splits_applied += len(cuts)
+        report.notes.append(
+            f"{g.predicate_labels[pid]}: change points at " + ",".join(tl[k] for k in cuts)
+        )
+    del slices  # finalize copies every fact; the indexes can go first
     return _finish(mg, report)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tkgkit import (
     rbf_kernel,
     segment_cost,
 )
+from tkgkit import cpd
 from tkgkit.cpd import _GramCosts
 
 
@@ -44,6 +46,14 @@ def test_normalize_rows_idempotent(x):
     once = normalize_rows(x)
     twice = normalize_rows(once)
     np.testing.assert_allclose(once, twice, atol=1e-12)
+
+
+def test_normalize_rows_tiny_and_huge_rows():
+    # squares of these values are subnormal or overflow
+    x = np.array([[1.75811779e-161] * 3, [1e200, 0.0, 1e200], [3.0, 4.0, 0.0]])
+    out = normalize_rows(x)
+    np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=1e-15)
+    assert out[2].tolist() == [0.6, 0.8, 0.0]
 
 
 def test_rbf_kernel_values():
@@ -86,6 +96,71 @@ def test_median_heuristic_degenerate():
     tiny = np.array([[1.16331175e-157], [0.0], [0.0], [0.0]])
     assert median_heuristic_gamma(tiny) == 1.0
     assert bottom_up(tiny, penalty=0.0).num_samples == 4
+
+
+def reference_median_heuristic_gamma(signal, max_pairs=10000):
+    """median_heuristic_gamma as first written: every pair's distance, row
+    by row, then the strided sample of the flat (i < j) pair list."""
+    x = np.asarray(signal, dtype=np.float64)
+    n = x.shape[0]
+    if n < 2:
+        return 1.0
+    total = n * (n - 1) // 2
+    stride = -(-total // max_pairs)
+    dists = []
+    flat = 0
+    for i in range(n - 1):
+        row = x[i + 1 :] - x[i]
+        sq = np.einsum("ij,ij->i", row, row)
+        take = np.arange((-flat) % stride, sq.shape[0], stride)
+        if take.size:
+            dists.append(sq[take])
+        flat += sq.shape[0]
+    all_d = np.concatenate(dists) if dists else np.zeros(0)
+    if all_d.size == 0:
+        return 1.0
+    med = float(np.median(all_d))
+    if med <= 0.0 or not math.isfinite(med) or not math.isfinite(1.0 / med):
+        return 1.0
+    return 1.0 / med
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    x=arrays(
+        np.float64,
+        st.tuples(st.integers(0, 30), st.integers(1, 6)),
+        # ties, exact zeros and values whose squared distance overflows
+        elements=st.one_of(
+            st.sampled_from([0.0, 1.0, -1.0, 1e200, -1e200]),
+            st.floats(-1e3, 1e3),
+        ),
+        fill=st.nothing(),
+    ),
+    max_pairs=st.sampled_from([1, 2, 7, 40, 10000]),
+    chunk=st.sampled_from([1, 5, 64, cpd._CHUNK_ELEMENTS]),
+)
+@example(x=np.zeros((0, 2)), max_pairs=10000, chunk=cpd._CHUNK_ELEMENTS)
+@example(x=np.ones((1, 2)), max_pairs=10000, chunk=cpd._CHUNK_ELEMENTS)
+@example(x=np.array([[0.0], [2.0]]), max_pairs=1, chunk=1)
+@example(x=np.full((9, 3), 4.0), max_pairs=7, chunk=5)
+@example(x=np.array([[1e200], [-1e200], [1e200]]), max_pairs=10000, chunk=1)
+def test_median_heuristic_matches_reference(x, max_pairs, chunk):
+    # a small chunk splits the sampled pairs into several chunks at any width
+    with unittest.mock.patch.object(cpd, "_CHUNK_ELEMENTS", chunk), np.errstate(over="ignore"):
+        got = median_heuristic_gamma(x, max_pairs=max_pairs)
+        want = reference_median_heuristic_gamma(x, max_pairs=max_pairs)
+    assert got == want
+
+
+@pytest.mark.parametrize("shape", [(50, 300), (365, 9), (70, 2000)])
+def test_median_heuristic_matches_reference_wide(shape):
+    # wide signals fill several chunks at the real chunk size
+    x = np.random.default_rng(sum(shape)).normal(size=shape)
+    for max_pairs in (10000, 97):
+        assert median_heuristic_gamma(x, max_pairs) == reference_median_heuristic_gamma(
+            x, max_pairs
+        )
 
 
 def test_segment_cost_matches_naive():

@@ -392,6 +392,20 @@ def test_cli_segment_debug_non_finite(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_cli_segment_debug_kernel_overflow(tmp_path, capsys):
+    # finite rows whose squared distances overflow: the kernel matrix is not
+    # finite, a numeric failure reported in one line
+    sig = tmp_path / "big.csv"
+    sig.write_text("1e200,0\n-1e200,0\n1e200,0\n-1e200,0\n")
+    assert main(["segment-debug", "--signal", str(sig), "--epsilon", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "kernel matrix is not finite" in err
+    assert err.count("\n") == 1
+    # the same rows scaled to unit norm segment fine
+    args = ["segment-debug", "--signal", str(sig), "--epsilon", "1", "--normalize"]
+    assert main(args) == 0
+
+
 def test_cli_run_exit_codes(tiny_dataset, tmp_path, capsys):
     ini = write_ini(tmp_path / "c.ini", tiny_dataset, tmp_path / "out")
     assert main(["run", "--config", str(ini)]) == 0

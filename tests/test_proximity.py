@@ -19,6 +19,7 @@ from tkgkit import (
 from tkgkit.proximity import (
     PROXIMITY_MEASURES,
     SIGNATURE_SCOPES,
+    can_share_neighbors,
     get_measure,
     neighbor_slices,
     signature_csv,
@@ -258,3 +259,36 @@ def test_signature_bytes_match_reference(rows):
             got = signature_series(g, pid, measure=measure, scope="graph", slices=shared)
             assert got.matrix.tobytes() == reference_signature(g, pid, measure, "graph").tobytes()
 
+
+
+def _edges_of(g, pid):
+    return [(g.facts[i].s, g.facts[i].o) for i in g.by_predicate().get(pid, [])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=quintuples)
+# a triangle whose edges hold at different stamps only
+@example(rows=[(0, 0, 8, 0, 0), (8, 0, 16, 2, 0), (16, 0, 0, 4, 0)])
+def test_no_shared_neighbors_means_zero_signature(rows):
+    """split_cpd skips a predicate that can_share_neighbors rejects: its
+    Adamic-Adar and Jaccard signatures must be all zero."""
+    facts = [(s, p, o, b, min(b + k, 7)) for s, p, o, b, k in rows]
+    g = build_graph(facts, num_entities=41, num_predicates=3, num_times=8)
+    for pid in range(g.num_predicates):
+        if can_share_neighbors(_edges_of(g, pid)):
+            continue
+        for measure in ("adar", "jaccard"):
+            sig = signature_series(g, pid, measure=measure, scope="predicate")
+            assert not sig.matrix.any(), (measure, pid)
+
+
+def test_can_share_neighbors_cases():
+    assert not can_share_neighbors([])
+    assert not can_share_neighbors([(0, 1), (1, 2), (2, 3), (3, 0)])  # 4-cycle
+    assert can_share_neighbors([(0, 1), (2, 1), (0, 2)])
+    # one self-loop: NeighborIndex puts 1 in N(1), so 1 is a common neighbor
+    # of the pair (0, 1) and the skip must be off
+    assert can_share_neighbors([(0, 1), (1, 1)])
+    g = build_graph([(0, 0, 1, 0, 0), (1, 0, 1, 0, 0)], num_times=1)
+    assert signature_series(g, 0, measure="jaccard").matrix.tolist() == [[0.5, 1.0]]
+    assert signature_series(g, 0, measure="adar").matrix[0, 0] == 1 / math.log(2)

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tkgkit import (
     CpdConfig,
     Quintuple,
+    TemporalGraph,
     identity,
     load_lineage,
     merge,
@@ -21,6 +23,9 @@ from tkgkit import (
     split_parameterized,
     timestamp,
 )
+from tkgkit.cpd import bottom_up, normalize_rows
+from tkgkit.proximity import PROXIMITY_MEASURES, SIGNATURE_SCOPES, neighbor_slices, signature_series
+from tkgkit.transform import _base_report, _finish, _MutableTKG
 
 from conftest import build_graph, unroll
 
@@ -303,6 +308,153 @@ def test_split_cpd_validates_config():
         split_cpd(_two_phase_graph(), cfg=CpdConfig(epsilon=-1))
 
 
+def reference_split_once(mg, pid, t):
+    """_MutableTKG.split_once as first written: one pass over the rows per
+    cut.  Returns the two children."""
+    src = mg.source[pid]
+    lo, hi = mg.interval[pid]
+    tl = mg.g.time_labels
+    n = mg._ordinal[src]
+    mg._ordinal[src] = n + 2
+    r1 = mg.new_predicate(f"{src}#{n + 1}[{tl[lo]},{tl[t]}]", src, (lo, t))
+    r2 = mg.new_predicate(f"{src}#{n + 2}[{tl[t]},{tl[hi]}]", src, (t, hi))
+    for s, o, b, e, sp in mg.buckets.pop(pid):
+        if b <= t <= e:
+            mg.buckets[r1].append((s, o, b, t, sp))
+            mg.buckets[r2].append((s, o, t, e, sp))
+        elif e <= t:
+            mg.buckets[r1].append((s, o, b, e, sp))
+        else:
+            mg.buckets[r2].append((s, o, b, e, sp))
+    mg.live.discard(pid)
+    return r1, r2
+
+
+def _state(mg):
+    return mg.labels, mg.buckets, mg.live, mg.interval, mg.source, dict(mg._ordinal)
+
+
+def reference_split_cpd(g, score, cfg, scope):
+    """split_cpd as first written: a signature for every predicate, then one
+    split_once per change point, each on the rightmost child so far, its
+    span scanned from the child's rows."""
+    mg = _MutableTKG(g)
+    params = {
+        "score": score,
+        "epsilon": cfg.epsilon,
+        "min_size": cfg.min_size,
+        "jump": cfg.jump,
+        "gamma": "median" if cfg.gamma is None else cfg.gamma,
+        "scope": scope,
+    }
+    report = _base_report("split_cpd", params, g)
+    slices = neighbor_slices(g.facts, g.num_timestamps) if scope == "graph" else None
+    for pid in range(g.num_predicates):
+        series = signature_series(g, pid, measure=score, scope=scope, slices=slices)
+        if series.matrix.size == 0 or bool(np.all(series.matrix == series.matrix[0])):
+            continue
+        x = normalize_rows(series.matrix)
+        seg = bottom_up(x, cfg.epsilon, min_size=cfg.min_size, jump=cfg.jump, gamma=cfg.gamma)
+        current = pid
+        applied = []
+        for k in seg.change_points:
+            span = mg.span(current)
+            if span is None or span[0] >= span[1] or not span[0] <= k <= span[1]:
+                report.skipped_points += 1
+                continue
+            label = mg.labels[current]
+            _, current = reference_split_once(mg, current, k)
+            report.split_points.append((label, g.time_labels[k]))
+            report.splits_applied += 1
+            applied.append(k)
+        if applied:
+            report.notes.append(
+                f"{g.predicate_labels[pid]}: change points at "
+                + ",".join(g.time_labels[k] for k in applied)
+            )
+    return _finish(mg, report)
+
+
+def assert_same_split(g, score, cfg, scope):
+    got = split_cpd(g, score=score, cfg=cfg, scope=scope)
+    want = reference_split_cpd(g, score, cfg, scope)
+    assert list(got.graph.facts) == list(want.graph.facts)
+    assert list(got.graph.splits) == list(want.graph.splits)
+    assert got.graph.predicate_labels == want.graph.predicate_labels
+    assert got.lineage == want.lineage
+    assert got.report.format() == want.report.format()
+    return got
+
+
+def _relabel(g, labels):
+    return TemporalGraph(
+        facts=g.facts,
+        splits=g.splits,
+        entity_labels=g.entity_labels,
+        predicate_labels=tuple(labels),
+        time_labels=g.time_labels,
+    )
+
+
+def test_split_cpd_cut_labels_collide():
+    # "a" changes at 3 and 6: the first cut makes a#1[0,3] and a#2[3,8],
+    # the second cuts a#2[3,8] into a#3[3,6] and a#4[6,8].  Two constant
+    # predicates already hold the labels of the replaced child and of a#3
+    g = build_graph(
+        [(0, 0, 1, 0, 2), (2, 0, 3, 3, 5), (4, 0, 5, 6, 8), (0, 1, 1, 0, 8), (0, 2, 1, 0, 8)],
+        num_times=9,
+    )
+    g = _relabel(g, ["a", "a#2[3,8]", "a#3[3,6]"])
+    res = assert_same_split(g, "pref", CpdConfig(epsilon=0.01), "predicate")
+    assert res.report.split_points == [("a", "3"), ("a#2[3,8]'", "6")]
+    assert res.graph.predicate_labels == (
+        "a#2[3,8]", "a#3[3,6]", "a#1[0,3]", "a#3[3,6]'", "a#4[6,8]"
+    )
+    assert [(e.begin, e.end) for e in res.lineage.values()] == [
+        (0, 8), (0, 8), (0, 3), (3, 6), (6, 8)
+    ]
+
+
+# (s, p, o, begin, length) on 12 stamps: five entities make self-loops,
+# parallel edges and triangles likely, also triangles whose edges hold at
+# different stamps; short intervals leave stretches without facts, where
+# change points can fall outside a child's span
+cpd_rows = st.lists(
+    st.tuples(
+        st.integers(0, 4), st.integers(0, 2), st.integers(0, 4),
+        st.integers(0, 11), st.integers(0, 5),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=cpd_rows,
+    score=st.sampled_from(PROXIMITY_MEASURES),
+    scope=st.sampled_from(SIGNATURE_SCOPES),
+    epsilon=st.sampled_from([0.01, 0.3, 2.0]),
+    min_size=st.sampled_from([1, 2]),
+)
+# a change point past the active span is skipped
+@example(rows=[(0, 0, 1, 0, 5)], score="pref", scope="predicate", epsilon=0.01, min_size=1)
+# a triangle only across stamps: adar and jaccard are zero at every stamp
+@example(rows=[(0, 0, 1, 0, 0), (1, 0, 2, 3, 0), (0, 0, 2, 6, 0)],
+         score="adar", scope="predicate", epsilon=0.01, min_size=1)
+# a self-loop next to a parallel edge
+@example(rows=[(1, 0, 1, 0, 2), (0, 0, 1, 0, 5), (0, 0, 1, 2, 3), (1, 0, 2, 6, 5)],
+         score="jaccard", scope="predicate", epsilon=0.01, min_size=1)
+def test_split_cpd_matches_reference(rows, score, scope, epsilon, min_size):
+    facts = [(s, p, o, b, min(b + k, 11)) for s, p, o, b, k in rows]
+    used = sorted({f[1] for f in facts})
+    facts = [(s, used.index(p), o, b, e) for s, p, o, b, e in facts]
+    g = build_graph(facts, splits=[i % 3 for i in range(len(facts))],
+                    num_entities=5, num_times=12)
+    cfg = CpdConfig(epsilon=epsilon, min_size=min_size)
+    assert_same_split(g, score, cfg, scope)
+
+
 # ---------------------------------------------------------------------------
 # merge
 # ---------------------------------------------------------------------------
@@ -489,3 +641,16 @@ def test_random_split_coverage_property(g, seed):
 def test_split_time_coverage_property(g):
     res = split_parameterized(g, "time", grow=2)
     assert coverage(res.graph, res.lineage) == coverage(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_split_once_matches_reference(g, data):
+    # split_parameterized and random_split cut through split_once
+    got, want = _MutableTKG(g), _MutableTKG(g)
+    for _ in range(3):
+        pid = data.draw(st.sampled_from(sorted(got.live)))
+        span = got.span(pid)
+        t = data.draw(st.integers(span[0], span[1]))
+        assert got.split_once(pid, t) == reference_split_once(want, pid, t)
+        assert _state(got) == _state(want)

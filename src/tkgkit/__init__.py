@@ -15,9 +15,6 @@ from .embed import EmbeddingModel, NumericError, TrainConfig, load_model, save_m
 from .eval import MetricReport, RankRecord, evaluate, metrics, predict_predicates, rank_queries
 from .graph import (
     DataError,
-    Quadruple,
-    Quintuple,
-    StaticTriple,
     TemporalGraph,
     dataset_stats,
     load_dataset,
@@ -26,7 +23,6 @@ from .graph import (
     save_triples,
     slice_at,
     strip_temporal,
-    to_valid_time,
 )
 from .leakage import DuplicateAudit, apply_filter, audit
 from .pipeline import ConfigError, PipelineConfig, build_config, read_config_file, run_pipeline

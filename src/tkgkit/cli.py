@@ -246,7 +246,7 @@ def cmd_eval(args) -> int:
             f"model has {model.num_entities} entities and {model.num_predicates} predicates,"
             f" dataset {len(entity_labels)} and {len(predicate_labels)}"
         )
-    known = itertools.chain(triples["train"], triples["valid"], triples["test"])
+    known = np.concatenate((triples["train"], triples["valid"], triples["test"]))
     report, records = evaluate(
         model, triples["test"], known, tie_rule=ev["tie_rule"], ks=ev["hits"]
     )

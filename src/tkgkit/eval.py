@@ -8,15 +8,13 @@ the surviving candidates feeds MRR and hits@k.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .embed import EmbeddingModel, NumericError
-from .graph import Quintuple, StaticTriple
 from .transform import LineageEntry
 
 TIE_RULES = ("optimistic", "pessimistic", "mean")
@@ -24,7 +22,7 @@ DEFAULT_HITS = (1, 3, 10)
 
 
 class RankRecord(NamedTuple):
-    triple: StaticTriple
+    triple: tuple[int, int, int]
     side: str
     rank: float
 
@@ -60,13 +58,14 @@ def _rank_from_counts(n_better: int, n_equal: int, tie_rule: str) -> float:
 
 def rank_queries(
     model: EmbeddingModel,
-    test: Iterable[StaticTriple],
-    known: Iterable[StaticTriple],
+    test: np.ndarray,
+    known: np.ndarray,
     tie_rule: str = "optimistic",
     filtered: bool = True,
 ) -> list[RankRecord]:
     """Rank the true entity on both query sides of every test triple.
 
+    ``test`` and ``known`` are (n, 3) arrays of ``(s, p, o)`` rows.
     ``known`` holds all true triples (train, valid, test; duplicates are
     fine); under ``filtered=True`` those candidates are excluded from the
     comparison, keeping only the query triple itself.  A model with
@@ -83,9 +82,8 @@ def rank_queries(
     if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}; expected one of {TIE_RULES}")
     model.assert_finite()
-    test = list(test)
-    q = _id_array(test)
-    k = _id_array(known if filtered else ())
+    q = np.asarray(test, dtype=np.int64).reshape(-1, 3)
+    k = np.asarray(known if filtered else (), dtype=np.int64).reshape(-1, 3)
     drops = zip(
         _known_answers(k[:, 1], k[:, 2], k[:, 0], q[:, 1], q[:, 2]),
         _known_answers(k[:, 0], k[:, 1], k[:, 2], q[:, 0], q[:, 1]),
@@ -93,18 +91,18 @@ def rank_queries(
     buf = model.score_scratch()
 
     records: list[RankRecord] = []
-    for t, side_drops in zip(test, drops):
+    for (s, p, o), side_drops in zip(q.tolist(), drops):
         for side, drop in zip(("subject", "object"), side_drops):
             if side == "object":
-                scores = model.score_objects(t.s, t.p, out=buf)
-                target = t.o
+                scores = model.score_objects(s, p, out=buf)
+                target = o
             else:
-                scores = model.score_subjects(t.p, t.o, out=buf)
-                target = t.s
+                scores = model.score_subjects(p, o, out=buf)
+                target = s
             target_score = scores[target]
             if not math.isfinite(target_score):
                 raise NumericError(
-                    f"score of {tuple(t)} is {target_score} ({side} query); the model's"
+                    f"score of {(s, p, o)} is {target_score} ({side} query); the model's"
                     " values are too large to rank"
                 )
             # count over all candidates, then take back the filtered ones
@@ -113,12 +111,9 @@ def rank_queries(
                 np.count_nonzero(dropped < target_score))
             n_equal = int(np.count_nonzero(scores == target_score)) - 1 - int(
                 np.count_nonzero(dropped == target_score))
-            records.append(RankRecord(t, side, _rank_from_counts(n_better, n_equal, tie_rule)))
+            rank = _rank_from_counts(n_better, n_equal, tie_rule)
+            records.append(RankRecord((s, p, o), side, rank))
     return records
-
-
-def _id_array(triples: Iterable[StaticTriple]) -> np.ndarray:
-    return np.fromiter(itertools.chain.from_iterable(triples), dtype=np.int64).reshape(-1, 3)
 
 
 def _known_answers(a, b, answer, query_a, query_b) -> list[np.ndarray]:
@@ -154,8 +149,8 @@ def metrics(records: list[RankRecord], ks: tuple[int, ...] = DEFAULT_HITS) -> Me
 
 def evaluate(
     model: EmbeddingModel,
-    test: Iterable[StaticTriple],
-    known: Iterable[StaticTriple],
+    test: np.ndarray,
+    known: np.ndarray,
     tie_rule: str = "optimistic",
     ks: tuple[int, ...] = DEFAULT_HITS,
     filtered: bool = True,
@@ -166,27 +161,29 @@ def evaluate(
 
 def ranks_tsv(records: list[RankRecord]) -> str:
     lines = ["subject\tpredicate\tobject\tside\trank"]
-    for r in records:
-        lines.append(f"{r.triple.s}\t{r.triple.p}\t{r.triple.o}\t{r.side}\t{r.rank:g}")
+    for (s, p, o), side, rank in records:
+        lines.append(f"{s}\t{p}\t{o}\t{side}\t{rank:g}")
     return "\n".join(lines) + "\n"
 
 
 def predict_predicates(
     model: EmbeddingModel,
     lineage: dict[int, LineageEntry],
-    query: Quintuple,
+    query: Sequence[int],
     top: int,
 ) -> list[str]:
     """Temporally filtered predicate prediction for one query.
 
-    Scores every derived predicate between the query's entities, keeps the
-    ``top`` best, drops those whose lineage interval misses [query.b,
-    query.e] entirely, then maps the survivors to their source predicates,
+    ``query`` is one fact row ``(s, p, o, b, e)``; its predicate is not
+    used.  Scores every derived predicate between the query's entities,
+    keeps the ``top`` best, drops those whose lineage interval misses
+    [b, e] entirely, then maps the survivors to their source predicates,
     deduplicated in best-rank order.
     """
     if top < 1:
         raise ValueError("top must be >= 1")
-    scores = model.score_predicates(query.s, query.o)
+    s, _, o, b, e = (int(x) for x in query)
+    scores = model.score_predicates(s, o)
     order = np.argsort(scores, kind="stable")[:top]
     out: list[str] = []
     seen: set[str] = set()
@@ -194,7 +191,7 @@ def predict_predicates(
         ent = lineage.get(int(pid))
         if ent is None:
             continue
-        if ent.end < query.b or ent.begin > query.e:
+        if ent.end < b or ent.begin > e:
             continue
         if ent.source not in seen:
             seen.add(ent.source)

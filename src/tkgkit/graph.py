@@ -1,23 +1,26 @@
 """Temporal knowledge graph data model, dataset ingestion and slicing.
 
-Facts are quintuples ``(s, p, o, b, e)`` over interned integer identifiers:
-entities and predicates are numbered in first-seen order, timestamps in
-chronological order.  Event-style quadruples ``(s, p, o, h)`` load as
-quintuples with b = e = h (:func:`to_valid_time`).  A :class:`TemporalGraph`
-is treated as immutable after construction; every transformation builds a
-new graph.
+A graph's facts are one int64 array of shape (n, 5) whose columns are
+``(s, p, o, b, e)``: subject, predicate, object, and the begin and end of
+the validity interval, all interned integer identifiers.  Entities and
+predicates are numbered in first-seen order, timestamps in chronological
+order.  Event facts ``(s, p, o, h)`` load as rows with b = e = h.  A
+parallel int8 array of shape (n,) holds each fact's split (0 train, 1
+valid, 2 test).  Stripping time leaves, per split, an int64 (n, 3) array of
+``(s, p, o)`` rows.  A :class:`TemporalGraph` is treated as immutable after
+construction; every transformation builds a new graph.
 """
 from __future__ import annotations
 
 import logging
 import math
 import re
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
 from operator import le
 from pathlib import Path
-from typing import NamedTuple
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -36,64 +39,61 @@ class DataError(Exception):
     """Unreadable, empty or structurally inconsistent dataset input."""
 
 
-class Quintuple(NamedTuple):
-    s: int
-    p: int
-    o: int
-    b: int
-    e: int
-
-
-class Quadruple(NamedTuple):
-    s: int
-    p: int
-    o: int
-    h: int
-
-
-class StaticTriple(NamedTuple):
-    s: int
-    p: int
-    o: int
-
-
-def to_valid_time(q: Quadruple) -> Quintuple:
-    """Lift an event quadruple to a valid-time quintuple with b = e = h."""
-    return Quintuple(q.s, q.p, q.o, q.h, q.h)
-
-
-@dataclass
+@dataclass(eq=False)
 class TemporalGraph:
     """A set of temporally scoped facts plus their interning tables.
 
-    ``facts`` and ``splits`` are parallel: ``splits[i]`` is the train/valid/
-    test membership (0/1/2) of ``facts[i]``.  Label tuples double as the id
-    spaces: identifier ``k`` names ``*_labels[k]``.  ``time_labels`` is in
-    chronological order, so comparing time ids compares timestamps.
+    ``facts`` is an int64 (n, 5) array of ``(s, p, o, b, e)`` rows and
+    ``splits`` the parallel int8 (n,) array of train/valid/test membership
+    (0/1/2); the constructor converts array-likes to these types.  Label
+    tuples double as the id spaces: identifier ``k`` names ``*_labels[k]``.
+    ``time_labels`` is in chronological order, so comparing time ids
+    compares timestamps.  Two graphs are equal when their arrays and labels
+    are.
     """
 
-    facts: tuple[Quintuple, ...]
-    splits: tuple[int, ...]
+    facts: np.ndarray
+    splits: np.ndarray
     entity_labels: tuple[str, ...]
     predicate_labels: tuple[str, ...]
     time_labels: tuple[str, ...]
-    _by_predicate: dict[int, list[int]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _by_predicate: dict[int, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.facts) != len(self.splits):
+        facts = np.ascontiguousarray(self.facts, dtype=np.int64)
+        splits = np.asarray(self.splits)
+        if facts.size == 0:
+            facts = facts.reshape(0, 5)
+        if facts.ndim != 2 or facts.shape[1] != 5:
+            raise ValueError(f"facts must be (n, 5) rows, got shape {facts.shape}")
+        if splits.shape != (len(facts),):
             raise ValueError("facts and splits must be parallel")
-        ne, np_, nt = len(self.entity_labels), len(self.predicate_labels), len(self.time_labels)
-        for f in self.facts:
-            if not (0 <= f.s < ne and 0 <= f.o < ne):
-                raise ValueError(f"entity id out of range in {f}")
-            if not 0 <= f.p < np_:
-                raise ValueError(f"predicate id out of range in {f}")
-            if not (0 <= f.b < nt and 0 <= f.e < nt):
-                raise ValueError(f"time id out of range in {f}")
-            if f.b > f.e:
-                raise ValueError(f"begin after end in {f}")
+        ne, np_, nt = self.num_entities, self.num_predicates, self.num_timestamps
+        bad = (facts < 0) | (facts >= (ne, np_, ne, nt, nt))
+        for what, rows in (
+            ("split id out of range", (splits < TRAIN) | (splits > TEST)),
+            ("entity id out of range", bad[:, 0] | bad[:, 2]),
+            ("predicate id out of range", bad[:, 1]),
+            ("time id out of range", bad[:, 3] | bad[:, 4]),
+            ("begin after end", facts[:, 3] > facts[:, 4]),
+        ):
+            if rows.any():
+                i = int(np.argmax(rows))
+                raise ValueError(f"{what} in fact {i} {tuple(facts[i].tolist())},"
+                                 f" split {splits[i]}")
+        self.facts = facts
+        self.splits = splits.astype(np.int8)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TemporalGraph):
+            return NotImplemented
+        return (
+            np.array_equal(self.facts, other.facts)
+            and np.array_equal(self.splits, other.splits)
+            and self.entity_labels == other.entity_labels
+            and self.predicate_labels == other.predicate_labels
+            and self.time_labels == other.time_labels
+        )
 
     @property
     def num_entities(self) -> int:
@@ -107,68 +107,57 @@ class TemporalGraph:
     def num_timestamps(self) -> int:
         return len(self.time_labels)
 
-    @property
-    def entity_ids(self) -> range:
-        return range(len(self.entity_labels))
-
-    @property
-    def predicate_ids(self) -> range:
-        return range(len(self.predicate_labels))
-
-    @property
-    def time_ids(self) -> range:
-        return range(len(self.time_labels))
-
-    def by_predicate(self) -> dict[int, list[int]]:
-        """Fact indices grouped by predicate (built lazily, then cached)."""
+    def by_predicate(self) -> dict[int, np.ndarray]:
+        """Fact indices, in fact order, of every predicate id (built lazily,
+        then cached)."""
         if self._by_predicate is None:
-            idx: dict[int, list[int]] = defaultdict(list)
-            for i, f in enumerate(self.facts):
-                idx[f.p].append(i)
-            self._by_predicate = dict(idx)
+            p = self.facts[:, 1]
+            order = np.argsort(p, kind="stable")
+            bounds = np.searchsorted(p[order], range(self.num_predicates))
+            self._by_predicate = dict(enumerate(np.split(order, bounds[1:])))
         return self._by_predicate
 
     def split_sizes(self) -> dict[str, int]:
-        sizes = dict.fromkeys(SPLIT_NAMES, 0)
-        for sp in self.splits:
-            sizes[SPLIT_NAMES[sp]] += 1
-        return sizes
+        return dict(zip(SPLIT_NAMES, np.bincount(self.splits, minlength=3).tolist()))
+
+    def _subgraph(self, keep: np.ndarray) -> TemporalGraph:
+        return TemporalGraph(
+            facts=self.facts[keep],
+            splits=self.splits[keep],
+            entity_labels=self.entity_labels,
+            predicate_labels=self.predicate_labels,
+            time_labels=self.time_labels,
+        )
 
 
 def slice_at(g: TemporalGraph, t: int) -> TemporalGraph:
     """Facts valid at ``t``, i.e. those with b <= t <= e."""
     if not 0 <= t < g.num_timestamps:
         raise ValueError(f"timestamp id {t} not in graph")
-    keep = [i for i, f in enumerate(g.facts) if f.b <= t <= f.e]
-    return TemporalGraph(
-        facts=tuple(g.facts[i] for i in keep),
-        splits=tuple(g.splits[i] for i in keep),
-        entity_labels=g.entity_labels,
-        predicate_labels=g.predicate_labels,
-        time_labels=g.time_labels,
-    )
+    return g._subgraph((g.facts[:, 3] <= t) & (t <= g.facts[:, 4]))
 
 
 def restrict_predicate(g: TemporalGraph, r: int) -> TemporalGraph:
     """Facts whose predicate is ``r``."""
     if not 0 <= r < g.num_predicates:
         raise ValueError(f"predicate id {r} not in graph")
-    keep = g.by_predicate().get(r, [])
-    return TemporalGraph(
-        facts=tuple(g.facts[i] for i in keep),
-        splits=tuple(g.splits[i] for i in keep),
-        entity_labels=g.entity_labels,
-        predicate_labels=g.predicate_labels,
-        time_labels=g.time_labels,
-    )
+    return g._subgraph(g.by_predicate()[r])
 
 
-def strip_temporal(g: TemporalGraph) -> dict[str, list[StaticTriple]]:
-    """Discard temporal scopes, keeping duplicates and split membership."""
-    out: dict[str, list[StaticTriple]] = {name: [] for name in SPLIT_NAMES}
-    for f, sp in zip(g.facts, g.splits):
-        out[SPLIT_NAMES[sp]].append(StaticTriple(f.s, f.p, f.o))
-    return out
+def strip_temporal(g: TemporalGraph) -> dict[str, np.ndarray]:
+    """Discard temporal scopes, keeping duplicates and split membership:
+    one int64 (n, 3) array of ``(s, p, o)`` rows per split, in fact order."""
+    return {name: g.facts[g.splits == k, :3] for k, name in enumerate(SPLIT_NAMES)}
+
+
+def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every value of the inclusive ranges ``[lo[i], hi[i]]``, range by range
+    in increasing order: the range index ``i`` of each value, and the value.
+    Over fact rows, ``expand_ranges(b, e)`` lists each fact at each stamp."""
+    counts = hi - lo + 1
+    which = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return which, lo[which] + np.arange(len(which)) - np.repeat(starts, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -186,27 +175,12 @@ class DatasetStats:
 
 
 def dataset_stats(g: TemporalGraph) -> DatasetStats:
-    sizes = g.split_sizes()
-    return DatasetStats(
-        entities=g.num_entities,
-        predicates=g.num_predicates,
-        timestamps=g.num_timestamps,
-        train=sizes["train"],
-        valid=sizes["valid"],
-        test=sizes["test"],
-    )
+    return DatasetStats(g.num_entities, g.num_predicates, g.num_timestamps,
+                        *g.split_sizes().values())
 
 
 def format_stats(st: DatasetStats) -> str:
-    lines = [
-        f"{'entities':<12} {st.entities}",
-        f"{'predicates':<12} {st.predicates}",
-        f"{'timestamps':<12} {st.timestamps}",
-        f"{'train':<12} {st.train}",
-        f"{'valid':<12} {st.valid}",
-        f"{'test':<12} {st.test}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name:<12} {value}\n" for name, value in vars(st).items())
 
 
 def _parse_year(token: str, missing_tokens: frozenset[str]) -> int | None:
@@ -256,10 +230,10 @@ def _read_columns(path: Path, arity: int, what: str) -> list[list[str]]:
     return cols
 
 
-def _intern(per_split: list[list[list[str]]]):
-    """Subject, predicate and object id columns over all splits, and the
-    entity and predicate labels, numbered in first-seen order (subject
-    before object)."""
+def _intern(per_split: list[list[list[str]]]) -> tuple[np.ndarray, tuple, tuple]:
+    """An int64 (n, 3) array of subject, predicate and object ids over all
+    splits, and the entity and predicate labels, numbered in first-seen
+    order (subject before object)."""
     subjects, predicates, objects = (
         list(chain.from_iterable(cols[k] for cols in per_split)) for k in range(3)
     )
@@ -268,12 +242,35 @@ def _intern(per_split: list[list[list[str]]]):
     entities[1::2] = objects
     entity_id = dict(zip(dict.fromkeys(entities), count()))
     predicate_id = dict(zip(dict.fromkeys(predicates), count()))
-    ids = (
-        map(entity_id.__getitem__, subjects),
-        map(predicate_id.__getitem__, predicates),
-        map(entity_id.__getitem__, objects),
-    )
+    ids = np.column_stack((
+        _ids(entity_id, subjects), _ids(predicate_id, predicates), _ids(entity_id, objects)
+    ))
     return ids, tuple(entity_id), tuple(predicate_id)
+
+
+def _ids(table: dict, labels) -> np.ndarray:
+    return np.fromiter(map(table.__getitem__, labels), dtype=np.int64)
+
+
+def _sizes(per_split: list[list[list[str]]]) -> list[int]:
+    return [len(cols[0]) for cols in per_split]
+
+
+def _event_time_labels(root: Path, tokens: dict[str, None]) -> tuple[str, ...]:
+    """The distinct event stamps in time order: numerically, equal values in
+    first-seen order, when all are integers; lexicographically, which is
+    chronological for ISO dates, when none is.  A mix has no order."""
+    numbers: dict[str, int] = {}
+    others: list[str] = []
+    for tok in tokens:
+        try:
+            numbers[tok] = int(tok)
+        except ValueError:
+            others.append(tok)
+    if numbers and others:
+        raise DataError(f"{root}: event stamps mix integer and non-integer tokens,"
+                        f" e.g. {next(iter(numbers))!r} and {others[0]!r}")
+    return tuple(sorted(tokens, key=numbers.__getitem__) if numbers else sorted(tokens))
 
 
 def load_dataset(
@@ -288,7 +285,8 @@ def load_dataset(
     at year granularity; a missing begin is set to the first timestamp, a
     missing end to the last, and facts whose end precedes their begin are
     removed (a split left empty by that raises DataError).  Event facts
-    become quintuples with b = e = h.
+    become rows with b = e = h; their stamps must be all integers or all
+    not.
     """
     if fmt not in DATA_FORMATS:
         raise ValueError(f"unknown dataset format {fmt!r}")
@@ -326,30 +324,19 @@ def load_dataset(
         first, last = 0, len(ordered) - 1
         begin_id = {tok: first if year[tok] is None else time_id[year[tok]] for tok in stamps}
         end_id = {tok: last if year[tok] is None else time_id[year[tok]] for tok in stamps}
-        begins = map(begin_id.__getitem__, chain.from_iterable(cols[3] for cols in per_split))
-        ends = map(end_id.__getitem__, chain.from_iterable(cols[4] for cols in per_split))
+        begins = _ids(begin_id, chain.from_iterable(cols[3] for cols in per_split))
+        ends = _ids(end_id, chain.from_iterable(cols[4] for cols in per_split))
         time_labels = tuple(map(str, ordered))
     else:
-        # first-seen order, so equal numeric values sort the same every run;
-        # numeric labels sort numerically, anything else lexicographically
-        # (ISO dates are lexicographic-chronological)
         tokens = dict.fromkeys(chain.from_iterable(cols[3] for cols in per_split))
-        try:
-            time_labels = tuple(sorted(tokens, key=int))
-        except ValueError:
-            time_labels = tuple(sorted(tokens))
+        time_labels = _event_time_labels(root, tokens)
         time_id = dict(zip(time_labels, count()))
-        begins = ends = list(
-            map(time_id.__getitem__, chain.from_iterable(cols[3] for cols in per_split))
-        )
+        begins = ends = _ids(time_id, chain.from_iterable(cols[3] for cols in per_split))
 
-    (subjects, predicates, objects), entity_labels, predicate_labels = _intern(per_split)
-    facts = zip(subjects, predicates, objects, begins, ends)
+    ids, entity_labels, predicate_labels = _intern(per_split)
     return TemporalGraph(
-        facts=tuple(map(Quintuple._make, facts)),
-        splits=tuple(chain.from_iterable(
-            repeat(i, len(cols[0])) for i, cols in enumerate(per_split)
-        )),
+        facts=np.column_stack((ids, begins, ends)),
+        splits=np.repeat(np.arange(3, dtype=np.int8), _sizes(per_split)),
         entity_labels=entity_labels,
         predicate_labels=predicate_labels,
         time_labels=time_labels,
@@ -364,27 +351,26 @@ def save_dataset(g: TemporalGraph, out_dir: str | Path) -> None:
     """Write the tab-separated split files plus the interning tables."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    handles = {name: open(root / f"{name}.txt", "w", encoding="utf-8") for name in SPLIT_NAMES}
-    try:
-        for f, sp in zip(g.facts, g.splits):
-            handles[SPLIT_NAMES[sp]].write(
-                "\t".join(
-                    (
-                        g.entity_labels[f.s],
-                        g.predicate_labels[f.p],
-                        g.entity_labels[f.o],
-                        g.time_labels[f.b],
-                        g.time_labels[f.e],
-                    )
-                )
-                + "\n"
-            )
-    finally:
-        for h in handles.values():
-            h.close()
+    ent, pred, tl = map(_label_array, (g.entity_labels, g.predicate_labels, g.time_labels))
+    for k, name in enumerate(SPLIT_NAMES):
+        s, p, o, b, e = g.facts[g.splits == k].T
+        _write_lines(root / f"{name}.txt", ent[s], pred[p], ent[o], tl[b], tl[e])
     _write_table(root / "entities.dict", g.entity_labels)
     _write_table(root / "predicates.dict", g.predicate_labels)
     _write_table(root / "timestamps.dict", g.time_labels)
+
+
+def _label_array(labels: tuple[str, ...]) -> np.ndarray:
+    return np.array(labels, dtype=object)
+
+
+def _write_lines(path: Path, *columns: np.ndarray) -> None:
+    """Write one line per row of the label columns, fields tab-separated."""
+    lines = columns[0]
+    for col in columns[1:]:
+        lines = lines + "\t" + col
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join((lines + "\n").tolist()))
 
 
 def _write_table(path: Path, labels: tuple[str, ...]) -> None:
@@ -394,35 +380,30 @@ def _write_table(path: Path, labels: tuple[str, ...]) -> None:
 
 
 def save_triples(
-    triples: dict[str, list[StaticTriple]],
+    triples: dict[str, np.ndarray],
     entity_labels: tuple[str, ...],
     predicate_labels: tuple[str, ...],
     out_dir: str | Path,
 ) -> None:
-    """Write stripped (atemporal) triples in the three-column layout."""
+    """Write stripped (atemporal) (n, 3) triple arrays in the three-column
+    layout."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
+    ent, pred = map(_label_array, (entity_labels, predicate_labels))
     for name in SPLIT_NAMES:
-        with open(root / f"{name}.txt", "w", encoding="utf-8") as fh:
-            for t in triples.get(name, []):
-                fh.write(
-                    f"{entity_labels[t.s]}\t{predicate_labels[t.p]}\t{entity_labels[t.o]}\n"
-                )
+        s, p, o = triples[name].T
+        _write_lines(root / f"{name}.txt", ent[s], pred[p], ent[o])
     _write_table(root / "entities.dict", entity_labels)
     _write_table(root / "predicates.dict", predicate_labels)
 
 
 def load_triples(
     path: str | Path,
-) -> tuple[dict[str, list[StaticTriple]], tuple[str, ...], tuple[str, ...]]:
-    """Load three-column triple files, interning labels in first-seen order."""
+) -> tuple[dict[str, np.ndarray], tuple[str, ...], tuple[str, ...]]:
+    """Load three-column triple files into one int64 (n, 3) array per split,
+    interning labels in first-seen order."""
     root = Path(path)
     per_split = [_read_columns(root / f"{name}.txt", 3, "triples") for name in SPLIT_NAMES]
     ids, entity_labels, predicate_labels = _intern(per_split)
-    triples = list(map(StaticTriple._make, zip(*ids)))
-    out: dict[str, list[StaticTriple]] = {}
-    start = 0
-    for name, cols in zip(SPLIT_NAMES, per_split):
-        out[name] = triples[start:start + len(cols[0])]
-        start += len(cols[0])
+    out = dict(zip(SPLIT_NAMES, np.split(ids, np.cumsum(_sizes(per_split))[:-1])))
     return out, entity_labels, predicate_labels

@@ -5,16 +5,18 @@ identical (s, p, o) triples.  That creates duplicates inside a split and,
 worse, test triples that literally occur in train.  The audit counts both;
 the filters remove them: "intra" deduplicates within each split, "inter"
 drops valid/test triples present in train, "both" does intra then inter.
+Splits are int64 (n, 3) arrays of ``(s, p, o)`` rows, compared through one
+packed int64 key per row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import SPLIT_NAMES, DataError, StaticTriple
+import numpy as np
+
+from .graph import SPLIT_NAMES, DataError
 
 FILTER_MODES = ("none", "intra", "inter", "both")
-
-Triples = list[StaticTriple]
 
 
 @dataclass
@@ -50,31 +52,60 @@ class DuplicateAudit:
         )
 
 
-def _split_audit(triples: Triples) -> SplitAudit:
-    size = len(triples)
-    distinct = len(set(triples))
+def _rows(triples) -> np.ndarray:
+    return np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+
+
+def _keys(*splits: np.ndarray) -> list[np.ndarray]:
+    """One int64 key per row of each split, equal exactly when the rows are;
+    each column is packed into a width above its largest id in any split."""
+    rows = np.concatenate(splits)
+    ws, wp, wo = (int(w) + 1 for w in rows.max(axis=0, initial=0))
+    if ws * wp * wo >= 2**63:
+        raise ValueError("triple ids too large to pack into one int64")
+    keys = (rows[:, 0] * wp + rows[:, 1]) * wo + rows[:, 2]
+    return np.split(keys, np.cumsum([len(x) for x in splits])[:-1])
+
+
+# keys are >= 0, so a -1 put before or after them matches none
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, sorted."""
+    k = np.sort(keys)
+    return k[np.diff(k, prepend=-1) != 0]
+
+
+def _first_seen(keys: np.ndarray) -> np.ndarray:
+    """Mask of each key's first occurrence: the least index in each run of
+    equal sorted keys."""
+    order = np.argsort(keys)
+    runs = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    keep = np.zeros(len(keys), dtype=bool)
+    keep[np.minimum.reduceat(order, runs)] = True
+    return keep
+
+
+def _member(keys: np.ndarray, distinct: np.ndarray) -> np.ndarray:
+    """Mask of the keys found in the sorted distinct keys ``distinct``."""
+    return np.append(distinct, -1)[np.searchsorted(distinct, keys)] == keys
+
+
+def _split_audit(distinct: int, size: int) -> SplitAudit:
     dups = size - distinct
-    return SplitAudit(
-        size=size,
-        distinct=distinct,
-        duplicates=dups,
-        duplicate_fraction=dups / size if size else 0.0,
-    )
+    return SplitAudit(size, distinct, dups, dups / size if size else 0.0)
 
 
-def audit(train: Triples, valid: Triples, test: Triples) -> DuplicateAudit:
+def audit(train: np.ndarray, valid: np.ndarray, test: np.ndarray) -> DuplicateAudit:
     """Count within-split duplicates and valid/test occurrences in train.
 
     Duplicate counts are surplus occurrences (size minus distinct) over the
     raw split; the cross-split counts compare distinct triples, so their
     fractions are over the split's distinct size.
     """
-    a_train = _split_audit(train)
-    a_valid = _split_audit(valid)
-    a_test = _split_audit(test)
-    train_set = set(train)
-    tit = len(set(test) & train_set)
-    vit = len(set(valid) & train_set)
+    splits = [_rows(x) for x in (train, valid, test)]
+    distinct = list(map(_distinct, _keys(*splits)))
+    a_train, a_valid, a_test = map(_split_audit, map(len, distinct), map(len, splits))
+    vit, tit = (int(_member(u, distinct[0]).sum()) for u in distinct[1:])
     return DuplicateAudit(
         train=a_train,
         valid=a_valid,
@@ -86,30 +117,29 @@ def audit(train: Triples, valid: Triples, test: Triples) -> DuplicateAudit:
     )
 
 
-def _dedup(triples: Triples) -> Triples:
-    return list(dict.fromkeys(triples))
-
-
 def apply_filter(
-    train: Triples, valid: Triples, test: Triples, mode: str
-) -> tuple[Triples, Triples, Triples]:
-    """Return filtered copies of the three splits.
+    train: np.ndarray, valid: np.ndarray, test: np.ndarray, mode: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return the three splits filtered, as (n, 3) arrays.
 
-    Raises when a nonempty test split is filtered down to nothing, since
+    "intra" keeps the first occurrence of each row in row order; "inter"
+    keeps the valid and test rows absent from train, in row order.  Raises
+    when a nonempty test split is filtered down to nothing, since
     evaluating against it would be meaningless.
     """
     if mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {mode!r}; expected one of {FILTER_MODES}")
-    f_train, f_valid, f_test = list(train), list(valid), list(test)
+    splits = [_rows(x) for x in (train, valid, test)]
+    keys = _keys(*splits)
+    keep = [np.ones(len(k), dtype=bool) for k in keys]
     if mode in ("intra", "both"):
-        f_train = _dedup(f_train)
-        f_valid = _dedup(f_valid)
-        f_test = _dedup(f_test)
+        keep = list(map(_first_seen, keys))
     if mode in ("inter", "both"):
-        train_set = set(f_train)
-        f_valid = [t for t in f_valid if t not in train_set]
-        f_test = [t for t in f_test if t not in train_set]
-    if test and not f_test:
+        in_train = _distinct(keys[0])
+        for k, kp in zip(keys[1:], keep[1:]):
+            kp &= ~_member(k, in_train)
+    f_train, f_valid, f_test = (x[kp] for x, kp in zip(splits, keep))
+    if len(splits[2]) and not len(f_test):
         raise DataError(f"filter mode {mode!r} removed every test triple")
     return f_train, f_valid, f_test
 

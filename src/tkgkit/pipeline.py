@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import itertools
 import json
 import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .cpd import CpdConfig
@@ -116,11 +117,9 @@ class PipelineConfig:
     out_dir: Path
     grow: float | None
     shrink: float | None
-    epsilon: float | None
+    # the detection settings of split_cpd, None for every other method
+    cpd: CpdConfig | None
     score: str
-    min_size: int
-    jump: int
-    gamma: float | None
     scope: str
     transform_seed: int
     tie_rule: str
@@ -250,8 +249,7 @@ def build_config(raw: dict[str, dict[str, str]]) -> PipelineConfig:
         raise ConfigError(f"[transform] method {method} needs grow > 1")
     if method == "merge" and not (tf["shrink"] or 0) > 1:
         raise ConfigError("[transform] method merge needs shrink > 1 (inf allowed)")
-    if method == "split_cpd":
-        cpd_config(raw.get("transform", {}))
+    cpd = cpd_config(raw.get("transform", {})) if method == "split_cpd" else None
 
     return PipelineConfig(
         data_path=ds["path"],
@@ -262,11 +260,8 @@ def build_config(raw: dict[str, dict[str, str]]) -> PipelineConfig:
         out_dir=out["dir"],
         grow=tf["grow"],
         shrink=tf["shrink"],
-        epsilon=tf["epsilon"],
+        cpd=cpd,
         score=tf["score"],
-        min_size=tf["min_size"],
-        jump=tf["jump"],
-        gamma=tf["gamma"],
         scope=tf["scope"],
         transform_seed=tf["seed"],
         tie_rule=ev["tie_rule"],
@@ -287,10 +282,7 @@ def apply_transform(g: TemporalGraph, cfg: PipelineConfig) -> TransformResult:
     if method == "split_count":
         return split_parameterized(g, "count", cfg.grow)
     if method == "split_cpd":
-        cpd_cfg = CpdConfig(
-            epsilon=cfg.epsilon, min_size=cfg.min_size, jump=cfg.jump, gamma=cfg.gamma
-        )
-        return split_cpd(g, score=cfg.score, cfg=cpd_cfg, scope=cfg.scope)
+        return split_cpd(g, score=cfg.score, cfg=cfg.cpd, scope=cfg.scope)
     if method == "merge":
         return merge(g, cfg.shrink)
     if method == "random":
@@ -366,7 +358,7 @@ def run_pipeline(cfg: PipelineConfig):
     )
 
     logger.info("evaluating %d test triples", len(f_test))
-    known = itertools.chain(f_train, f_valid, f_test)
+    known = np.concatenate((f_train, f_valid, f_test))
     report, records = evaluate(
         model, f_test, known, tie_rule=cfg.tie_rule, ks=cfg.hits_ks
     )

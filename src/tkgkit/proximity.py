@@ -119,17 +119,17 @@ class SignatureSeries:
         return self.matrix.shape
 
 
-def _edges_by_stamp(facts, num_timestamps: int) -> list[list[tuple[int, int]]]:
-    """The (s, o) edge of every fact valid at each timestamp, in fact order."""
+def _edges_by_stamp(facts: np.ndarray, num_timestamps: int) -> list[list[tuple[int, int]]]:
+    """The (s, o) edge of every fact row valid at each timestamp, in fact order."""
     edges: list[list[tuple[int, int]]] = [[] for _ in range(num_timestamps)]
-    for f in facts:
-        for t in range(f.b, f.e + 1):
-            edges[t].append((f.s, f.o))
+    for s, _, o, b, e in facts.tolist():
+        for t in range(b, e + 1):
+            edges[t].append((s, o))
     return edges
 
 
-def neighbor_slices(facts, num_timestamps: int) -> list[NeighborIndex]:
-    """One NeighborIndex per timestamp over the facts valid then."""
+def neighbor_slices(facts: np.ndarray, num_timestamps: int) -> list[NeighborIndex]:
+    """One NeighborIndex per timestamp over the fact rows valid then."""
     return [NeighborIndex(e) for e in _edges_by_stamp(facts, num_timestamps)]
 
 
@@ -158,8 +158,9 @@ def signature_series(
         raise ValueError(f"predicate id {predicate} not in graph")
     score = get_measure(measure)
 
-    mine = [g.facts[i] for i in g.by_predicate().get(predicate, [])]
-    pairs = sorted({(min(f.s, f.o), max(f.s, f.o)) for f in mine})
+    mine = g.facts[g.by_predicate()[predicate]]
+    rows = mine.tolist()
+    pairs = sorted({(min(s, o), max(s, o)) for s, _, o, _, _ in rows})
 
     n_t = g.num_timestamps
     matrix = np.zeros((n_t, len(pairs)), dtype=np.float64)
@@ -169,9 +170,9 @@ def signature_series(
 
     # bucket facts into every slice they span
     active: list[set[tuple[int, int]]] = [set() for _ in range(n_t)]
-    for f in mine:
-        pq = (min(f.s, f.o), max(f.s, f.o))
-        for t in range(f.b, f.e + 1):
+    for s, _, o, b, e in rows:
+        pq = (min(s, o), max(s, o))
+        for t in range(b, e + 1):
             active[t].add(pq)
 
     if slices is None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 import logging
 import random
-from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,15 +26,24 @@ from pathlib import Path
 import numpy as np
 
 from .cpd import CpdConfig, bottom_up, normalize_rows
-from .graph import DataError, Quintuple, TemporalGraph
+from .graph import DataError, TemporalGraph, expand_ranges
 from .proximity import can_share_neighbors, neighbor_slices, signature_series
 
 logger = logging.getLogger(__name__)
 
 SPLIT_METHODS = ("time", "count")
 
-# rows inside a predicate bucket: (subject, object, begin, end, split)
-_Row = tuple[int, int, int, int, int]
+# a predicate bucket is an int64 array of rows (s, p, o, b, e, split); the p
+# column keeps the input predicate until finalize numbers the output ones
+_B, _E = 3, 4
+_NO_ROWS = np.empty((0, 6), dtype=np.int64)
+
+
+def _group(rows: np.ndarray, key: np.ndarray, values) -> list[np.ndarray]:
+    """``rows`` split into one block per entry of the increasing ``values``
+    that ``key`` takes, each block in row order."""
+    order = np.argsort(key, kind="stable")
+    return np.split(rows[order], np.searchsorted(key[order], values[1:]))
 
 
 @dataclass
@@ -114,9 +122,10 @@ class _MutableTKG:
         self.g = g
         self.labels: list[str] = list(g.predicate_labels)
         self._used: set[str] = set(self.labels)
-        self.buckets: dict[int, list[_Row]] = {p: [] for p in range(g.num_predicates)}
-        for f, sp in zip(g.facts, g.splits):
-            self.buckets[f.p].append((f.s, f.o, f.b, f.e, sp))
+        rows = np.column_stack((g.facts, g.splits))
+        self.buckets: dict[int, np.ndarray] = {
+            p: rows[idx] for p, idx in g.by_predicate().items()
+        }
         self.live: set[int] = set(range(g.num_predicates))
         last = g.num_timestamps - 1
         self.source: dict[int, str] = {}
@@ -139,7 +148,7 @@ class _MutableTKG:
         pid = len(self.labels)
         self.labels.append(label)
         self._used.add(label)
-        self.buckets[pid] = []
+        self.buckets[pid] = _NO_ROWS
         self.live.add(pid)
         self.source[pid] = source
         self.interval[pid] = interval
@@ -147,14 +156,14 @@ class _MutableTKG:
         return pid
 
     def count(self, pid: int) -> int:
-        return len(self.buckets.get(pid, ()))
+        return len(self.buckets.get(pid, _NO_ROWS))
 
     def span(self, pid: int) -> tuple[int, int] | None:
         """Active span: earliest begin and latest end over the facts."""
-        rows = self.buckets.get(pid)
-        if not rows:
+        rows = self.buckets.get(pid, _NO_ROWS)
+        if not len(rows):
             return None
-        return min(r[2] for r in rows), max(r[3] for r in rows)
+        return int(rows[:, _B].min()), int(rows[:, _E].max())
 
     def split_once(self, pid: int, t: int) -> tuple[int, int]:
         """Replace ``pid`` by two children partitioned at ``t``.
@@ -196,42 +205,40 @@ class _MutableTKG:
             lo = t
         children.append(replaced.pop())
         self.live.difference_update(replaced)
-        # a row lands whole in the child between the cuts around it, or is
-        # cut into every child from the one holding b to the one holding e
-        out = [self.buckets[c] for c in children]
-        for row in self.buckets.pop(pid):
-            s, o, b, e, sp = row
-            first, last = bisect_left(cuts, b), bisect_right(cuts, e)
-            if first == last:
-                out[first].append(row)
-                continue
-            out[first].append((s, o, b, cuts[first], sp))
-            for i in range(first + 1, last):
-                out[i].append((s, o, cuts[i - 1], cuts[i], sp))
-            out[last].append((s, o, cuts[last - 1], e, sp))
+        # a row goes to every child from the one holding b to the one holding
+        # e, clipped to the cuts around that child: whole when no cut falls
+        # inside [b, e], else cut at each of them
+        rows = self.buckets.pop(pid)
+        at = np.asarray(cuts)
+        which, child = expand_ranges(
+            np.searchsorted(at, rows[:, _B], side="left"),
+            np.searchsorted(at, rows[:, _E], side="right"),
+        )
+        floor = np.concatenate(([0], at))
+        ceiling = np.concatenate((at, [self.g.num_timestamps]))
+        pieces = rows[which]
+        pieces[:, _B] = np.maximum(pieces[:, _B], floor[child])
+        pieces[:, _E] = np.minimum(pieces[:, _E], ceiling[child])
+        for c, block in zip(children, _group(pieces, child, range(len(children)))):
+            self.buckets[c] = block
         return children, replaced
 
     def finalize(self) -> tuple[TemporalGraph, dict[int, LineageEntry]]:
         """Compact live predicates into a fresh graph plus its lineage."""
         order = sorted(self.live)
-        labels = []
-        facts: list[Quintuple] = []
-        splits: list[int] = []
-        lineage: dict[int, LineageEntry] = {}
-        for new_pid, pid in enumerate(order):
-            labels.append(self.labels[pid])
-            lo, hi = self.interval[pid]
-            lineage[new_pid] = LineageEntry(
-                source=self.source[pid], begin=lo, end=hi, stamp=self.stamp[pid]
-            )
-            for s, o, b, e, sp in self.buckets.get(pid, ()):
-                facts.append(Quintuple(s, new_pid, o, b, e))
-                splits.append(sp)
+        blocks = [self.buckets[pid] for pid in order]
+        rows = np.concatenate([_NO_ROWS, *blocks])
+        rows[:, 1] = np.repeat(np.arange(len(order)), [len(b) for b in blocks])
+        lineage = {
+            new_pid: LineageEntry(source=self.source[pid], begin=self.interval[pid][0],
+                                  end=self.interval[pid][1], stamp=self.stamp[pid])
+            for new_pid, pid in enumerate(order)
+        }
         graph = TemporalGraph(
-            facts=tuple(facts),
-            splits=tuple(splits),
+            facts=rows[:, :5],
+            splits=rows[:, 5],
             entity_labels=self.g.entity_labels,
-            predicate_labels=tuple(labels),
+            predicate_labels=tuple(self.labels[pid] for pid in order),
             time_labels=self.g.time_labels,
         )
         return graph, lineage
@@ -276,25 +283,26 @@ def _timestamp_into(mg: _MutableTKG) -> dict[int, list[tuple[int, int]]]:
     pairs in chronological order.
     """
     g = mg.g
-    memo: dict[tuple[int, int], int] = {}
+    children: dict[int, list[tuple[int, int]]] = {}
     for pid in range(g.num_predicates):
-        rows = mg.buckets.pop(pid, [])
+        rows = mg.buckets.pop(pid)
         mg.live.discard(pid)
+        if not len(rows):
+            continue
         label = g.predicate_labels[pid]
-        for s, o, b, e, sp in rows:
-            for t in range(b, e + 1):
-                dp = memo.get((pid, t))
-                if dp is None:
-                    dp = mg.new_predicate(
-                        f"{label}@{g.time_labels[t]}", label, (t, t), stamp=t
-                    )
-                    memo[(pid, t)] = dp
-                mg.buckets[dp].append((s, o, t, t, sp))
-    children: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for (pid, t), dp in memo.items():
-        children[pid].append((t, dp))
-    for pid in children:
-        children[pid].sort()
+        which, t = expand_ranges(rows[:, _B], rows[:, _E])
+        rows = rows[which]
+        rows[:, _B] = rows[:, _E] = t
+        # stamped ids in order of first use, fact by fact and then in time
+        stamps, first = np.unique(t, return_index=True)
+        dp = {
+            k: mg.new_predicate(f"{label}@{g.time_labels[k]}", label, (k, k), stamp=k)
+            for k in stamps[np.argsort(first)].tolist()
+        }
+        stamps = stamps.tolist()
+        for k, block in zip(stamps, _group(rows, t, stamps)):
+            mg.buckets[dp[k]] = block
+        children[pid] = [(k, dp[k]) for k in stamps]
     return children
 
 
@@ -354,23 +362,15 @@ def _balanced_split(mg: _MutableTKG, pid: int) -> int | None:
     if span is None or span[0] >= span[1]:
         return None
     rows = mg.buckets[pid]
-    begins = sorted(r[2] for r in rows)
-    ends = sorted(r[3] for r in rows)
-    lo, hi = ends[0], begins[-1]
-    if lo > hi:
+    begins = np.sort(rows[:, _B])
+    ends = np.sort(rows[:, _E])
+    # from the earliest end to the latest begin, both sides are nonempty
+    t = np.arange(ends[0], begins[-1] + 1)
+    if not len(t):
         return None
-    n = len(rows)
-    best_t = None
-    best_obj = None
-    for t in range(lo, hi + 1):
-        n_left = bisect_right(ends, t)
-        n_right = n - bisect_left(begins, t)
-        if n_left == 0 or n_right == 0:
-            continue
-        obj = abs(n_left - n_right)
-        if best_obj is None or obj < best_obj:
-            best_obj, best_t = obj, t
-    return best_t
+    n_left = np.searchsorted(ends, t, side="right")
+    n_right = len(rows) - np.searchsorted(begins, t, side="left")
+    return int(t[np.argmin(np.abs(n_left - n_right))])
 
 
 def split_parameterized(g: TemporalGraph, method: str, grow: float) -> TransformResult:
@@ -415,7 +415,7 @@ def split_parameterized(g: TemporalGraph, method: str, grow: float) -> Transform
     return _finish(mg, report)
 
 
-def _cpd_cuts(rows: list[_Row], points: list[int]) -> tuple[list[int], int]:
+def _cpd_cuts(rows: np.ndarray, points: list[int]) -> tuple[list[int], int]:
     """The increasing ``points`` that split_cpd applies, and how many it skips.
 
     Each point cuts the right child of the last cut, and is skipped when that
@@ -424,11 +424,10 @@ def _cpd_cuts(rows: list[_Row], points: list[int]) -> tuple[list[int], int]:
     end, and the child right of a cut at c holds the rows ending at or after
     c, so it begins at c or at the earliest begin among them.
     """
-    arr = np.array(rows, dtype=np.int64)
-    order = np.argsort(arr[:, 3], kind="stable")
-    ends = arr[order, 3]
+    order = np.argsort(rows[:, _E], kind="stable")
+    ends = rows[order, _E]
     # first_begin[i]: the earliest begin among rows ending at or after ends[i]
-    first_begin = np.minimum.accumulate(arr[order, 2][::-1])[::-1]
+    first_begin = np.minimum.accumulate(rows[order, _B][::-1])[::-1]
     lo, hi = int(first_begin[0]), int(ends[-1])
     cuts: list[int] = []
     for k in points:
@@ -481,7 +480,9 @@ def split_cpd(
     tl = g.time_labels
     for pid in range(g.num_predicates):
         rows = mg.buckets[pid]
-        if zero_unless_shared and not can_share_neighbors((r[0], r[1]) for r in rows):
+        if zero_unless_shared and not can_share_neighbors(
+            zip(rows[:, 0].tolist(), rows[:, 2].tolist())
+        ):
             continue
         series = signature_series(g, pid, measure=score, scope=scope, slices=slices)
         if series.matrix.size == 0 or bool(np.all(series.matrix == series.matrix[0])):
@@ -605,7 +606,7 @@ def merge(g: TemporalGraph, shrink: float) -> TransformResult:
             continue
         label = f"{mg.source[a.pid]}~[{tl[a.lo]},{tl[b.hi]}]"
         dp = mg.new_predicate(label, mg.source[a.pid], (a.lo, b.hi), stamp=None)
-        mg.buckets[dp] = mg.buckets.pop(a.pid) + mg.buckets.pop(b.pid)
+        mg.buckets[dp] = np.concatenate((mg.buckets.pop(a.pid), mg.buckets.pop(b.pid)))
         mg.live.discard(a.pid)
         mg.live.discard(b.pid)
         a.alive = b.alive = False

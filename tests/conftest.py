@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tkgkit import Quintuple, TemporalGraph, load_dataset
+from tkgkit import TemporalGraph, load_dataset
 
 DATASET_NAMES = ("wikidata12k", "yago11k", "icews14")
 
@@ -61,13 +61,12 @@ def build_graph(
     Labels are synthesized (e<i>, r<i>, and the stringified time index), so
     unit tests can state facts without going through the loader.
     """
-    qs = [Quintuple(*f) for f in facts]
-    ne = num_entities if num_entities is not None else 1 + max((max(q.s, q.o) for q in qs), default=-1)
-    np_ = num_predicates if num_predicates is not None else 1 + max((q.p for q in qs), default=-1)
-    nt = num_times if num_times is not None else 1 + max((q.e for q in qs), default=-1)
+    ne = num_entities if num_entities is not None else 1 + max((max(s, o) for s, _, o, _, _ in facts), default=-1)
+    np_ = num_predicates if num_predicates is not None else 1 + max((p for _, p, _, _, _ in facts), default=-1)
+    nt = num_times if num_times is not None else 1 + max((e for *_, e in facts), default=-1)
     return TemporalGraph(
-        facts=qs,
-        splits=list(splits) if splits is not None else [0] * len(qs),
+        facts=facts,
+        splits=list(splits) if splits is not None else [0] * len(facts),
         entity_labels=tuple(f"e{i}" for i in range(ne)),
         predicate_labels=tuple(f"r{i}" for i in range(np_)),
         time_labels=tuple(str(t) for t in range(nt)),
@@ -84,10 +83,10 @@ def unroll(g: TemporalGraph, lineage=None):
     from collections import Counter
 
     out: Counter = Counter()
-    for f, sp in zip(g.facts, g.splits):
-        src = lineage[f.p].source if lineage is not None else g.predicate_labels[f.p]
-        for t in range(f.b, f.e + 1):
-            out[(f.s, src, f.o, t, sp)] += 1
+    for (s, p, o, b, e), sp in zip(g.facts.tolist(), g.splits.tolist()):
+        src = lineage[p].source if lineage is not None else g.predicate_labels[p]
+        for t in range(b, e + 1):
+            out[(s, src, o, t, sp)] += 1
     return out
 
 

@@ -12,7 +12,6 @@ from tkgkit import (
     DataError,
     EmbeddingModel,
     NumericError,
-    StaticTriple,
     TrainConfig,
     train,
 )
@@ -473,7 +472,7 @@ def test_xavier_uniform_bound():
 
 
 def toy_triples():
-    return [StaticTriple(i, i % 2, (i + 1) % 6) for i in range(6)] * 3
+    return [(i, i % 2, (i + 1) % 6) for i in range(6)] * 3
 
 
 def test_train_deterministic():
@@ -516,9 +515,9 @@ def test_train_rejects_bad_input():
     with pytest.raises(DataError):
         train([], 5, 2, cfg)
     with pytest.raises(ValueError):
-        train([StaticTriple(9, 0, 0)], 5, 2, cfg)
+        train([(9, 0, 0)], 5, 2, cfg)
     with pytest.raises(ValueError):
-        train([StaticTriple(0, 7, 0)], 5, 2, cfg)
+        train([(0, 7, 0)], 5, 2, cfg)
 
 
 def test_train_config_validation():

@@ -10,8 +10,6 @@ from tkgkit import (
     EmbeddingModel,
     LineageEntry,
     NumericError,
-    Quintuple,
-    StaticTriple,
     evaluate,
     metrics,
     predict_predicates,
@@ -20,13 +18,13 @@ from tkgkit import (
 from tkgkit.eval import (
     TIE_RULES,
     RankRecord,
-    _id_array,
     _known_answers,
     _rank_from_counts,
     ranks_tsv,
 )
 
-T = StaticTriple
+def T(s, p, o):
+    return (s, p, o)
 
 
 def naive_score(model, s, p, o):
@@ -41,23 +39,24 @@ def brute_force_ranks(model, test, known, tie_rule, filtered):
     known = set(known)
     out = []
     for t in test:
+        s, p, o = t
         for side in ("subject", "object"):
             if side == "object":
                 cands = [
                     e
                     for e in range(model.num_entities)
-                    if e == t.o or not (filtered and T(t.s, t.p, e) in known)
+                    if e == o or not (filtered and T(s, p, e) in known)
                 ]
-                scores = {e: naive_score(model, t.s, t.p, e) for e in cands}
-                target = t.o
+                scores = {e: naive_score(model, s, p, e) for e in cands}
+                target = o
             else:
                 cands = [
                     e
                     for e in range(model.num_entities)
-                    if e == t.s or not (filtered and T(e, t.p, t.o) in known)
+                    if e == s or not (filtered and T(e, p, o) in known)
                 ]
-                scores = {e: naive_score(model, e, t.p, t.o) for e in cands}
-                target = t.s
+                scores = {e: naive_score(model, e, p, o) for e in cands}
+                target = s
             ts = scores[target]
             better = sum(1 for e in cands if scores[e] < ts)
             equal = sum(1 for e in cands if scores[e] == ts) - 1
@@ -127,21 +126,22 @@ def whole_matrix_scores(model, side, a, b):
 def reference_rank_queries(model, test, known, tie_rule, filtered):
     """rank_queries as written before row blocking, one whole-matrix pass a query."""
     test = list(test)
-    q = _id_array(test)
-    k = _id_array(known if filtered else ())
+    q = np.asarray(test, dtype=np.int64).reshape(-1, 3)
+    k = np.asarray(known if filtered else (), dtype=np.int64).reshape(-1, 3)
     drops = zip(
         _known_answers(k[:, 1], k[:, 2], k[:, 0], q[:, 1], q[:, 2]),
         _known_answers(k[:, 0], k[:, 1], k[:, 2], q[:, 0], q[:, 1]),
     )
     records = []
     for t, side_drops in zip(test, drops):
+        s, p, o = t
         for side, drop in zip(("subject", "object"), side_drops):
             if side == "object":
-                scores = whole_matrix_scores(model, side, t.s, t.p)
-                target = t.o
+                scores = whole_matrix_scores(model, side, s, p)
+                target = o
             else:
-                scores = whole_matrix_scores(model, side, t.p, t.o)
-                target = t.s
+                scores = whole_matrix_scores(model, side, p, o)
+                target = s
             target_score = scores[target]
             dropped = scores[drop[drop != target]]
             n_better = int(np.count_nonzero(scores < target_score)) - int(
@@ -165,8 +165,8 @@ def test_rank_queries_across_real_blocks_match_whole_matrix(norm, ties):
     test += [T(int(rng.integers(n_ent)), int(rng.integers(4)), int(rng.integers(n_ent)))
              for _ in range(20)]
     known += test
-    for t in test:
-        for side, a, b in (("object", t.s, t.p), ("subject", t.p, t.o)):
+    for s, p, o in test:
+        for side, a, b in (("object", s, p), ("subject", p, o)):
             score = model.score_objects if side == "object" else model.score_subjects
             got = score(a, b, out=model.score_scratch())
             assert got.tobytes() == whole_matrix_scores(model, side, a, b).tobytes()
@@ -321,7 +321,7 @@ def test_predict_predicates_orders_and_maps_to_source():
         1: LineageEntry("b", 0, 9),
         2: LineageEntry("c", 0, 9),
     }
-    got = predict_predicates(model, lineage, Quintuple(0, 0, 1, 2, 5), top=3)
+    got = predict_predicates(model, lineage, (0, 0, 1, 2, 5), top=3)
     assert got == ["b", "c", "a"]
 
 
@@ -334,7 +334,7 @@ def test_predict_predicates_interval_filter_after_top():
         1: LineageEntry("b", 4, 9),
         2: LineageEntry("c", 5, 6),
     }
-    got = predict_predicates(model, lineage, Quintuple(0, 0, 1, 4, 6), top=2)
+    got = predict_predicates(model, lineage, (0, 0, 1, 4, 6), top=2)
     assert got == ["b"]
 
 
@@ -344,7 +344,7 @@ def test_predict_predicates_boundary_overlap_counts():
         0: LineageEntry("a", 0, 4),  # touches the window at 4
         1: LineageEntry("b", 7, 9),  # starts after it ends
     }
-    got = predict_predicates(model, lineage, Quintuple(0, 0, 1, 4, 6), top=2)
+    got = predict_predicates(model, lineage, (0, 0, 1, 4, 6), top=2)
     assert got == ["a"]
 
 
@@ -355,11 +355,11 @@ def test_predict_predicates_dedups_sources():
         1: LineageEntry("a", 0, 9),
         2: LineageEntry("b", 0, 9),
     }
-    got = predict_predicates(model, lineage, Quintuple(0, 0, 1, 0, 9), top=3)
+    got = predict_predicates(model, lineage, (0, 0, 1, 0, 9), top=3)
     assert got == ["a", "b"]
 
 
 def test_predict_predicates_validates_top():
     model = pred_model([1.0])
     with pytest.raises(ValueError):
-        predict_predicates(model, {}, Quintuple(0, 0, 1, 0, 0), top=0)
+        predict_predicates(model, {}, (0, 0, 1, 0, 0), top=0)

@@ -7,15 +7,13 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tkgkit import (
     DataError,
-    Quadruple,
-    Quintuple,
-    StaticTriple,
     TemporalGraph,
     dataset_stats,
     load_dataset,
@@ -24,7 +22,6 @@ from tkgkit import (
     save_triples,
     slice_at,
     strip_temporal,
-    to_valid_time,
 )
 from tkgkit.graph import (
     DATA_FORMATS,
@@ -33,6 +30,8 @@ from tkgkit.graph import (
     format_stats,
     restrict_predicate,
 )
+
+from tkgkit.cli import main
 
 from conftest import build_graph, write_split_files
 
@@ -65,10 +64,11 @@ def test_only_observed_endpoints_interned(tmp_path):
 
 def test_ids_dense(tiny_graph):
     g = tiny_graph
-    assert {f.s for f in g.facts} | {f.o for f in g.facts} == set(range(g.num_entities))
-    assert {f.p for f in g.facts} == set(range(g.num_predicates))
-    for f in g.facts:
-        assert 0 <= f.b <= f.e < g.num_timestamps
+    s, p, o, b, e = g.facts.T.tolist()
+    assert set(s) | set(o) == set(range(g.num_entities))
+    assert set(p) == set(range(g.num_predicates))
+    for begin, end in zip(b, e):
+        assert 0 <= begin <= end < g.num_timestamps
 
 
 def test_missing_begin_and_end_clamped(tmp_path):
@@ -86,8 +86,8 @@ def test_missing_begin_and_end_clamped(tmp_path):
     )
     g = load_dataset(root)
     assert g.time_labels == ("1970", "1980", "1985", "1990")
-    assert g.facts[0].b == 0 and g.facts[0].e == 3  # missing begin -> first
-    assert g.facts[1].b == 0 and g.facts[1].e == 3  # missing end -> last
+    assert g.facts[0, 3:].tolist() == [0, 3]  # missing begin -> first
+    assert g.facts[1, 3:].tolist() == [0, 3]  # missing end -> last
 
 
 def test_end_before_begin_dropped(tmp_path):
@@ -165,8 +165,7 @@ def test_event_format_numeric_sort(tmp_path):
     )
     g = load_dataset(root, fmt="event")
     assert g.time_labels == ("2", "10", "100")  # numeric, not lexicographic
-    for f in g.facts:
-        assert f.b == f.e
+    assert g.facts[:, 3].tolist() == g.facts[:, 4].tolist()
 
 
 def test_event_format_date_sort(tmp_path):
@@ -182,8 +181,19 @@ def test_event_format_date_sort(tmp_path):
     assert g.time_labels == ("2014-01-15", "2014-02-01")
 
 
-def test_to_valid_time():
-    assert to_valid_time(Quadruple(1, 2, 3, 7)) == Quintuple(1, 2, 3, 7, 7)
+def test_event_format_mixed_stamps_rejected(tmp_path):
+    # sorted as text, "9" would come after "11"
+    root = write_split_files(
+        tmp_path / "d",
+        {
+            "train": [("a", "r", "b", "9"), ("a", "r", "c", "10"), ("b", "r", "c", "-")],
+            "valid": [("a", "r", "b", "11")],
+            "test": [("b", "r", "a", "10")],
+        },
+    )
+    with pytest.raises(DataError, match="integer and non-integer.*'9' and '-'"):
+        load_dataset(root, fmt="event")
+    assert main(["load-stats", "--data", str(root), "--format", "event"]) == 3
 
 
 def test_constructor_validates_interval():
@@ -193,8 +203,21 @@ def test_constructor_validates_interval():
         build_graph([(0, 0, 1, 0, 9)], num_times=5)
     with pytest.raises(ValueError):
         TemporalGraph(
-            facts=[Quintuple(0, 0, 1, 0, 0)],
+            facts=[(0, 0, 1, 0, 0)],
             splits=[0, 0],
+            entity_labels=("a", "b"),
+            predicate_labels=("r",),
+            time_labels=("0",),
+        )
+
+
+# 258 would pass as 2 once cast to int8
+@pytest.mark.parametrize("bad", [-1, 3, 258])
+def test_constructor_rejects_unknown_split_ids(bad):
+    with pytest.raises(ValueError, match="split id out of range in fact 1"):
+        TemporalGraph(
+            facts=[(0, 0, 1, 0, 0), (1, 0, 0, 0, 0)],
+            splits=[0, bad],
             entity_labels=("a", "b"),
             predicate_labels=("r",),
             time_labels=("0",),
@@ -206,8 +229,9 @@ def test_slice_at_matches_bruteforce():
     g = build_graph(facts, splits=[0, 0, 1, 2])
     for t in range(5):
         sl = slice_at(g, t)
-        expect = [(f, sp) for f, sp in zip(g.facts, g.splits) if f.b <= t <= f.e]
-        assert list(zip(sl.facts, sl.splits)) == expect
+        rows = zip(g.facts.tolist(), g.splits.tolist())
+        expect = [(f, sp) for f, sp in rows if f[3] <= t <= f[4]]
+        assert list(zip(sl.facts.tolist(), sl.splits.tolist())) == expect
     with pytest.raises(ValueError):
         slice_at(g, 5)
 
@@ -216,7 +240,7 @@ def test_restrict_predicate():
     facts = [(0, 0, 1, 0, 3), (1, 1, 2, 2, 2), (2, 0, 0, 1, 4)]
     g = build_graph(facts, splits=[0, 1, 2])
     r = restrict_predicate(g, 0)
-    assert [f.p for f in r.facts] == [0, 0]
+    assert r.facts[:, 1].tolist() == [0, 0]
     assert list(r.splits) == [0, 2]
 
 
@@ -225,16 +249,18 @@ def test_by_predicate_groups():
     g = build_graph(facts)
     groups = g.by_predicate()
     assert sorted(groups) == [0, 1]
-    assert [g.facts[i] for i in groups[1]] == [g.facts[0], g.facts[2]]
+    assert g.facts[groups[1]].tolist() == [g.facts[0].tolist(), g.facts[2].tolist()]
 
 
 def test_strip_temporal_keeps_duplicates():
     facts = [(0, 0, 1, 0, 1), (0, 0, 1, 3, 4), (1, 0, 2, 0, 0)]
     g = build_graph(facts, splits=[0, 0, 2])
     out = strip_temporal(g)
-    assert out["train"] == [StaticTriple(0, 0, 1), StaticTriple(0, 0, 1)]
-    assert out["valid"] == []
-    assert out["test"] == [StaticTriple(1, 0, 2)]
+    assert out["train"].tolist() == [[0, 0, 1], [0, 0, 1]]
+    assert out["valid"].tolist() == []
+    assert out["test"].tolist() == [[1, 0, 2]]
+    for rows in out.values():
+        assert rows.dtype == np.int64 and rows.shape[1:] == (3,)
 
 
 def test_save_load_dataset_roundtrip(tiny_graph, tmp_path):
@@ -244,8 +270,8 @@ def test_save_load_dataset_roundtrip(tiny_graph, tmp_path):
         assert (out / f"{name}.txt").is_file()
     assert (out / "entities.dict").is_file()
     g2 = load_dataset(out)
-    assert list(g2.facts) == list(tiny_graph.facts)
-    assert list(g2.splits) == list(tiny_graph.splits)
+    assert g2.facts.tolist() == tiny_graph.facts.tolist()
+    assert g2.splits.tolist() == tiny_graph.splits.tolist()
     assert g2.entity_labels == tiny_graph.entity_labels
     assert g2.predicate_labels == tiny_graph.predicate_labels
     assert g2.time_labels == tiny_graph.time_labels
@@ -259,8 +285,8 @@ def test_save_load_triples_roundtrip(tiny_graph, tmp_path):
     remap_e = {i: ents.index(lbl) for i, lbl in enumerate(tiny_graph.entity_labels)}
     remap_p = {i: preds.index(lbl) for i, lbl in enumerate(tiny_graph.predicate_labels)}
     for name in SPLIT_NAMES:
-        want = [StaticTriple(remap_e[t.s], remap_p[t.p], remap_e[t.o]) for t in triples[name]]
-        assert loaded[name] == want
+        want = [[remap_e[s], remap_p[p], remap_e[o]] for s, p, o in triples[name].tolist()]
+        assert loaded[name].tolist() == want
 
 
 def test_format_stats(tiny_graph):
@@ -337,7 +363,7 @@ def reference_load_dataset(path, fmt="valid_time", missing_tokens=DEFAULT_MISSIN
         ordered = sorted(years)
         time_id = {y: i for i, y in enumerate(ordered)}
         for split_idx, s, p, o, b, e in parsed:
-            facts.append(Quintuple(
+            facts.append((
                 intern(entities, s), intern(predicates, p), intern(entities, o),
                 0 if b is None else time_id[b],
                 len(ordered) - 1 if e is None else time_id[e],
@@ -345,21 +371,31 @@ def reference_load_dataset(path, fmt="valid_time", missing_tokens=DEFAULT_MISSIN
             splits.append(split_idx)
         time_labels = tuple(str(y) for y in ordered)
     else:
-        parsed_ev, tokens = [], set()
+        parsed_ev, tokens = [], {}
         for split_idx, name in enumerate(SPLIT_NAMES):
             for s, p, o, h_tok, lineno in per_split[name]:
                 parsed_ev.append((split_idx, s, p, o, h_tok))
-                tokens.add(h_tok)
-        try:
-            ordered_tok = sorted(tokens, key=int)
-        except ValueError:
-            ordered_tok = sorted(tokens)
+                tokens.setdefault(h_tok, None)
+        integers, others = [], []
+        for tok in tokens:
+            try:
+                int(tok)
+            except ValueError:
+                others.append(tok)
+            else:
+                integers.append(tok)
+        if integers and others:
+            raise DataError(
+                f"{root}: event stamps mix integer and non-integer tokens,"
+                f" e.g. {integers[0]!r} and {others[0]!r}"
+            )
+        ordered_tok = sorted(tokens, key=int) if integers else sorted(tokens)
         time_id = {tok: i for i, tok in enumerate(ordered_tok)}
         for split_idx, s, p, o, h_tok in parsed_ev:
-            quad = Quadruple(
-                intern(entities, s), intern(predicates, p), intern(entities, o), time_id[h_tok]
+            h = time_id[h_tok]
+            facts.append(
+                (intern(entities, s), intern(predicates, p), intern(entities, o), h, h)
             )
-            facts.append(to_valid_time(quad))
             splits.append(split_idx)
         time_labels = tuple(ordered_tok)
     return TemporalGraph(
@@ -396,9 +432,7 @@ def reference_load_triples(path):
                 _ref_logger.warning("%s:%d: malformed line dropped: %r", fp, lineno, line)
                 continue
             s, p, o = (x.strip() for x in parts)
-            rows.append(
-                StaticTriple(intern(entities, s), intern(predicates, p), intern(entities, o))
-            )
+            rows.append([intern(entities, s), intern(predicates, p), intern(entities, o)])
         if not rows:
             raise DataError(f"{fp} contains no triples")
         out[name] = rows
@@ -433,7 +467,10 @@ def write_texts(root: Path, texts: dict[str, str]) -> Path:
 def assert_loads_as_reference(root: Path, fmt: str | None) -> None:
     """``fmt=None`` compares ``load_triples``, otherwise ``load_dataset``."""
     if fmt is None:
-        assert outcome(load_triples, root) == outcome(reference_load_triples, root)
+        got, got_log = outcome(load_triples, root)
+        if isinstance(got[0], dict):
+            got = ({name: rows.tolist() for name, rows in got[0].items()}, *got[1:])
+        assert (got, got_log) == outcome(reference_load_triples, root)
         return
     got, got_log = outcome(load_dataset, root, fmt)
     want, want_log = outcome(reference_load_dataset, root, fmt)

@@ -198,7 +198,7 @@ def test_split_cpd_needs_epsilon(tiny_dataset, tmp_path):
         build_config(raw)
     raw["transform"]["epsilon"] = "2.0"
     cfg = build_config(raw)
-    assert cfg.epsilon == 2.0
+    assert cfg.cpd.epsilon == 2.0
 
 
 def test_build_config_happy(tiny_dataset, tmp_path):

@@ -103,16 +103,17 @@ def _signature_oracle(g, predicate, measure, scope):
     """Independent recomputation: per timestamp, build the neighborhood from
     scratch and score only the pairs the predicate connects right then."""
     score = get_measure(measure)
-    mine = [f for f in g.facts if f.p == predicate]
-    pairs = sorted({(min(f.s, f.o), max(f.s, f.o)) for f in mine})
+    facts = g.facts.tolist()
+    mine = [f for f in facts if f[1] == predicate]
+    pairs = sorted({(min(s, o), max(s, o)) for s, _, o, _, _ in mine})
     col = {pq: j for j, pq in enumerate(pairs)}
     mat = np.zeros((g.num_timestamps, len(pairs)))
     for t in range(g.num_timestamps):
-        pool = mine if scope == "predicate" else list(g.facts)
-        idx = NeighborIndex([(f.s, f.o) for f in pool if f.b <= t <= f.e])
-        for f in mine:
-            if f.b <= t <= f.e:
-                u, v = min(f.s, f.o), max(f.s, f.o)
+        pool = mine if scope == "predicate" else facts
+        idx = NeighborIndex([(s, o) for s, _, o, b, e in pool if b <= t <= e])
+        for s, _, o, b, e in mine:
+            if b <= t <= e:
+                u, v = min(s, o), max(s, o)
                 mat[t, col[(u, v)]] = score(idx, u, v)
     return pairs, mat
 
@@ -201,23 +202,23 @@ def reference_signature(g, predicate, measure, scope):
     """signature_series as first written: every call buckets the scope's
     facts per timestamp and builds each active timestamp's index anew."""
     score = get_measure(measure)
-    mine = [g.facts[i] for i in g.by_predicate().get(predicate, [])]
-    pairs = sorted({(min(f.s, f.o), max(f.s, f.o)) for f in mine})
+    mine = g.facts[g.by_predicate()[predicate]].tolist()
+    pairs = sorted({(min(s, o), max(s, o)) for s, _, o, _, _ in mine})
     n_t = g.num_timestamps
     matrix = np.zeros((n_t, len(pairs)), dtype=np.float64)
     if not pairs:
         return matrix
     col = {pq: j for j, pq in enumerate(pairs)}
     active = [set() for _ in range(n_t)]
-    for f in mine:
-        pq = (min(f.s, f.o), max(f.s, f.o))
-        for t in range(f.b, f.e + 1):
+    for s, _, o, b, e in mine:
+        pq = (min(s, o), max(s, o))
+        for t in range(b, e + 1):
             active[t].add(pq)
-    pool = mine if scope == "predicate" else list(g.facts)
+    pool = mine if scope == "predicate" else g.facts.tolist()
     edges = [[] for _ in range(n_t)]
-    for f in pool:
-        for t in range(f.b, f.e + 1):
-            edges[t].append((f.s, f.o))
+    for s, _, o, b, e in pool:
+        for t in range(b, e + 1):
+            edges[t].append((s, o))
     for t in range(n_t):
         if not active[t]:
             continue
@@ -262,7 +263,7 @@ def test_signature_bytes_match_reference(rows):
 
 
 def _edges_of(g, pid):
-    return [(g.facts[i].s, g.facts[i].o) for i in g.by_predicate().get(pid, [])]
+    return [(s, o) for s, _, o, _, _ in g.facts[g.by_predicate()[pid]].tolist()]
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from tkgkit import (
     CpdConfig,
-    Quintuple,
     TemporalGraph,
     identity,
     load_lineage,
@@ -50,18 +49,18 @@ def test_identity_passthrough(tiny_graph):
 
 def test_timestamp_fact_count(tiny_graph):
     res = timestamp(tiny_graph)
-    want = sum(f.e - f.b + 1 for f in tiny_graph.facts)
+    want = sum(e - b + 1 for *_, b, e in tiny_graph.facts.tolist())
     assert len(res.graph.facts) == want
     assert res.report.facts_after == want
-    assert all(f.b == f.e for f in res.graph.facts)
+    assert all(b == e for *_, b, e in res.graph.facts.tolist())
 
 
 def test_timestamp_labels_and_lineage(tiny_graph):
     res = timestamp(tiny_graph)
     observed = set()
-    for f in tiny_graph.facts:
-        for t in range(f.b, f.e + 1):
-            observed.add((f.p, t))
+    for _, p, _, b, e in tiny_graph.facts.tolist():
+        for t in range(b, e + 1):
+            observed.add((p, t))
     want_labels = {
         f"{tiny_graph.predicate_labels[p]}@{tiny_graph.time_labels[t]}"
         for p, t in observed
@@ -117,7 +116,8 @@ def test_split_once_partitions_facts():
     out = res.graph
     assert out.num_predicates == 2
     assert out.predicate_labels == ("r0#1[0,2]", "r0#2[2,4]")
-    rows = sorted((f.p, f.s, f.o, f.b, f.e, sp) for f, sp in zip(out.facts, out.splits))
+    rows = sorted((p, s, o, b, e, sp) for (s, p, o, b, e), sp
+                  in zip(out.facts.tolist(), out.splits.tolist()))
     assert rows == [
         (0, 0, 1, 0, 2, 0),  # spanning fact, left half
         (0, 1, 2, 0, 1, 1),
@@ -135,8 +135,8 @@ def test_split_once_boundary_facts_span():
     g = build_graph([(0, 0, 1, 0, 2), (1, 0, 2, 2, 4), (2, 0, 3, 0, 1)], num_times=5)
     res = split_once(g, 0, 2)
     by_pred = {}
-    for f in res.graph.facts:
-        by_pred.setdefault(f.p, []).append((f.s, f.b, f.e))
+    for s, p, _, b, e in res.graph.facts.tolist():
+        by_pred.setdefault(p, []).append((s, b, e))
     assert by_pred[0] == [(0, 0, 2), (1, 2, 2), (2, 0, 1)]
     assert by_pred[1] == [(0, 2, 2), (1, 2, 4)]
 
@@ -318,20 +318,24 @@ def reference_split_once(mg, pid, t):
     mg._ordinal[src] = n + 2
     r1 = mg.new_predicate(f"{src}#{n + 1}[{tl[lo]},{tl[t]}]", src, (lo, t))
     r2 = mg.new_predicate(f"{src}#{n + 2}[{tl[t]},{tl[hi]}]", src, (t, hi))
-    for s, o, b, e, sp in mg.buckets.pop(pid):
+    left, right = [], []
+    for s, p, o, b, e, sp in mg.buckets.pop(pid).tolist():
         if b <= t <= e:
-            mg.buckets[r1].append((s, o, b, t, sp))
-            mg.buckets[r2].append((s, o, t, e, sp))
+            left.append((s, p, o, b, t, sp))
+            right.append((s, p, o, t, e, sp))
         elif e <= t:
-            mg.buckets[r1].append((s, o, b, e, sp))
+            left.append((s, p, o, b, e, sp))
         else:
-            mg.buckets[r2].append((s, o, b, e, sp))
+            right.append((s, p, o, b, e, sp))
+    mg.buckets[r1] = np.array(left, dtype=np.int64).reshape(-1, 6)
+    mg.buckets[r2] = np.array(right, dtype=np.int64).reshape(-1, 6)
     mg.live.discard(pid)
     return r1, r2
 
 
 def _state(mg):
-    return mg.labels, mg.buckets, mg.live, mg.interval, mg.source, dict(mg._ordinal)
+    buckets = {pid: rows.tolist() for pid, rows in mg.buckets.items()}
+    return mg.labels, buckets, mg.live, mg.interval, mg.source, dict(mg._ordinal)
 
 
 def reference_split_cpd(g, score, cfg, scope):
@@ -378,8 +382,8 @@ def reference_split_cpd(g, score, cfg, scope):
 def assert_same_split(g, score, cfg, scope):
     got = split_cpd(g, score=score, cfg=cfg, scope=scope)
     want = reference_split_cpd(g, score, cfg, scope)
-    assert list(got.graph.facts) == list(want.graph.facts)
-    assert list(got.graph.splits) == list(want.graph.splits)
+    assert got.graph.facts.tolist() == want.graph.facts.tolist()
+    assert got.graph.splits.tolist() == want.graph.splits.tolist()
     assert got.graph.predicate_labels == want.graph.predicate_labels
     assert got.lineage == want.lineage
     assert got.report.format() == want.report.format()
@@ -523,7 +527,7 @@ def test_random_split_deterministic(tiny_graph):
     a = random_split(tiny_graph, grow=3, seed=17)
     b = random_split(tiny_graph, grow=3, seed=17)
     assert a.graph.predicate_labels == b.graph.predicate_labels
-    assert list(a.graph.facts) == list(b.graph.facts)
+    assert a.graph.facts.tolist() == b.graph.facts.tolist()
 
 
 def test_random_split_seed_changes_result(tiny_graph):

@@ -252,10 +252,6 @@ def _ids(table: dict, labels) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, labels), dtype=np.int64)
 
 
-def _sizes(per_split: list[list[list[str]]]) -> list[int]:
-    return [len(cols[0]) for cols in per_split]
-
-
 def _event_time_labels(root: Path, tokens: dict[str, None]) -> tuple[str, ...]:
     """The distinct event stamps in time order: numerically, equal values in
     first-seen order, when all are integers; lexicographically, which is
@@ -336,7 +332,7 @@ def load_dataset(
     ids, entity_labels, predicate_labels = _intern(per_split)
     return TemporalGraph(
         facts=np.column_stack((ids, begins, ends)),
-        splits=np.repeat(np.arange(3, dtype=np.int8), _sizes(per_split)),
+        splits=np.repeat(np.arange(3, dtype=np.int8), [len(cols[0]) for cols in per_split]),
         entity_labels=entity_labels,
         predicate_labels=predicate_labels,
         time_labels=time_labels,
@@ -351,17 +347,14 @@ def save_dataset(g: TemporalGraph, out_dir: str | Path) -> None:
     """Write the tab-separated split files plus the interning tables."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    ent, pred, tl = map(_label_array, (g.entity_labels, g.predicate_labels, g.time_labels))
+    ent, pred, tl = (np.array(labels, dtype=object)
+                     for labels in (g.entity_labels, g.predicate_labels, g.time_labels))
     for k, name in enumerate(SPLIT_NAMES):
         s, p, o, b, e = g.facts[g.splits == k].T
         _write_lines(root / f"{name}.txt", ent[s], pred[p], ent[o], tl[b], tl[e])
     _write_table(root / "entities.dict", g.entity_labels)
     _write_table(root / "predicates.dict", g.predicate_labels)
     _write_table(root / "timestamps.dict", g.time_labels)
-
-
-def _label_array(labels: tuple[str, ...]) -> np.ndarray:
-    return np.array(labels, dtype=object)
 
 
 def _write_lines(path: Path, *columns: np.ndarray) -> None:
@@ -389,7 +382,7 @@ def save_triples(
     layout."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    ent, pred = map(_label_array, (entity_labels, predicate_labels))
+    ent, pred = (np.array(labels, dtype=object) for labels in (entity_labels, predicate_labels))
     for name in SPLIT_NAMES:
         s, p, o = triples[name].T
         _write_lines(root / f"{name}.txt", ent[s], pred[p], ent[o])
@@ -405,5 +398,6 @@ def load_triples(
     root = Path(path)
     per_split = [_read_columns(root / f"{name}.txt", 3, "triples") for name in SPLIT_NAMES]
     ids, entity_labels, predicate_labels = _intern(per_split)
-    out = dict(zip(SPLIT_NAMES, np.split(ids, np.cumsum(_sizes(per_split))[:-1])))
+    ends = np.cumsum([len(cols[0]) for cols in per_split])
+    out = dict(zip(SPLIT_NAMES, np.split(ids, ends[:-1])))
     return out, entity_labels, predicate_labels

@@ -61,9 +61,9 @@ def build_graph(
     Labels are synthesized (e<i>, r<i>, and the stringified time index), so
     unit tests can state facts without going through the loader.
     """
-    ne = num_entities if num_entities is not None else 1 + max((max(s, o) for s, _, o, _, _ in facts), default=-1)
-    np_ = num_predicates if num_predicates is not None else 1 + max((p for _, p, _, _, _ in facts), default=-1)
-    nt = num_times if num_times is not None else 1 + max((e for *_, e in facts), default=-1)
+    ne = num_entities if num_entities is not None else 1 + max((max(f[0], f[2]) for f in facts), default=-1)
+    np_ = num_predicates if num_predicates is not None else 1 + max((f[1] for f in facts), default=-1)
+    nt = num_times if num_times is not None else 1 + max((f[4] for f in facts), default=-1)
     return TemporalGraph(
         facts=facts,
         splits=list(splits) if splits is not None else [0] * len(facts),

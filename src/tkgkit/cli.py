@@ -286,16 +286,24 @@ def cmd_segment_debug(args) -> int:
 
 
 def _parse_sweep(specs: list[str]) -> list[list[tuple[str, str, str]]]:
+    """One axis per spec.  A value repeated on one axis, or a key on two
+    axes, is a ConfigError: two grid points would share an output directory,
+    or run one setting under two names."""
     axes = []
     for spec in specs:
         head, sep, values = spec.partition("=")
         if not sep or "." not in head:
             raise ConfigError(f"--sweep expects SECTION.KEY=V1,V2,... got {spec!r}")
         sec, _, key = head.partition(".")
+        sec, key = sec.strip(), key.strip()
         vals = [v for v in values.split(",") if v != ""]
         if not vals:
             raise ConfigError(f"--sweep {spec!r} lists no values")
-        axes.append([(sec.strip(), key.strip(), v) for v in vals])
+        if len(set(vals)) < len(vals):
+            raise ConfigError(f"--sweep {spec!r} repeats a value")
+        if any(axis[0][:2] == (sec, key) for axis in axes):
+            raise ConfigError(f"--sweep names {sec}.{key} on two axes")
+        axes.append([(sec, key, v) for v in vals])
     return axes
 
 

@@ -196,10 +196,9 @@ def bottom_up(
     if gamma is not None and not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
 
-    warnings: list[str] = []
+    g = gamma if gamma is not None else median_heuristic_gamma(x)
+    costs = _GramCosts(x, g)
     if n < 2 * min_size:
-        g = gamma if gamma is not None else median_heuristic_gamma(x)
-        costs = _GramCosts(x, g)
         return Segmentation(
             breakpoints=[n],
             num_samples=n,
@@ -208,9 +207,6 @@ def bottom_up(
             degenerate=True,
             warnings=[f"signal too short to split ({n} < 2*min_size)"],
         )
-
-    g = gamma if gamma is not None else median_heuristic_gamma(x)
-    costs = _GramCosts(x, g)
 
     # all grid points at multiples of jump that leave min_size on each side
     bounds = [0]
@@ -247,10 +243,4 @@ def bottom_up(
         refresh(i - 1)
         refresh(i)
 
-    return Segmentation(
-        breakpoints=bounds[1:],
-        num_samples=n,
-        total_cost=total,
-        gamma=g,
-        warnings=warnings,
-    )
+    return Segmentation(breakpoints=bounds[1:], num_samples=n, total_cost=total, gamma=g)

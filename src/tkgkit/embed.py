@@ -112,6 +112,8 @@ class TrainConfig:
             raise ValueError("temperature must be > 0")
         if self.norm not in NORMS:
             raise ValueError(f"norm must be one of {NORMS}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.initializer != "xavier_uniform":
             raise ValueError("only the xavier_uniform initializer is supported")
 

@@ -139,7 +139,8 @@ def read_config_file(path: str | Path, environ=None) -> dict[str, dict[str, str]
     A section, key or TKGKIT_* variable the schema does not name is a
     ConfigError.
     """
-    cp = configparser.ConfigParser()
+    # values are literal, as in TKGKIT_* variables: no %-interpolation
+    cp = configparser.ConfigParser(interpolation=None)
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file {path} not found")

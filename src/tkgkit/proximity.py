@@ -119,18 +119,14 @@ class SignatureSeries:
         return self.matrix.shape
 
 
-def _edges_by_stamp(facts: np.ndarray, num_timestamps: int) -> list[list[tuple[int, int]]]:
-    """The (s, o) edge of every fact row valid at each timestamp, in fact order."""
+def neighbor_slices(facts: np.ndarray, num_timestamps: int) -> list[NeighborIndex]:
+    """One NeighborIndex per timestamp over the fact rows valid then, each
+    built from their (s, o) edges in fact order."""
     edges: list[list[tuple[int, int]]] = [[] for _ in range(num_timestamps)]
     for s, _, o, b, e in facts.tolist():
         for t in range(b, e + 1):
             edges[t].append((s, o))
-    return edges
-
-
-def neighbor_slices(facts: np.ndarray, num_timestamps: int) -> list[NeighborIndex]:
-    """One NeighborIndex per timestamp over the fact rows valid then."""
-    return [NeighborIndex(e) for e in _edges_by_stamp(facts, num_timestamps)]
+    return [NeighborIndex(e) for e in edges]
 
 
 def signature_series(
@@ -147,8 +143,8 @@ def signature_series(
     default), ``"graph"`` uses every fact valid then.  Scores are written
     only for pairs connected at the row's timestamp; other cells stay zero.
     ``slices`` is ``neighbor_slices(g.facts, g.num_timestamps)``, the graph
-    scope's indexes, which callers scoring many predicates build once; it is
-    built here when not given.
+    scope's indexes, which callers scoring many predicates build once;
+    without it the chosen scope's indexes are built here.
     """
     if scope not in SIGNATURE_SCOPES:
         raise ValueError(f"unknown signature scope {scope!r}")
@@ -176,16 +172,13 @@ def signature_series(
             active[t].add(pq)
 
     if slices is None:
-        edges = _edges_by_stamp(mine if scope == "predicate" else g.facts, n_t)
+        slices = neighbor_slices(mine if scope == "predicate" else g.facts, n_t)
 
     col = series.pair_index
     for t in range(n_t):
-        if not active[t]:
-            continue
-        index = NeighborIndex(edges[t]) if slices is None else slices[t]
         row = matrix[t]
         for u, v in active[t]:
-            row[col[(u, v)]] = score(index, u, v)
+            row[col[(u, v)]] = score(slices[t], u, v)
     return series
 
 

@@ -46,7 +46,7 @@ def _group(rows: np.ndarray, key: np.ndarray, values) -> list[np.ndarray]:
     return np.split(rows[order], np.searchsorted(key[order], values[1:]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LineageEntry:
     """Provenance of one derived predicate.
 
@@ -63,19 +63,29 @@ class LineageEntry:
 
 @dataclass
 class TransformReport:
+    """What one transformation did.  ``split_points`` holds every cut as
+    (label of the predicate cut, timestamp label) and ``merge_trace`` every
+    merge; ``splits_applied`` and ``merges_applied`` are their lengths."""
+
     method: str
     params: dict
     predicates_before: int
     predicates_after: int
     facts_before: int
     facts_after: int
-    splits_applied: int = 0
-    merges_applied: int = 0
     skipped_points: int = 0
     split_points: list[tuple[str, str]] = field(default_factory=list)
     merge_trace: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def splits_applied(self) -> int:
+        return len(self.split_points)
+
+    @property
+    def merges_applied(self) -> int:
+        return len(self.merge_trace)
 
     def format(self) -> str:
         lines = [f"method\t{self.method}"]
@@ -109,13 +119,22 @@ class TransformResult:
     report: TransformReport
 
 
+def _root_lineage(g: TemporalGraph) -> dict[int, LineageEntry]:
+    """Every predicate of ``g`` as its own source over the whole timeline."""
+    last = g.num_timestamps - 1
+    return {p: LineageEntry(label, 0, last) for p, label in enumerate(g.predicate_labels)}
+
+
 class _MutableTKG:
     """Working copy of a graph while a transformation runs.
 
-    Facts sit in per-predicate buckets; new predicates take ids past the
-    input vocabulary and ``live`` tracks which ids survive into the output.
-    Sources are carried as labels so chained transformations keep pointing
-    at the oldest ancestor.
+    One record per predicate id: its label in ``labels``, its provenance in
+    ``lineage`` and, while it is live, its rows in ``buckets``.  A predicate
+    reaches the output exactly while it has a bucket; ``new_predicate``
+    gives a new id past the input vocabulary a label and an entry, and the
+    caller gives it its rows.  Sources are carried as labels so chained
+    transformations keep pointing at the oldest ancestor.  ``split_points``
+    records every cut ``split_at`` makes.
     """
 
     def __init__(self, g: TemporalGraph, lineage: dict[int, LineageEntry] | None = None):
@@ -123,44 +142,27 @@ class _MutableTKG:
         self.labels: list[str] = list(g.predicate_labels)
         self._used: set[str] = set(self.labels)
         rows = np.column_stack((g.facts, g.splits))
-        self.buckets: dict[int, np.ndarray] = {
-            p: rows[idx] for p, idx in g.by_predicate().items()
-        }
-        self.live: set[int] = set(range(g.num_predicates))
-        last = g.num_timestamps - 1
-        self.source: dict[int, str] = {}
-        self.interval: dict[int, tuple[int, int]] = {}
-        self.stamp: dict[int, int | None] = {}
-        for p in range(g.num_predicates):
-            ent = lineage.get(p) if lineage else None
-            if ent is None:
-                ent = LineageEntry(source=g.predicate_labels[p], begin=0, end=last)
-            self.source[p] = ent.source
-            self.interval[p] = (ent.begin, ent.end)
-            self.stamp[p] = ent.stamp
+        self.buckets = {p: rows[idx] for p, idx in g.by_predicate().items()}
+        lineage = lineage or {}
+        self.lineage = {p: lineage.get(p, root) for p, root in _root_lineage(g).items()}
+        self.split_points: list[tuple[str, str]] = []
         self._ordinal: dict[str, int] = defaultdict(int)
 
-    def new_predicate(
-        self, label: str, source: str, interval: tuple[int, int], stamp: int | None = None
-    ) -> int:
+    def new_predicate(self, label: str, entry: LineageEntry) -> int:
         while label in self._used:
             label += "'"
         pid = len(self.labels)
         self.labels.append(label)
         self._used.add(label)
-        self.buckets[pid] = _NO_ROWS
-        self.live.add(pid)
-        self.source[pid] = source
-        self.interval[pid] = interval
-        self.stamp[pid] = stamp
+        self.lineage[pid] = entry
         return pid
 
     def count(self, pid: int) -> int:
-        return len(self.buckets.get(pid, _NO_ROWS))
+        return len(self.buckets[pid])
 
     def span(self, pid: int) -> tuple[int, int] | None:
         """Active span: earliest begin and latest end over the facts."""
-        rows = self.buckets.get(pid, _NO_ROWS)
+        rows = self.buckets[pid]
         if not len(rows):
             return None
         return int(rows[:, _B].min()), int(rows[:, _E].max())
@@ -178,33 +180,33 @@ class _MutableTKG:
             raise ValueError(
                 f"split point {t} outside active span {span} of {self.labels[pid]!r}"
             )
-        (r1, r2), _ = self.split_at(pid, [t])
-        return r1, r2
+        return tuple(self.split_at(pid, [t]))
 
-    def split_at(self, pid: int, cuts: list[int]) -> tuple[list[int], list[int]]:
+    def split_at(self, pid: int, cuts: list[int]) -> list[int]:
         """Cut ``pid`` at each of one or more increasing timestamps at once.
 
         The result equals ``split_once`` at each cut in turn, each time on
         the right child of the last one: the same labels, ids and row order.
-        Cuts are not checked against the span.  Returns the children in time
-        order, and the ids the cuts replaced: ``pid``, then each right child
-        that a later cut replaced, whose label stays taken.
+        Cuts are not checked against the span.  Each cut goes into
+        ``split_points`` under the label of the id it replaces: ``pid``, then
+        each right child the next cut replaces, which gets no bucket but
+        keeps its label taken.  Returns the children in time order.
         """
-        lo, hi = self.interval[pid]
-        src = self.source[pid]
+        ent = self.lineage[pid]
+        src, lo, hi = ent.source, ent.begin, ent.end
         tl = self.g.time_labels
-        replaced = [pid]
+        cut = pid
         children = []
         for t in cuts:
+            self.split_points.append((self.labels[cut], tl[t]))
             n = self._ordinal[src]
             self._ordinal[src] = n + 2
             left = f"{src}#{n + 1}[{tl[lo]},{tl[t]}]"
             right = f"{src}#{n + 2}[{tl[t]},{tl[hi]}]"
-            children.append(self.new_predicate(left, src, (lo, t)))
-            replaced.append(self.new_predicate(right, src, (t, hi)))
+            children.append(self.new_predicate(left, LineageEntry(src, lo, t)))
+            cut = self.new_predicate(right, LineageEntry(src, t, hi))
             lo = t
-        children.append(replaced.pop())
-        self.live.difference_update(replaced)
+        children.append(cut)
         # a row goes to every child from the one holding b to the one holding
         # e, clipped to the cuts around that child: whole when no cut falls
         # inside [b, e], else cut at each of them
@@ -221,19 +223,14 @@ class _MutableTKG:
         pieces[:, _E] = np.minimum(pieces[:, _E], ceiling[child])
         for c, block in zip(children, _group(pieces, child, range(len(children)))):
             self.buckets[c] = block
-        return children, replaced
+        return children
 
     def finalize(self) -> tuple[TemporalGraph, dict[int, LineageEntry]]:
         """Compact live predicates into a fresh graph plus its lineage."""
-        order = sorted(self.live)
+        order = sorted(self.buckets)
         blocks = [self.buckets[pid] for pid in order]
         rows = np.concatenate([_NO_ROWS, *blocks])
         rows[:, 1] = np.repeat(np.arange(len(order)), [len(b) for b in blocks])
-        lineage = {
-            new_pid: LineageEntry(source=self.source[pid], begin=self.interval[pid][0],
-                                  end=self.interval[pid][1], stamp=self.stamp[pid])
-            for new_pid, pid in enumerate(order)
-        }
         graph = TemporalGraph(
             facts=rows[:, :5],
             splits=rows[:, 5],
@@ -241,7 +238,7 @@ class _MutableTKG:
             predicate_labels=tuple(self.labels[pid] for pid in order),
             time_labels=self.g.time_labels,
         )
-        return graph, lineage
+        return graph, {new_pid: self.lineage[pid] for new_pid, pid in enumerate(order)}
 
 
 def _base_report(method: str, params: dict, g: TemporalGraph) -> TransformReport:
@@ -259,34 +256,29 @@ def _finish(mg: _MutableTKG, report: TransformReport) -> TransformResult:
     graph, lineage = mg.finalize()
     report.predicates_after = graph.num_predicates
     report.facts_after = len(graph.facts)
+    report.split_points = mg.split_points
     return TransformResult(graph=graph, lineage=lineage, report=report)
 
 
 def identity(g: TemporalGraph) -> TransformResult:
     """No-op transformation; facts and predicates pass through unchanged."""
-    last = g.num_timestamps - 1
-    lineage = {
-        p: LineageEntry(source=g.predicate_labels[p], begin=0, end=last)
-        for p in range(g.num_predicates)
-    }
-    return TransformResult(graph=g, lineage=lineage, report=_base_report("none", {}, g))
+    return TransformResult(graph=g, lineage=_root_lineage(g), report=_base_report("none", {}, g))
 
 
 # ---------------------------------------------------------------------------
 # timestamping
 # ---------------------------------------------------------------------------
 
-def _timestamp_into(mg: _MutableTKG) -> dict[int, list[tuple[int, int]]]:
+def _timestamp_into(mg: _MutableTKG) -> dict[int, list[int]]:
     """Expand every fact into per-timestamp facts under stamped predicates.
 
-    Returns, per source predicate id, the stamped children as (t, pid)
-    pairs in chronological order.
+    Returns, per source predicate id with facts, the stamped children in
+    chronological order.
     """
     g = mg.g
-    children: dict[int, list[tuple[int, int]]] = {}
+    children: dict[int, list[int]] = {}
     for pid in range(g.num_predicates):
         rows = mg.buckets.pop(pid)
-        mg.live.discard(pid)
         if not len(rows):
             continue
         label = g.predicate_labels[pid]
@@ -296,13 +288,13 @@ def _timestamp_into(mg: _MutableTKG) -> dict[int, list[tuple[int, int]]]:
         # stamped ids in order of first use, fact by fact and then in time
         stamps, first = np.unique(t, return_index=True)
         dp = {
-            k: mg.new_predicate(f"{label}@{g.time_labels[k]}", label, (k, k), stamp=k)
+            k: mg.new_predicate(f"{label}@{g.time_labels[k]}", LineageEntry(label, k, k, k))
             for k in stamps[np.argsort(first)].tolist()
         }
         stamps = stamps.tolist()
-        for k, block in zip(stamps, _group(rows, t, stamps)):
-            mg.buckets[dp[k]] = block
-        children[pid] = [(k, dp[k]) for k in stamps]
+        children[pid] = [dp[k] for k in stamps]
+        for c, block in zip(children[pid], _group(rows, t, stamps)):
+            mg.buckets[c] = block
     return children
 
 
@@ -340,8 +332,6 @@ def split_once(
     report = _base_report(
         "split_once", {"predicate": g.predicate_labels[predicate], "t": g.time_labels[t]}, g
     )
-    report.splits_applied = 1
-    report.split_points.append((g.predicate_labels[predicate], g.time_labels[t]))
     return _finish(mg, report)
 
 
@@ -389,29 +379,25 @@ def split_parameterized(g: TemporalGraph, method: str, grow: float) -> Transform
     choose = _midpoint_split if method == "time" else _balanced_split
     mg = _MutableTKG(g)
     target = grow * g.num_predicates
-    heap: list[tuple[int, int]] = [(-mg.count(p), p) for p in sorted(mg.live)]
+    heap: list[tuple[int, int]] = [(-mg.count(p), p) for p in sorted(mg.buckets)]
     heapq.heapify(heap)
     report = _base_report(f"split_{method}", {"grow": grow}, g)
-    while len(mg.live) < target:
+    while len(mg.buckets) < target:
         while heap:
             negc, pid = heapq.heappop(heap)
-            if pid in mg.live:
+            if pid in mg.buckets:
                 break
         else:
             report.warnings.append(
-                f"no splittable predicate left at {len(mg.live)} predicates"
+                f"no splittable predicate left at {len(mg.buckets)} predicates"
                 f" (target {target:g})"
             )
             break
         t = choose(mg, pid)
         if t is None:
             continue
-        label = mg.labels[pid]
-        r1, r2 = mg.split_once(pid, t)
-        report.splits_applied += 1
-        report.split_points.append((label, g.time_labels[t]))
-        heapq.heappush(heap, (-mg.count(r1), r1))
-        heapq.heappush(heap, (-mg.count(r2), r2))
+        for child in mg.split_once(pid, t):
+            heapq.heappush(heap, (-mg.count(child), child))
     return _finish(mg, report)
 
 
@@ -493,9 +479,7 @@ def split_cpd(
         report.skipped_points += skipped
         if not cuts:
             continue
-        _, replaced = mg.split_at(pid, cuts)
-        report.split_points.extend((mg.labels[r], tl[k]) for r, k in zip(replaced, cuts))
-        report.splits_applied += len(cuts)
+        mg.split_at(pid, cuts)
         report.notes.append(
             f"{g.predicate_labels[pid]}: change points at " + ",".join(tl[k] for k in cuts)
         )
@@ -515,14 +499,14 @@ def random_split(g: TemporalGraph, grow: float, seed: int = 0) -> TransformResul
     rng = random.Random(seed)
     mg = _MutableTKG(g)
     target = grow * g.num_predicates
-    pool = sorted(mg.live)
+    pool = sorted(mg.buckets)
     report = _base_report("random_split", {"grow": grow, "seed": seed}, g)
     failures = 0
-    while len(mg.live) < target:
+    while len(mg.buckets) < target:
         if failures >= 100:
             report.warnings.append(
                 f"stopped after 100 consecutive unsplittable draws"
-                f" at {len(mg.live)} predicates (target {target:g})"
+                f" at {len(mg.buckets)} predicates (target {target:g})"
             )
             break
         i = rng.randrange(len(pool))
@@ -531,13 +515,10 @@ def random_split(g: TemporalGraph, grow: float, seed: int = 0) -> TransformResul
             failures += 1
             continue
         t = rng.randint(span[0], span[1])
-        label = mg.labels[pool[i]]
         r1, r2 = mg.split_once(pool[i], t)
         pool[i] = r1
         pool.append(r2)
         failures = 0
-        report.splits_applied += 1
-        report.split_points.append((label, g.time_labels[t]))
     return _finish(mg, report)
 
 
@@ -546,17 +527,16 @@ def random_split(g: TemporalGraph, grow: float, seed: int = 0) -> TransformResul
 # ---------------------------------------------------------------------------
 
 class _MergeNode:
-    __slots__ = ("pid", "src", "lo", "hi", "count", "prev", "next", "alive")
+    """A predicate in its source's chain of stamped and merged predicates,
+    in time order; alive while ``pid`` has a bucket."""
 
-    def __init__(self, pid: int, src: int, lo: int, hi: int, count: int):
+    __slots__ = ("pid", "src", "prev", "next")
+
+    def __init__(self, pid: int, src: int):
         self.pid = pid
         self.src = src
-        self.lo = lo
-        self.hi = hi
-        self.count = count
         self.prev: _MergeNode | None = None
         self.next: _MergeNode | None = None
-        self.alive = True
 
 
 def merge(g: TemporalGraph, shrink: float) -> TransformResult:
@@ -572,7 +552,7 @@ def merge(g: TemporalGraph, shrink: float) -> TransformResult:
         raise ValueError("shrink must be > 1")
     mg = _MutableTKG(g)
     children = _timestamp_into(mg)
-    m_ts = len(mg.live)
+    m_ts = len(mg.buckets)
     target = m_ts / shrink
     report = _base_report("merge", {"shrink": shrink}, g)
     report.notes.append(f"timestamped predicates: {m_ts}")
@@ -582,16 +562,14 @@ def merge(g: TemporalGraph, shrink: float) -> TransformResult:
 
     def push(a: _MergeNode, b: _MergeNode) -> None:
         nonlocal seq
-        heap.append((a.count + b.count, a.lo, a.src, seq, a, b))
+        total = mg.count(a.pid) + mg.count(b.pid)
+        heap.append((total, mg.lineage[a.pid].begin, a.src, seq, a, b))
         seq += 1
 
-    n_sources = 0
-    for src in sorted(children):
-        stamped = children[src]
-        n_sources += 1
+    for src, stamped in children.items():
         prev: _MergeNode | None = None
-        for t, dp in stamped:
-            node = _MergeNode(dp, src, t, t, mg.count(dp))
+        for dp in stamped:
+            node = _MergeNode(dp, src)
             if prev is not None:
                 prev.next = node
                 node.prev = prev
@@ -600,17 +578,16 @@ def merge(g: TemporalGraph, shrink: float) -> TransformResult:
     heapq.heapify(heap)
 
     tl = g.time_labels
-    while len(mg.live) > target and heap:
-        total, _, src, _, a, b = heapq.heappop(heap)
-        if not (a.alive and b.alive and a.next is b):
+    while len(mg.buckets) > target and heap:
+        *_, a, b = heapq.heappop(heap)
+        # both alive means still adjacent: merging either one kills it
+        if a.pid not in mg.buckets or b.pid not in mg.buckets:
             continue
-        label = f"{mg.source[a.pid]}~[{tl[a.lo]},{tl[b.hi]}]"
-        dp = mg.new_predicate(label, mg.source[a.pid], (a.lo, b.hi), stamp=None)
+        first, last = mg.lineage[a.pid], mg.lineage[b.pid]
+        label = f"{first.source}~[{tl[first.begin]},{tl[last.end]}]"
+        dp = mg.new_predicate(label, LineageEntry(first.source, first.begin, last.end))
         mg.buckets[dp] = np.concatenate((mg.buckets.pop(a.pid), mg.buckets.pop(b.pid)))
-        mg.live.discard(a.pid)
-        mg.live.discard(b.pid)
-        a.alive = b.alive = False
-        node = _MergeNode(dp, src, a.lo, b.hi, total)
+        node = _MergeNode(dp, a.src)
         node.prev = a.prev
         node.next = b.next
         if node.prev is not None:
@@ -619,14 +596,13 @@ def merge(g: TemporalGraph, shrink: float) -> TransformResult:
         if node.next is not None:
             node.next.prev = node
             push(node, node.next)
-        report.merges_applied += 1
         report.merge_trace.append(f"{mg.labels[a.pid]} + {mg.labels[b.pid]} -> {label}")
-    if len(mg.live) > target:
-        if len(mg.live) == n_sources:
+    if len(mg.buckets) > target:
+        if len(mg.buckets) == len(children):
             report.notes.append("fully merged: one predicate per source")
         else:
             report.warnings.append(
-                f"no merge candidates left at {len(mg.live)} predicates (target {target:g})"
+                f"no merge candidates left at {len(mg.buckets)} predicates (target {target:g})"
             )
     return _finish(mg, report)
 

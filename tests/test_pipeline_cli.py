@@ -135,6 +135,8 @@ def base_raw(tiny_dataset, tmp_path):
         ("train", "learning_rate", "nan", r"\[train\] learning_rate: cannot parse"),
         ("train", "margin", "NaN", r"\[train\] margin: cannot parse"),
         ("cli", "train --temperature", "nan", r"\[train\] temperature: cannot parse"),
+        ("train", "seed", "-1", r"^\[train\] seed must be >= 0$"),
+        ("cli", "train --seed", "-1", r"^\[train\] seed must be >= 0$"),
     ],
 )
 def test_build_config_rejects(tiny_dataset, tmp_path, section, key, value, hint):
@@ -522,7 +524,21 @@ def test_cli_sweep_bad_spec(tiny_dataset, tmp_path):
     assert main(["run", "--config", str(ini), "--sweep", "train.epoch=1,2"]) == 2
     # every grid point is checked before the first one runs
     assert main(["run", "--config", str(ini), "--sweep", "train.epochs=1,-1"]) == 2
+    # two grid points would share a directory, or run one setting twice
+    assert main(["run", "--config", str(ini), "--sweep", "train.dimension=4,4"]) == 2
+    assert main(["run", "--config", str(ini), "--sweep", "train.dimension=4",
+                 "--sweep", "train.dimension=8"]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_config_file_values_are_literal(tiny_dataset, tmp_path):
+    # no %-interpolation: a file value reads back as written, as a
+    # TKGKIT_* value does
+    out = str(tmp_path / "out" / "100%_%(dir)s")
+    ini = write_ini(tmp_path / "c.ini", tiny_dataset, out)
+    raw = read_config_file(ini, environ={})
+    assert raw["output"]["dir"] == out
+    assert build_config(raw).out_dir == Path(out)
 
 
 def test_cli_env_override(tiny_dataset, tmp_path, monkeypatch, capsys):

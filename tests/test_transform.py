@@ -24,7 +24,7 @@ from tkgkit import (
 )
 from tkgkit.cpd import bottom_up, normalize_rows
 from tkgkit.proximity import PROXIMITY_MEASURES, SIGNATURE_SCOPES, neighbor_slices, signature_series
-from tkgkit.transform import _base_report, _finish, _MutableTKG
+from tkgkit.transform import LineageEntry, _base_report, _finish, _MutableTKG
 
 from conftest import build_graph, unroll
 
@@ -311,13 +311,13 @@ def test_split_cpd_validates_config():
 def reference_split_once(mg, pid, t):
     """_MutableTKG.split_once as first written: one pass over the rows per
     cut.  Returns the two children."""
-    src = mg.source[pid]
-    lo, hi = mg.interval[pid]
+    src, lo, hi = mg.lineage[pid].source, mg.lineage[pid].begin, mg.lineage[pid].end
     tl = mg.g.time_labels
+    mg.split_points.append((mg.labels[pid], tl[t]))
     n = mg._ordinal[src]
     mg._ordinal[src] = n + 2
-    r1 = mg.new_predicate(f"{src}#{n + 1}[{tl[lo]},{tl[t]}]", src, (lo, t))
-    r2 = mg.new_predicate(f"{src}#{n + 2}[{tl[t]},{tl[hi]}]", src, (t, hi))
+    r1 = mg.new_predicate(f"{src}#{n + 1}[{tl[lo]},{tl[t]}]", LineageEntry(src, lo, t))
+    r2 = mg.new_predicate(f"{src}#{n + 2}[{tl[t]},{tl[hi]}]", LineageEntry(src, t, hi))
     left, right = [], []
     for s, p, o, b, e, sp in mg.buckets.pop(pid).tolist():
         if b <= t <= e:
@@ -329,13 +329,12 @@ def reference_split_once(mg, pid, t):
             right.append((s, p, o, b, e, sp))
     mg.buckets[r1] = np.array(left, dtype=np.int64).reshape(-1, 6)
     mg.buckets[r2] = np.array(right, dtype=np.int64).reshape(-1, 6)
-    mg.live.discard(pid)
     return r1, r2
 
 
 def _state(mg):
     buckets = {pid: rows.tolist() for pid, rows in mg.buckets.items()}
-    return mg.labels, buckets, mg.live, mg.interval, mg.source, dict(mg._ordinal)
+    return mg.labels, buckets, mg.lineage, dict(mg._ordinal), mg.split_points
 
 
 def reference_split_cpd(g, score, cfg, scope):
@@ -366,10 +365,7 @@ def reference_split_cpd(g, score, cfg, scope):
             if span is None or span[0] >= span[1] or not span[0] <= k <= span[1]:
                 report.skipped_points += 1
                 continue
-            label = mg.labels[current]
             _, current = reference_split_once(mg, current, k)
-            report.split_points.append((label, g.time_labels[k]))
-            report.splits_applied += 1
             applied.append(k)
         if applied:
             report.notes.append(
@@ -647,13 +643,50 @@ def test_split_time_coverage_property(g):
     assert coverage(res.graph, res.lineage) == coverage(g)
 
 
+LINEAGE_TRANSFORMS = {
+    "identity": identity,
+    "timestamp": timestamp,
+    "split_time": lambda g: split_parameterized(g, "time", grow=2),
+    "split_count": lambda g: split_parameterized(g, "count", grow=2),
+    "split_cpd": lambda g: split_cpd(g, cfg=CpdConfig(epsilon=0.01)),
+    "split_cpd_graph": lambda g: split_cpd(g, "adar", CpdConfig(epsilon=0.01), "graph"),
+    "merge": lambda g: merge(g, shrink=2.5),
+    "random_split": lambda g: random_split(g, grow=2, seed=3),
+}
+
+
+def assert_lineage_holds_facts(res):
+    """One lineage entry per output predicate, every fact inside its
+    predicate's interval, and a stamp that is the whole interval."""
+    lineage = res.lineage
+    assert sorted(lineage) == list(range(res.graph.num_predicates))
+    for _, p, _, b, e in res.graph.facts.tolist():
+        assert lineage[p].begin <= b <= e <= lineage[p].end
+    for ent in lineage.values():
+        if ent.stamp is not None:
+            assert ent.begin == ent.stamp == ent.end
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=graphs(), method=st.sampled_from(sorted(LINEAGE_TRANSFORMS)), data=st.data())
+def test_lineage_intervals_hold_facts_property(g, method, data):
+    res = LINEAGE_TRANSFORMS[method](g)
+    assert_lineage_holds_facts(res)
+    # split_once chained on the result, carrying its lineage
+    facts = res.graph.facts
+    pid = data.draw(st.sampled_from(sorted(set(facts[:, 1].tolist()))))
+    mine = facts[facts[:, 1] == pid]
+    t = data.draw(st.integers(int(mine[:, 3].min()), int(mine[:, 4].max())))
+    assert_lineage_holds_facts(split_once(res.graph, pid, t, lineage=res.lineage))
+
+
 @settings(max_examples=60, deadline=None)
 @given(g=graphs(), data=st.data())
 def test_split_once_matches_reference(g, data):
     # split_parameterized and random_split cut through split_once
     got, want = _MutableTKG(g), _MutableTKG(g)
     for _ in range(3):
-        pid = data.draw(st.sampled_from(sorted(got.live)))
+        pid = data.draw(st.sampled_from(sorted(got.buckets)))
         span = got.span(pid)
         t = data.draw(st.integers(span[0], span[1]))
         assert got.split_once(pid, t) == reference_split_once(want, pid, t)

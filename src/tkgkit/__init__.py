@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .cpd import CpdConfig, Segmentation, bottom_up, median_heuristic_gamma, normalize_rows, rbf_kernel, segment_cost
 from .embed import EmbeddingModel, NumericError, TrainConfig, load_model, save_model, train
-from .eval import MetricReport, RankRecord, evaluate, metrics, predict_predicates, rank_queries
+from .eval import MetricReport, evaluate, metrics, predict_predicates, rank_queries
 from .graph import (
     DataError,
     TemporalGraph,

@@ -247,12 +247,12 @@ def cmd_eval(args) -> int:
             f" dataset {len(entity_labels)} and {len(predicate_labels)}"
         )
     known = np.concatenate((triples["train"], triples["valid"], triples["test"]))
-    report, records = evaluate(
+    report, ranks = evaluate(
         model, triples["test"], known, tie_rule=ev["tie_rule"], ks=ev["hits"]
     )
     print(report.format(), end="")
     if args.ranks_out:
-        Path(args.ranks_out).write_text(ranks_tsv(records), encoding="utf-8")
+        Path(args.ranks_out).write_text(ranks_tsv(triples["test"], ranks), encoding="utf-8")
     if args.csv:
         Path(args.csv).write_text(report.csv(), encoding="utf-8")
     return 0
@@ -286,9 +286,11 @@ def cmd_segment_debug(args) -> int:
 
 
 def _parse_sweep(specs: list[str]) -> list[list[tuple[str, str, str]]]:
-    """One axis per spec.  A value repeated on one axis, or a key on two
-    axes, is a ConfigError: two grid points would share an output directory,
-    or run one setting under two names."""
+    """One axis per spec, each value stripped and parsed by the schema.  An
+    unknown section or key, an unparseable value, a value repeated on one
+    axis once parsed (``4,04``), or a key on two axes is a ConfigError: two
+    grid points would share an output directory, or run one setting under
+    two names."""
     axes = []
     for spec in specs:
         head, sep, values = spec.partition("=")
@@ -296,10 +298,13 @@ def _parse_sweep(specs: list[str]) -> list[list[tuple[str, str, str]]]:
             raise ConfigError(f"--sweep expects SECTION.KEY=V1,V2,... got {spec!r}")
         sec, _, key = head.partition(".")
         sec, key = sec.strip(), key.strip()
-        vals = [v for v in values.split(",") if v != ""]
+        if sec not in SCHEMA:
+            raise ConfigError(f"--sweep references unknown section [{sec}]")
+        vals = [v for v in map(str.strip, values.split(",")) if v]
         if not vals:
             raise ConfigError(f"--sweep {spec!r} lists no values")
-        if len(set(vals)) < len(vals):
+        parsed = [parse_section(sec, {key: v})[key] for v in vals]
+        if len(set(parsed)) < len(parsed):
             raise ConfigError(f"--sweep {spec!r} repeats a value")
         if any(axis[0][:2] == (sec, key) for axis in axes):
             raise ConfigError(f"--sweep names {sec}.{key} on two axes")
@@ -315,23 +320,16 @@ def cmd_run(args) -> int:
         raw["train"]["seed"] = str(args.seed)
         raw["transform"]["seed"] = str(args.seed)
 
-    axes = _parse_sweep(args.sweep)
-    if not axes:
-        runs = [build_config(raw)]
-    else:
-        base_out = Path(raw["output"].get("dir", "out"))
-        runs = []
-        for combo in itertools.product(*axes):
-            point = {sec: dict(vals) for sec, vals in raw.items()}
-            tag_parts = []
-            for sec, key, value in combo:
-                if sec not in point:
-                    raise ConfigError(f"--sweep references unknown section [{sec}]")
-                point[sec][key] = value
-                tag_parts.append(f"{key}={value}")
-            cfg = build_config(point)
-            cfg.out_dir = base_out / "_".join(tag_parts)
-            runs.append(cfg)
+    runs = []
+    # with no axes, one point: the config as given
+    for combo in itertools.product(*_parse_sweep(args.sweep)):
+        point = {sec: dict(vals) for sec, vals in raw.items()}
+        for sec, key, value in combo:
+            point[sec][key] = value
+        cfg = build_config(point)
+        if combo:
+            cfg.out_dir /= "_".join(f"{key}={value}" for _, key, value in combo)
+        runs.append(cfg)
     # every grid point is validated before the first one runs
     for cfg in runs:
         report = run_pipeline(cfg)

@@ -98,18 +98,16 @@ class TrainConfig:
             raise ValueError("dimension must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.negative_samples < 1:
             raise ValueError("negative_samples must be >= 1")
         if self.negative_mode not in NEGATIVE_MODES:
             raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}")
-        if self.margin <= 0:
-            raise ValueError("margin must be > 0")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        # inf passes parse_float, and a run would fail only at its first steps
+        for name in ("learning_rate", "margin", "temperature"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if self.norm not in NORMS:
             raise ValueError(f"norm must be one of {NORMS}")
         if self.seed < 0:

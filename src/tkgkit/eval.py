@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,12 +19,6 @@ from .transform import LineageEntry
 
 TIE_RULES = ("optimistic", "pessimistic", "mean")
 DEFAULT_HITS = (1, 3, 10)
-
-
-class RankRecord(NamedTuple):
-    triple: tuple[int, int, int]
-    side: str
-    rank: float
 
 
 @dataclass
@@ -47,32 +41,24 @@ class MetricReport:
         return "\n".join(rows) + "\n"
 
 
-def _rank_from_counts(n_better: int, n_equal: int, tie_rule: str) -> float:
-    # n_equal excludes the target itself
-    if tie_rule == "optimistic":
-        return n_better + 1
-    if tie_rule == "pessimistic":
-        return n_better + n_equal + 1
-    return n_better + n_equal / 2.0 + 1
-
-
 def rank_queries(
     model: EmbeddingModel,
     test: np.ndarray,
     known: np.ndarray,
     tie_rule: str = "optimistic",
     filtered: bool = True,
-) -> list[RankRecord]:
+) -> np.ndarray:
     """Rank the true entity on both query sides of every test triple.
 
     ``test`` and ``known`` are (n, 3) arrays of ``(s, p, o)`` rows.
     ``known`` holds all true triples (train, valid, test; duplicates are
     fine); under ``filtered=True`` those candidates are excluded from the
-    comparison, keeping only the query triple itself.  A model with
-    non-finite values raises NumericError: NaN scores compare false with
-    everything, which would score MRR 1, 2 or inf depending on the tie rule.
-    So does a target score that overflows to inf, which ties with every
-    overflowing candidate.
+    comparison, keeping only the query triple itself.  Returns a float64
+    (n, 2) array: row i holds test triple i's subject-query rank, then its
+    object-query rank.  A model with non-finite values raises NumericError:
+    NaN scores compare false with everything, which would score MRR 1, 2 or
+    inf depending on the tie rule.  So does a target score that overflows
+    to inf, which ties with every overflowing candidate.
 
     Each query scores every entity with one ``score_objects`` or
     ``score_subjects`` call, which works through the entity matrix a row
@@ -90,30 +76,32 @@ def rank_queries(
     )
     buf = model.score_scratch()
 
-    records: list[RankRecord] = []
-    for (s, p, o), side_drops in zip(q.tolist(), drops):
-        for side, drop in zip(("subject", "object"), side_drops):
-            if side == "object":
-                scores = model.score_objects(s, p, out=buf)
-                target = o
+    # candidates scoring better than the target, and tied with it (target excluded)
+    better = np.zeros((len(q), 2), dtype=np.int64)
+    equal = np.zeros((len(q), 2), dtype=np.int64)
+    for i, ((s, p, o), side_drops) in enumerate(zip(q.tolist(), drops)):
+        for j, drop in enumerate(side_drops):
+            if j:
+                scores, target = model.score_objects(s, p, out=buf), o
             else:
-                scores = model.score_subjects(p, o, out=buf)
-                target = s
+                scores, target = model.score_subjects(p, o, out=buf), s
             target_score = scores[target]
             if not math.isfinite(target_score):
                 raise NumericError(
-                    f"score of {(s, p, o)} is {target_score} ({side} query); the model's"
-                    " values are too large to rank"
+                    f"score of {(s, p, o)} is {target_score} ({('subject', 'object')[j]}"
+                    " query); the model's values are too large to rank"
                 )
             # count over all candidates, then take back the filtered ones
             dropped = scores[drop[drop != target]]
-            n_better = int(np.count_nonzero(scores < target_score)) - int(
-                np.count_nonzero(dropped < target_score))
-            n_equal = int(np.count_nonzero(scores == target_score)) - 1 - int(
-                np.count_nonzero(dropped == target_score))
-            rank = _rank_from_counts(n_better, n_equal, tie_rule)
-            records.append(RankRecord((s, p, o), side, rank))
-    return records
+            better[i, j] = np.count_nonzero(scores < target_score) - np.count_nonzero(
+                dropped < target_score)
+            equal[i, j] = np.count_nonzero(scores == target_score) - 1 - np.count_nonzero(
+                dropped == target_score)
+    if tie_rule == "optimistic":
+        return (better + 1).astype(np.float64)
+    if tie_rule == "pessimistic":
+        return (better + equal + 1).astype(np.float64)
+    return better + equal / 2.0 + 1
 
 
 def _known_answers(a, b, answer, query_a, query_b) -> list[np.ndarray]:
@@ -136,14 +124,15 @@ def _known_answers(a, b, answer, query_a, query_b) -> list[np.ndarray]:
     return [answer[i:j] for i, j in zip(lo, hi)]
 
 
-def metrics(records: list[RankRecord], ks: tuple[int, ...] = DEFAULT_HITS) -> MetricReport:
-    if not records:
-        raise ValueError("no rank records to aggregate")
-    ranks = np.array([r.rank for r in records], dtype=np.float64)
+def metrics(ranks: np.ndarray, ks: tuple[int, ...] = DEFAULT_HITS) -> MetricReport:
+    """MRR and hits@k over every rank in ``ranks``, read in row-major order."""
+    ranks = np.asarray(ranks, dtype=np.float64).ravel()
+    if not ranks.size:
+        raise ValueError("no ranks to aggregate")
     return MetricReport(
         mrr=float((1.0 / ranks).mean()),
         hits={k: float((ranks <= k).mean()) for k in ks},
-        query_count=len(records),
+        query_count=ranks.size,
     )
 
 
@@ -154,15 +143,19 @@ def evaluate(
     tie_rule: str = "optimistic",
     ks: tuple[int, ...] = DEFAULT_HITS,
     filtered: bool = True,
-) -> tuple[MetricReport, list[RankRecord]]:
-    records = rank_queries(model, test, known, tie_rule=tie_rule, filtered=filtered)
-    return metrics(records, ks), records
+) -> tuple[MetricReport, np.ndarray]:
+    ranks = rank_queries(model, test, known, tie_rule=tie_rule, filtered=filtered)
+    return metrics(ranks, ks), ranks
 
 
-def ranks_tsv(records: list[RankRecord]) -> str:
+def ranks_tsv(test: np.ndarray, ranks: np.ndarray) -> str:
+    """One line per query: each test triple's subject query, then its object
+    query, with ``ranks`` as ``rank_queries`` returns them for ``test``."""
     lines = ["subject\tpredicate\tobject\tside\trank"]
-    for (s, p, o), side, rank in records:
-        lines.append(f"{s}\t{p}\t{o}\t{side}\t{rank:g}")
+    triples = np.asarray(test, dtype=np.int64).reshape(-1, 3).tolist()
+    for (s, p, o), (subject, obj) in zip(triples, ranks.tolist(), strict=True):
+        lines.append(f"{s}\t{p}\t{o}\tsubject\t{subject:g}")
+        lines.append(f"{s}\t{p}\t{o}\tobject\t{obj:g}")
     return "\n".join(lines) + "\n"
 
 

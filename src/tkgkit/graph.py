@@ -8,14 +8,15 @@ order.  Event facts ``(s, p, o, h)`` load as rows with b = e = h.  A
 parallel int8 array of shape (n,) holds each fact's split (0 train, 1
 valid, 2 test).  Stripping time leaves, per split, an int64 (n, 3) array of
 ``(s, p, o)`` rows.  A :class:`TemporalGraph` is treated as immutable after
-construction; every transformation builds a new graph.
+construction and holds no derived state, such as per-predicate indexes:
+every transformation builds a new graph.
 """
 from __future__ import annotations
 
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import le
 from pathlib import Path
@@ -57,7 +58,6 @@ class TemporalGraph:
     entity_labels: tuple[str, ...]
     predicate_labels: tuple[str, ...]
     time_labels: tuple[str, ...]
-    _by_predicate: dict[int, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         facts = np.ascontiguousarray(self.facts, dtype=np.int64)
@@ -107,16 +107,6 @@ class TemporalGraph:
     def num_timestamps(self) -> int:
         return len(self.time_labels)
 
-    def by_predicate(self) -> dict[int, np.ndarray]:
-        """Fact indices, in fact order, of every predicate id (built lazily,
-        then cached)."""
-        if self._by_predicate is None:
-            p = self.facts[:, 1]
-            order = np.argsort(p, kind="stable")
-            bounds = np.searchsorted(p[order], range(self.num_predicates))
-            self._by_predicate = dict(enumerate(np.split(order, bounds[1:])))
-        return self._by_predicate
-
     def split_sizes(self) -> dict[str, int]:
         return dict(zip(SPLIT_NAMES, np.bincount(self.splits, minlength=3).tolist()))
 
@@ -141,7 +131,7 @@ def restrict_predicate(g: TemporalGraph, r: int) -> TemporalGraph:
     """Facts whose predicate is ``r``."""
     if not 0 <= r < g.num_predicates:
         raise ValueError(f"predicate id {r} not in graph")
-    return g._subgraph(g.by_predicate()[r])
+    return g._subgraph(g.facts[:, 1] == r)
 
 
 def strip_temporal(g: TemporalGraph) -> dict[str, np.ndarray]:

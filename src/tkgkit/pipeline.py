@@ -250,6 +250,8 @@ def build_config(raw: dict[str, dict[str, str]]) -> PipelineConfig:
         raise ConfigError(f"[transform] method {method} needs grow > 1")
     if method == "merge" and not (tf["shrink"] or 0) > 1:
         raise ConfigError("[transform] method merge needs shrink > 1 (inf allowed)")
+    if tf["seed"] < 0:
+        raise ConfigError("[transform] seed must be >= 0")
     cpd = cpd_config(raw.get("transform", {})) if method == "split_cpd" else None
 
     return PipelineConfig(
@@ -360,13 +362,13 @@ def run_pipeline(cfg: PipelineConfig):
 
     logger.info("evaluating %d test triples", len(f_test))
     known = np.concatenate((f_train, f_valid, f_test))
-    report, records = evaluate(
+    report, ranks = evaluate(
         model, f_test, known, tie_rule=cfg.tie_rule, ks=cfg.hits_ks
     )
     write("metrics.txt", report.format())
     write("metrics.csv", report.csv())
     if cfg.dump_ranks:
-        write("ranks.tsv", ranks_tsv(records))
+        write("ranks.tsv", ranks_tsv(f_test, ranks))
 
     manifest = {
         "version": __version__,

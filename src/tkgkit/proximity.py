@@ -14,8 +14,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graph import TemporalGraph
-
 PROXIMITY_MEASURES = ("jaccard", "adar", "pref")
 SIGNATURE_SCOPES = ("predicate", "graph")
 
@@ -108,8 +106,7 @@ class SignatureSeries:
     timestamp.
     """
 
-    def __init__(self, predicate: int, matrix: np.ndarray, pairs: list[tuple[int, int]]):
-        self.predicate = predicate
+    def __init__(self, matrix: np.ndarray, pairs: list[tuple[int, int]]):
         self.matrix = matrix
         self.pairs = pairs
         self.pair_index = {pq: j for j, pq in enumerate(pairs)}
@@ -130,49 +127,43 @@ def neighbor_slices(facts: np.ndarray, num_timestamps: int) -> list[NeighborInde
 
 
 def signature_series(
-    g: TemporalGraph,
-    predicate: int,
+    rows: np.ndarray,
+    num_timestamps: int,
     measure: str = "pref",
-    scope: str = "predicate",
     slices: list[NeighborIndex] | None = None,
 ) -> SignatureSeries:
     """Build the proximity signature of one predicate across all timestamps.
 
-    ``scope`` selects which edges define neighborhoods at each timestamp:
-    ``"predicate"`` uses only the predicate's own facts valid then (the
-    default), ``"graph"`` uses every fact valid then.  Scores are written
-    only for pairs connected at the row's timestamp; other cells stay zero.
-    ``slices`` is ``neighbor_slices(g.facts, g.num_timestamps)``, the graph
-    scope's indexes, which callers scoring many predicates build once;
-    without it the chosen scope's indexes are built here.
+    ``rows`` are the predicate's own fact rows ``(s, p, o, b, e)``, in fact
+    order.  ``slices`` holds the neighborhood index of each timestamp; the
+    graph scope passes ``neighbor_slices(g.facts, g.num_timestamps)``, which
+    callers scoring many predicates build once.  Without it the rows' own
+    edges define the neighborhoods (the predicate scope).  Scores are
+    written only for pairs connected at the row's timestamp; other cells
+    stay zero.
     """
-    if scope not in SIGNATURE_SCOPES:
-        raise ValueError(f"unknown signature scope {scope!r}")
-    if slices is not None and (scope != "graph" or len(slices) != g.num_timestamps):
-        raise ValueError("slices are the graph scope's index for each timestamp")
-    if not 0 <= predicate < g.num_predicates:
-        raise ValueError(f"predicate id {predicate} not in graph")
+    if slices is not None and len(slices) != num_timestamps:
+        raise ValueError(f"{len(slices)} neighborhood slices for {num_timestamps} timestamps")
     score = get_measure(measure)
 
-    mine = g.facts[g.by_predicate()[predicate]]
-    rows = mine.tolist()
-    pairs = sorted({(min(s, o), max(s, o)) for s, _, o, _, _ in rows})
+    facts = rows.tolist()
+    pairs = sorted({(min(s, o), max(s, o)) for s, _, o, _, _ in facts})
 
-    n_t = g.num_timestamps
+    n_t = num_timestamps
     matrix = np.zeros((n_t, len(pairs)), dtype=np.float64)
-    series = SignatureSeries(predicate, matrix, pairs)
+    series = SignatureSeries(matrix, pairs)
     if not pairs:
         return series
 
     # bucket facts into every slice they span
     active: list[set[tuple[int, int]]] = [set() for _ in range(n_t)]
-    for s, _, o, b, e in rows:
+    for s, _, o, b, e in facts:
         pq = (min(s, o), max(s, o))
         for t in range(b, e + 1):
             active[t].add(pq)
 
     if slices is None:
-        slices = neighbor_slices(mine if scope == "predicate" else g.facts, n_t)
+        slices = neighbor_slices(rows, n_t)
 
     col = series.pair_index
     for t in range(n_t):

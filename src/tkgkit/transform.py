@@ -27,7 +27,7 @@ import numpy as np
 
 from .cpd import CpdConfig, bottom_up, normalize_rows
 from .graph import DataError, TemporalGraph, expand_ranges
-from .proximity import can_share_neighbors, neighbor_slices, signature_series
+from .proximity import SIGNATURE_SCOPES, can_share_neighbors, neighbor_slices, signature_series
 
 logger = logging.getLogger(__name__)
 
@@ -142,7 +142,7 @@ class _MutableTKG:
         self.labels: list[str] = list(g.predicate_labels)
         self._used: set[str] = set(self.labels)
         rows = np.column_stack((g.facts, g.splits))
-        self.buckets = {p: rows[idx] for p, idx in g.by_predicate().items()}
+        self.buckets = dict(enumerate(_group(rows, rows[:, 1], range(g.num_predicates))))
         lineage = lineage or {}
         self.lineage = {p: lineage.get(p, root) for p, root in _root_lineage(g).items()}
         self.split_points: list[tuple[str, str]] = []
@@ -432,10 +432,13 @@ def split_cpd(
 ) -> TransformResult:
     """Split each predicate at the change points of its proximity signature.
 
-    Per predicate: build the signature series, row-normalize, run bottom-up
-    detection, then apply the interior breakpoints left to right (each one
-    lands in the rightmost child produced so far).  Breakpoints falling
-    outside the current child's active span are skipped and counted.
+    Per predicate: build the signature series, whose neighborhoods at each
+    timestamp come from the predicate's own facts valid then (``scope =
+    "predicate"``) or from every fact valid then (``"graph"``),
+    row-normalize, run bottom-up detection, then apply the interior
+    breakpoints left to right (each one lands in the rightmost child
+    produced so far).  Breakpoints falling outside the current child's
+    active span are skipped and counted.
 
     A constant signature leaves its predicate whole.  With ``scope =
     "predicate"`` and ``score`` ``adar`` or ``jaccard``, a predicate whose
@@ -444,6 +447,8 @@ def split_cpd(
     a common neighbor, so the signature would be all zero.  Skipping it does
     not change the output.
     """
+    if scope not in SIGNATURE_SCOPES:
+        raise ValueError(f"unknown signature scope {scope!r}")
     cfg = cfg or CpdConfig()
     cfg.validate()
     mg = _MutableTKG(g)
@@ -470,7 +475,7 @@ def split_cpd(
             zip(rows[:, 0].tolist(), rows[:, 2].tolist())
         ):
             continue
-        series = signature_series(g, pid, measure=score, scope=scope, slices=slices)
+        series = signature_series(rows[:, :5], g.num_timestamps, measure=score, slices=slices)
         if series.matrix.size == 0 or bool(np.all(series.matrix == series.matrix[0])):
             continue
         x = normalize_rows(series.matrix)
@@ -496,6 +501,8 @@ def random_split(g: TemporalGraph, grow: float, seed: int = 0) -> TransformResul
     """
     if grow <= 1:
         raise ValueError("grow must be > 1")
+    if seed < 0:  # random.Random seeds with abs(seed): -3 would draw as 3 does
+        raise ValueError("seed must be >= 0")
     rng = random.Random(seed)
     mg = _MutableTKG(g)
     target = grow * g.num_predicates

@@ -533,6 +533,9 @@ def test_train_config_validation():
         TrainConfig(temperature=0),
         TrainConfig(norm="l3"),
         TrainConfig(initializer="normal"),
+        TrainConfig(learning_rate=math.inf),
+        TrainConfig(margin=math.inf),
+        TrainConfig(temperature=math.inf),
     ]
     for cfg in bad:
         with pytest.raises(ValueError):

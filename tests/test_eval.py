@@ -15,13 +15,7 @@ from tkgkit import (
     predict_predicates,
     rank_queries,
 )
-from tkgkit.eval import (
-    TIE_RULES,
-    RankRecord,
-    _known_answers,
-    _rank_from_counts,
-    ranks_tsv,
-)
+from tkgkit.eval import TIE_RULES, _known_answers, ranks_tsv
 
 def T(s, p, o):
     return (s, p, o)
@@ -34,12 +28,23 @@ def naive_score(model, s, p, o):
     return float(np.sqrt((d * d).sum()))
 
 
+def rank_from_counts(n_better, n_equal, tie_rule):
+    # n_equal excludes the target itself
+    if tie_rule == "optimistic":
+        return n_better + 1
+    if tie_rule == "pessimistic":
+        return n_better + n_equal + 1
+    return n_better + n_equal / 2.0 + 1
+
+
 def brute_force_ranks(model, test, known, tie_rule, filtered):
-    """Rank by explicit candidate enumeration, one python loop per query."""
+    """Rank by explicit candidate enumeration, one python loop per query:
+    a (subject rank, object rank) pair per test triple."""
     known = set(known)
     out = []
     for t in test:
         s, p, o = t
+        pair = []
         for side in ("subject", "object"):
             if side == "object":
                 cands = [
@@ -60,13 +65,8 @@ def brute_force_ranks(model, test, known, tie_rule, filtered):
             ts = scores[target]
             better = sum(1 for e in cands if scores[e] < ts)
             equal = sum(1 for e in cands if scores[e] == ts) - 1
-            if tie_rule == "optimistic":
-                rank = better + 1
-            elif tie_rule == "pessimistic":
-                rank = better + equal + 1
-            else:
-                rank = better + equal / 2.0 + 1
-            out.append((t, side, rank))
+            pair.append(rank_from_counts(better, equal, tie_rule))
+        out.append(pair)
     return out
 
 
@@ -109,7 +109,8 @@ def test_rank_queries_matches_bruteforce(tie_rule, filtered, monkeypatch):
             model, test, known = random_case(rng, ties=i >= 30)
             got = rank_queries(model, test, known, tie_rule=tie_rule, filtered=filtered)
             want = brute_force_ranks(model, test, known, tie_rule, filtered)
-            assert [(r.triple, r.side, r.rank) for r in got] == want
+            assert got.dtype == np.float64 and got.shape == (len(test), 2)
+            assert got.tolist() == want
 
 
 def whole_matrix_scores(model, side, a, b):
@@ -132,9 +133,10 @@ def reference_rank_queries(model, test, known, tie_rule, filtered):
         _known_answers(k[:, 1], k[:, 2], k[:, 0], q[:, 1], q[:, 2]),
         _known_answers(k[:, 0], k[:, 1], k[:, 2], q[:, 0], q[:, 1]),
     )
-    records = []
+    ranks = []
     for t, side_drops in zip(test, drops):
         s, p, o = t
+        pair = []
         for side, drop in zip(("subject", "object"), side_drops):
             if side == "object":
                 scores = whole_matrix_scores(model, side, s, p)
@@ -148,8 +150,9 @@ def reference_rank_queries(model, test, known, tie_rule, filtered):
                 np.count_nonzero(dropped < target_score))
             n_equal = int(np.count_nonzero(scores == target_score)) - 1 - int(
                 np.count_nonzero(dropped == target_score))
-            records.append(RankRecord(t, side, _rank_from_counts(n_better, n_equal, tie_rule)))
-    return records
+            pair.append(rank_from_counts(n_better, n_equal, tie_rule))
+        ranks.append(pair)
+    return np.array(ranks, dtype=np.float64).reshape(-1, 2)
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2"])
@@ -174,15 +177,25 @@ def test_rank_queries_across_real_blocks_match_whole_matrix(norm, ties):
         for filtered in (True, False):
             got = rank_queries(model, test, known, tie_rule=tie_rule, filtered=filtered)
             want = reference_rank_queries(model, test, known, tie_rule, filtered)
-            assert got == want
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_two_records_per_triple():
     rng = np.random.default_rng(1)
     model, test, known = random_case(rng)
-    records = rank_queries(model, test, known)
-    assert len(records) == 2 * len(test)
-    assert [r.side for r in records[:2]] == ["subject", "object"]
+    ranks = rank_queries(model, test, known)
+    assert ranks.shape == (len(test), 2)
+
+
+def test_ranks_are_subject_then_object_per_triple():
+    # scores are |e_s - e_o|: for (2, 0, 1) entities 0 and 1 beat subject 2
+    # and entity 2 beats object 1, with no ties; (0, 0, 0) ranks first twice
+    entity = np.array([[0.0], [1.0], [3.0]])
+    model = EmbeddingModel(entity=entity, predicate=np.array([[0.0]]), norm="l1")
+    for tie_rule in TIE_RULES:
+        ranks = rank_queries(model, [T(2, 0, 1), T(0, 0, 0)], [], tie_rule=tie_rule)
+        assert ranks.dtype == np.float64 and ranks.shape == (2, 2)
+        assert ranks.tolist() == [[3.0, 2.0], [1.0, 1.0]]
 
 
 def test_tie_rules_on_constant_model():
@@ -192,9 +205,9 @@ def test_tie_rules_on_constant_model():
     opt = rank_queries(model, test, test, tie_rule="optimistic")
     pes = rank_queries(model, test, test, tie_rule="pessimistic")
     mean = rank_queries(model, test, test, tie_rule="mean")
-    assert [r.rank for r in opt] == [1, 1]
-    assert [r.rank for r in pes] == [6, 6]
-    assert [r.rank for r in mean] == [3.5, 3.5]
+    assert opt.tolist() == [[1, 1]]
+    assert pes.tolist() == [[6, 6]]
+    assert mean.tolist() == [[3.5, 3.5]]
 
 
 def test_filtering_never_hurts_rank():
@@ -203,8 +216,7 @@ def test_filtering_never_hurts_rank():
         model, test, known = random_case(rng)
         raw = rank_queries(model, test, known, filtered=False)
         filt = rank_queries(model, test, known, filtered=True)
-        for a, b in zip(filt, raw):
-            assert a.rank <= b.rank
+        assert (filt <= raw).all()
 
 
 def test_filtering_removes_known_competitors():
@@ -217,17 +229,15 @@ def test_filtering_removes_known_competitors():
     known = [T(0, 0, 2)] + test
     raw = rank_queries(model, test, known, filtered=False)
     filt = rank_queries(model, test, known, filtered=True)
-    obj_raw = [r for r in raw if r.side == "object"][0]
-    obj_filt = [r for r in filt if r.side == "object"][0]
-    assert obj_raw.rank == 3  # loses to entities 0 and 2
-    assert obj_filt.rank == 2  # entity 2 is filtered out; entity 0 remains
+    assert raw[0, 1] == 3  # loses to entities 0 and 2
+    assert filt[0, 1] == 2  # entity 2 is filtered out; entity 0 remains
 
 
 def test_target_itself_never_filtered():
     model = EmbeddingModel(entity=np.zeros((4, 2)), predicate=np.zeros((1, 2)))
     test = [T(0, 0, 1)]
-    records = rank_queries(model, test, known=test, filtered=True)
-    assert all(np.isfinite(r.rank) for r in records)
+    ranks = rank_queries(model, test, known=test, filtered=True)
+    assert np.isfinite(ranks).all()
 
 
 @pytest.mark.parametrize("tie_rule", TIE_RULES)
@@ -258,13 +268,7 @@ def test_unknown_tie_rule():
 
 
 def test_metrics_math():
-    records = [
-        RankRecord(T(0, 0, 1), "subject", 1),
-        RankRecord(T(0, 0, 1), "object", 4),
-        RankRecord(T(1, 0, 2), "subject", 10),
-        RankRecord(T(1, 0, 2), "object", 25),
-    ]
-    rep = metrics(records, ks=(1, 3, 10))
+    rep = metrics(np.array([[1.0, 4.0], [10.0, 25.0]]), ks=(1, 3, 10))
     assert rep.query_count == 4
     assert rep.mrr == pytest.approx((1 + 1 / 4 + 1 / 10 + 1 / 25) / 4)
     assert rep.hits[1] == 0.25
@@ -273,21 +277,22 @@ def test_metrics_math():
 
 
 def test_metrics_empty_raises():
-    with pytest.raises(ValueError):
-        metrics([])
+    for empty in ([], np.empty((0, 2))):
+        with pytest.raises(ValueError):
+            metrics(empty)
 
 
 def test_evaluate_wrapper():
     rng = np.random.default_rng(5)
     model, test, known = random_case(rng)
-    rep, records = evaluate(model, test, known)
-    assert rep.query_count == len(records) == 2 * len(test)
-    again = metrics(records)
+    rep, ranks = evaluate(model, test, known)
+    assert rep.query_count == ranks.size == 2 * len(test)
+    again = metrics(ranks)
     assert rep.mrr == again.mrr
 
 
 def test_metric_report_format():
-    rep = metrics([RankRecord(T(0, 0, 1), "subject", 2)], ks=(1, 3))
+    rep = metrics(np.array([[2.0]]), ks=(1, 3))
     text = rep.format()
     assert "mrr        0.5000" in text
     csv = rep.csv()
@@ -296,10 +301,14 @@ def test_metric_report_format():
 
 
 def test_ranks_tsv():
-    text = ranks_tsv([RankRecord(T(3, 1, 4), "object", 2.5)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "subject\tpredicate\tobject\tside\trank"
-    assert lines[1] == "3\t1\t4\tobject\t2.5"
+    text = ranks_tsv(np.array([T(3, 1, 4), T(0, 2, 5)]), np.array([[6.0, 2.5], [1.0, 12.0]]))
+    assert text.splitlines() == [
+        "subject\tpredicate\tobject\tside\trank",
+        "3\t1\t4\tsubject\t6",
+        "3\t1\t4\tobject\t2.5",
+        "0\t2\t5\tsubject\t1",
+        "0\t2\t5\tobject\t12",
+    ]
 
 
 # ---------------------------------------------------------------------------

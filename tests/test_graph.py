@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import re
 import tempfile
@@ -244,12 +245,21 @@ def test_restrict_predicate():
     assert list(r.splits) == [0, 2]
 
 
-def test_by_predicate_groups():
-    facts = [(0, 1, 1, 0, 3), (1, 0, 2, 2, 2), (2, 1, 0, 1, 4)]
-    g = build_graph(facts)
-    groups = g.by_predicate()
-    assert sorted(groups) == [0, 1]
-    assert g.facts[groups[1]].tolist() == [g.facts[0].tolist(), g.facts[2].tolist()]
+def test_constructor_takes_no_derived_state():
+    # an index handed in could disagree with the facts: here it files fact 1
+    # under predicate 0 and no fact under predicate 1
+    with pytest.raises(TypeError):
+        TemporalGraph(
+            facts=[(0, 0, 1, 0, 0), (1, 1, 0, 0, 0)],
+            splits=[0, 0],
+            entity_labels=("a", "b"),
+            predicate_labels=("r", "q"),
+            time_labels=("0",),
+            _by_predicate={0: np.array([1]), 1: np.array([], int)},
+        )
+    assert [f.name for f in dataclasses.fields(TemporalGraph)] == [
+        "facts", "splits", "entity_labels", "predicate_labels", "time_labels"
+    ]
 
 
 def test_strip_temporal_keeps_duplicates():

@@ -137,6 +137,12 @@ def base_raw(tiny_dataset, tmp_path):
         ("cli", "train --temperature", "nan", r"\[train\] temperature: cannot parse"),
         ("train", "seed", "-1", r"^\[train\] seed must be >= 0$"),
         ("cli", "train --seed", "-1", r"^\[train\] seed must be >= 0$"),
+        ("train", "learning_rate", "inf", r"^\[train\] learning_rate must be finite and > 0$"),
+        ("env", "TKGKIT_TRAIN_MARGIN", "inf", r"^\[train\] margin must be finite and > 0$"),
+        ("cli", "train --temperature", "inf",
+         r"^\[train\] temperature must be finite and > 0$"),
+        ("transform", "seed", "-3", r"^\[transform\] seed must be >= 0$"),
+        ("cli", "transform --seed", "-3", r"^\[transform\] seed must be >= 0$"),
     ],
 )
 def test_build_config_rejects(tiny_dataset, tmp_path, section, key, value, hint):
@@ -153,8 +159,12 @@ def test_build_config_rejects(tiny_dataset, tmp_path, section, key, value, hint)
         message = rejection({}, {key: value})
     elif section == "cli":
         command, flag = key.split()
+        inputs = {
+            "train": ["--triples", str(tiny_dataset)],
+            "transform": ["--data", str(tiny_dataset), "--method", "split_cpd", "--epsilon", "1"],
+        }[command]
         args = build_parser().parse_args(
-            [command, flag, value, "--triples", str(tiny_dataset), "--out", str(tmp_path / "m")]
+            [command, flag, value, *inputs, "--out", str(tmp_path / "m")]
         )
         with pytest.raises(ConfigError) as exc:
             args.func(args)
@@ -505,7 +515,7 @@ def test_cli_sweep_grid(tiny_dataset, tmp_path, capsys):
     rc = main([
         "run", "--config", str(ini),
         "--sweep", "train.dimension=4,8",
-        "--sweep", "train.seed=0,1",
+        "--sweep", "train.seed= 0, 1",
     ])
     assert rc == 0
     dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
@@ -528,6 +538,11 @@ def test_cli_sweep_bad_spec(tiny_dataset, tmp_path):
     assert main(["run", "--config", str(ini), "--sweep", "train.dimension=4,4"]) == 2
     assert main(["run", "--config", str(ini), "--sweep", "train.dimension=4",
                  "--sweep", "train.dimension=8"]) == 2
+    # values compare once stripped and parsed: 4 and 04, or 1.0 and 1, are one
+    assert main(["run", "--config", str(ini), "--sweep", "train.dimension=4,04"]) == 2
+    assert main(["run", "--config", str(ini), "--sweep", "train.margin=1.0, 1"]) == 2
+    assert main(["run", "--config", str(ini), "--sweep", "train.dimension=4,x"]) == 2
+    assert main(["run", "--config", str(ini), "--sweep", "trian.dimension=4"]) == 2
     assert not (tmp_path / "out").exists()
 
 

@@ -130,11 +130,22 @@ def _demo_graph():
     return build_graph(facts, num_times=4)
 
 
+def _rows_of(g, pid):
+    return g.facts[g.facts[:, 1] == pid]
+
+
+def _signature(g, pid, measure="pref", scope="predicate"):
+    """signature_series of predicate ``pid`` of ``g``, as split_cpd calls it
+    for ``scope``."""
+    slices = neighbor_slices(g.facts, g.num_timestamps) if scope == "graph" else None
+    return signature_series(_rows_of(g, pid), g.num_timestamps, measure=measure, slices=slices)
+
+
 @pytest.mark.parametrize("measure", PROXIMITY_MEASURES)
 @pytest.mark.parametrize("scope", ["predicate", "graph"])
 def test_signature_matches_oracle(measure, scope):
     g = _demo_graph()
-    sig = signature_series(g, 0, measure=measure, scope=scope)
+    sig = _signature(g, 0, measure=measure, scope=scope)
     pairs, mat = _signature_oracle(g, 0, measure, scope)
     assert sig.pairs == pairs
     np.testing.assert_allclose(sig.matrix, mat)
@@ -142,7 +153,7 @@ def test_signature_matches_oracle(measure, scope):
 
 def test_signature_zero_when_inactive():
     g = _demo_graph()
-    sig = signature_series(g, 0, measure="pref")
+    sig = _signature(g, 0, measure="pref")
     j = sig.pair_index[(0, 1)]
     assert sig.matrix[3, j] == 0.0  # (0,1) inactive at t=3
     assert sig.matrix[0, j] != 0.0
@@ -150,7 +161,7 @@ def test_signature_zero_when_inactive():
 
 def test_signature_shape_and_order():
     g = _demo_graph()
-    sig = signature_series(g, 0)
+    sig = _signature(g, 0)
     assert sig.shape == (4, len(sig.pairs))
     assert sig.pairs == sorted(sig.pairs)
     assert all(u <= v for u, v in sig.pairs)
@@ -158,40 +169,31 @@ def test_signature_shape_and_order():
 
 def test_signature_scope_changes_scores():
     g = _demo_graph()
-    a = signature_series(g, 0, measure="pref", scope="predicate")
-    b = signature_series(g, 0, measure="pref", scope="graph")
+    a = _signature(g, 0, measure="pref", scope="predicate")
+    b = _signature(g, 0, measure="pref", scope="graph")
     assert not np.allclose(a.matrix, b.matrix)
 
 
 def test_signature_empty_predicate():
     g = build_graph([(0, 0, 1, 0, 1)], num_predicates=2, num_times=2)
-    sig = signature_series(g, 1)
+    sig = _signature(g, 1)
     assert sig.shape == (2, 0)
 
 
 def test_signature_rejects_bad_args():
     g = _demo_graph()
+    rows, n_t = _rows_of(g, 0), g.num_timestamps
     with pytest.raises(ValueError):
-        signature_series(g, 0, measure="simrank")
-    with pytest.raises(ValueError):
-        signature_series(g, 0, scope="global")
-    slices = neighbor_slices(g.facts, g.num_timestamps)
-    with pytest.raises(ValueError, match="slices"):
-        signature_series(g, 0, slices=slices)  # predicate scope
-    with pytest.raises(ValueError, match="slices"):
-        signature_series(g, 0, scope="graph", slices=slices[:3])
-
-
-@pytest.mark.parametrize("predicate", [2, 999, -1])
-def test_signature_rejects_unknown_predicate(predicate):
-    g = _demo_graph()  # predicates 0 and 1
-    with pytest.raises(ValueError, match=f"predicate id {predicate} not in graph"):
-        signature_series(g, predicate)
+        signature_series(rows, n_t, measure="simrank")
+    slices = neighbor_slices(g.facts, n_t)
+    for wrong in (slices[:3], slices + slices[:1], []):
+        with pytest.raises(ValueError, match="slices"):
+            signature_series(rows, n_t, slices=wrong)
 
 
 def test_signature_csv_layout():
     g = _demo_graph()
-    sig = signature_series(g, 1)
+    sig = _signature(g, 1)
     text = signature_csv(sig, g.entity_labels)
     lines = text.strip().split("\n")
     assert len(lines) == 1 + g.num_timestamps
@@ -202,7 +204,7 @@ def reference_signature(g, predicate, measure, scope):
     """signature_series as first written: every call buckets the scope's
     facts per timestamp and builds each active timestamp's index anew."""
     score = get_measure(measure)
-    mine = g.facts[g.by_predicate()[predicate]].tolist()
+    mine = g.facts[g.facts[:, 1] == predicate].tolist()
     pairs = sorted({(min(s, o), max(s, o)) for s, _, o, _, _ in mine})
     n_t = g.num_timestamps
     matrix = np.zeros((n_t, len(pairs)), dtype=np.float64)
@@ -255,15 +257,16 @@ def test_signature_bytes_match_reference(rows):
         for pid in range(g.num_predicates):
             for scope in SIGNATURE_SCOPES:
                 want = reference_signature(g, pid, measure, scope).tobytes()
-                got = signature_series(g, pid, measure=measure, scope=scope)
+                got = _signature(g, pid, measure=measure, scope=scope)
                 assert got.matrix.tobytes() == want, (measure, pid, scope)
-            got = signature_series(g, pid, measure=measure, scope="graph", slices=shared)
+            got = signature_series(_rows_of(g, pid), g.num_timestamps, measure=measure,
+                                   slices=shared)
             assert got.matrix.tobytes() == reference_signature(g, pid, measure, "graph").tobytes()
 
 
 
 def _edges_of(g, pid):
-    return [(s, o) for s, _, o, _, _ in g.facts[g.by_predicate()[pid]].tolist()]
+    return [(s, o) for s, _, o, _, _ in _rows_of(g, pid).tolist()]
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,7 +282,7 @@ def test_no_shared_neighbors_means_zero_signature(rows):
         if can_share_neighbors(_edges_of(g, pid)):
             continue
         for measure in ("adar", "jaccard"):
-            sig = signature_series(g, pid, measure=measure, scope="predicate")
+            sig = _signature(g, pid, measure=measure)
             assert not sig.matrix.any(), (measure, pid)
 
 
@@ -291,5 +294,5 @@ def test_can_share_neighbors_cases():
     # of the pair (0, 1) and the skip must be off
     assert can_share_neighbors([(0, 1), (1, 1)])
     g = build_graph([(0, 0, 1, 0, 0), (1, 0, 1, 0, 0)], num_times=1)
-    assert signature_series(g, 0, measure="jaccard").matrix.tolist() == [[0.5, 1.0]]
-    assert signature_series(g, 0, measure="adar").matrix[0, 0] == 1 / math.log(2)
+    assert _signature(g, 0, measure="jaccard").matrix.tolist() == [[0.5, 1.0]]
+    assert _signature(g, 0, measure="adar").matrix[0, 0] == 1 / math.log(2)

@@ -306,6 +306,8 @@ def test_split_cpd_coverage_preserved():
 def test_split_cpd_validates_config():
     with pytest.raises(ValueError):
         split_cpd(_two_phase_graph(), cfg=CpdConfig(epsilon=-1))
+    with pytest.raises(ValueError, match="unknown signature scope 'global'"):
+        split_cpd(_two_phase_graph(), scope="global")
 
 
 def reference_split_once(mg, pid, t):
@@ -353,7 +355,8 @@ def reference_split_cpd(g, score, cfg, scope):
     report = _base_report("split_cpd", params, g)
     slices = neighbor_slices(g.facts, g.num_timestamps) if scope == "graph" else None
     for pid in range(g.num_predicates):
-        series = signature_series(g, pid, measure=score, scope=scope, slices=slices)
+        mine = g.facts[g.facts[:, 1] == pid]
+        series = signature_series(mine, g.num_timestamps, measure=score, slices=slices)
         if series.matrix.size == 0 or bool(np.all(series.matrix == series.matrix[0])):
             continue
         x = normalize_rows(series.matrix)
@@ -548,6 +551,8 @@ def test_random_split_rejection_stop():
 def test_random_split_validation(tiny_graph):
     with pytest.raises(ValueError):
         random_split(tiny_graph, grow=0.5)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        random_split(tiny_graph, grow=2, seed=-3)
 
 
 # ---------------------------------------------------------------------------

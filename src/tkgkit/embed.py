@@ -139,46 +139,70 @@ class EmbeddingModel:
         phi, _ = _phi_delta(self.entity, self.predicate, s, p, o, self.norm)
         return phi
 
-    def score_objects(self, s: int, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    def score_objects(self, s, p, out: np.ndarray | None = None) -> np.ndarray:
         """Scores of (s, p, e) for every candidate entity e.
 
-        ``out``, scratch from :meth:`score_scratch`, is overwritten.
+        ``s`` and ``p`` are ids, giving an (N,) array, or equal-length id
+        arrays, giving one (B, N) row per query.  ``out``, scratch from
+        :meth:`score_scratch`, is overwritten.
         """
         return self._entity_scores(np.subtract, self.entity[s] + self.predicate[p], out)
 
-    def score_subjects(self, p: int, o: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Scores of (e, p, o) for every candidate entity e; ``out`` as above."""
+    def score_subjects(self, p, o, out: np.ndarray | None = None) -> np.ndarray:
+        """Scores of (e, p, o) for every candidate entity e; arguments as above."""
         return self._entity_scores(np.add, self.predicate[p] - self.entity[o], out)
 
-    def score_scratch(self) -> np.ndarray:
-        """Scratch for :meth:`score_objects` and :meth:`score_subjects`: two row blocks."""
-        rows = max(1, SCORE_BLOCK // self.dimension)
-        return np.empty((2, min(rows, self.num_entities), self.dimension))
+    def score_scratch(self, queries: int = 1) -> np.ndarray:
+        """Scratch for scoring up to ``queries`` queries at once: two
+        ``SCORE_BLOCK`` blocks, or one candidate's share if that is more."""
+        per_candidate = _per_candidate(self.dimension, queries)
+        width = min(self.num_entities, max(1, 2 * SCORE_BLOCK // per_candidate))
+        return np.empty(width * per_candidate)
 
     def _entity_scores(self, op, query: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
-        """Norm of ``op(query, e)`` for every entity row e.
+        """Norm of ``op(q, e)`` for each query row q and every entity row e.
 
-        With more than one row block of candidates, ``scratch[0]`` takes
-        ``query`` repeated on every row, once, because ``op`` on two
-        equal-shaped arrays is about three times as fast as broadcasting the
-        row in every block; ``scratch[1]`` takes one block's differences at
-        a time, which stay in cache for the norm's passes.  Each row sees the
-        same operations as when the whole matrix is scored at once.
+        Each score has the bits of numpy's norm of the query's whole (N, d)
+        difference matrix, taken a tile of candidates at a time:
+
+        - below ``ROWS_FROM`` dimensions, where ``sum(axis=-1)`` pays a call
+          per short row, every query at once: the tile is transposed, so
+          that column k's terms ``|op(q_k, e_k)|`` (or their squares) form
+          one (b, width) slab, and the slabs are added in numpy's pairwise
+          order;
+        - from ``ROWS_FROM`` on, a query at a time, by ``sum(axis=-1)`` over
+          row-major differences.
         """
-        if scratch is None:
-            scratch = self.score_scratch()
-        n, step = self.num_entities, scratch.shape[1]
-        if step >= n:
-            delta = op(query, self.entity, out=scratch[1])
-            return _norm_of(delta, self.norm, out=delta)
-        queries, delta = scratch
-        queries[...] = query
-        scores = np.empty(n)
-        for start in range(0, n, step):
-            rows = self.entity[start:start + step]
-            diff = op(queries[:len(rows)], rows, out=delta[:len(rows)])
-            _norm_of(diff, self.norm, out=diff, result=scores[start:start + step])
-        return scores
+        queries = query.reshape(-1, self.dimension)
+        b, d = queries.shape
+        n = self.num_entities
+        per_candidate = _per_candidate(d, b)
+        if scratch is None or scratch.size < per_candidate:
+            scratch = self.score_scratch(b)
+        step = min(n, scratch.size // per_candidate)
+        magnitude = np.abs if self.norm == "l1" else np.square
+        scores = np.empty((b, n))
+        if d >= ROWS_FROM:
+            # op on two equal shapes is about three times as fast as broadcasting a row
+            repeated, delta = scratch[:2 * step * d].reshape(2, step, d)
+            for row, out in zip(queries, scores):
+                repeated[...] = row
+                for start in range(0, n, step):
+                    rows = self.entity[start:start + step]
+                    diff = op(repeated[:len(rows)], rows, out=delta[:len(rows)])
+                    magnitude(diff, out=diff).sum(axis=-1, out=out[start:start + step])
+        else:
+            for start in range(0, n, step):
+                rows = self.entity[start:start + step]
+                width = len(rows)
+                columns = scratch[:d * width].reshape(d, width)
+                np.copyto(columns, rows.T)
+                terms = scratch[d * width:d * width * (b + 1)].reshape(d, b, width)
+                op(queries.T[:, :, None], columns[:, None, :], out=terms)
+                _pairwise_sum(magnitude(terms, out=terms), scores[:, start:start + width])
+        if self.norm == "l2":
+            np.sqrt(scores, out=scores)
+        return scores if query.ndim > 1 else scores[0]
 
     def score_predicates(self, s: int, o: int) -> np.ndarray:
         """Scores of (s, p, o) for every candidate predicate p."""
@@ -194,21 +218,56 @@ class EmbeddingModel:
 # scoring internals
 # ---------------------------------------------------------------------------
 
-# elements per row block when scoring every entity: a block of differences
-# (256 KB) stays in cache from the pass that writes it to the norm's passes;
-# of 2^11 to 2^18, 2^14 to 2^16 were fastest on a 12,554 x 100 matrix
+# elements in one block of scores when ranking, and half the scratch of a
+# scoring call, whose tiles then stay in cache between passes
 SCORE_BLOCK = 1 << 15
+# dimension from which scoring sums rows rather than columns: on a 2-core
+# Xeon with 1,255 or 12,554 candidates, columns took 2.6-3.4 ns per term at
+# d = 4-16 against 2.7-9.3 for rows, and 3.1-4.5 against 1.9-2.4 at d = 64-100
+ROWS_FROM = 24
 
 
-def _norm_of(delta: np.ndarray, norm: str, out: np.ndarray | None = None,
-             result: np.ndarray | None = None) -> np.ndarray:
-    """Row norms of ``delta``, written to ``result`` if given.
-
-    ``out`` (may be ``delta``) takes |delta| or delta**2.
-    """
+def _norm_of(delta: np.ndarray, norm: str) -> np.ndarray:
+    """Row norms of ``delta``."""
     if norm == "l1":
-        return np.abs(delta, out=out).sum(axis=-1, out=result)
-    return np.sqrt(np.square(delta, out=out).sum(axis=-1, out=result), out=result)
+        return np.abs(delta).sum(axis=-1)
+    return np.sqrt(np.square(delta).sum(axis=-1))
+
+
+def _per_candidate(d: int, queries: int) -> int:
+    """Scratch elements per candidate when scoring ``queries`` queries at once."""
+    return 2 * d if d >= ROWS_FROM else d * (queries + 1)
+
+
+def _pairwise_sum(terms: np.ndarray, out: np.ndarray) -> None:
+    """Write to ``out`` the sum over the first axis of ``terms``, added in
+    the order of numpy's pairwise summation of n contiguous elements
+    (``pairwise_sum`` in numpy's ``loops_utils.h.src``); ``terms`` is
+    overwritten.  No term may be -0.0: numpy's sum starts from 0.0, which
+    turns a sum of -0.0 into 0.0.
+    """
+    n = len(terms)
+    if n < 8:
+        np.copyto(out, terms[0])
+        for term in terms[1:]:
+            out += term
+    elif n <= 128:
+        # eight accumulators over terms j, j + 8, ...; then
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)); then the rest
+        stop = n - n % 8
+        r = terms[:8]
+        for i in range(8, stop, 8):
+            r += terms[i:i + 8]
+        r[::2] += r[1::2]
+        r[::4] += r[2::4]
+        np.add(r[0], r[4], out=out)
+        for term in terms[stop:]:
+            out += term
+    else:
+        half = n // 2 - n // 2 % 8
+        _pairwise_sum(terms[:half], out)
+        _pairwise_sum(terms[half:], terms[half])
+        out += terms[half]
 
 
 def _phi_delta(entity, predicate, s, p, o, norm):

@@ -8,12 +8,12 @@ the surviving candidates feeds MRR and hits@k.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import embed
 from .embed import EmbeddingModel, NumericError
 from .transform import LineageEntry
 
@@ -60,43 +60,62 @@ def rank_queries(
     inf depending on the tie rule.  So does a target score that overflows
     to inf, which ties with every overflowing candidate.
 
-    Each query scores every entity with one ``score_objects`` or
-    ``score_subjects`` call, which works through the entity matrix a row
-    block at a time in block-sized scratch that all queries share; scores
-    and ranks are those of scoring the whole matrix at once.
+    Queries are scored a block at a time: each block of
+    ``max(1, SCORE_BLOCK // N)`` test triples takes one ``score_subjects``
+    and one ``score_objects`` call, whose scores are those of scoring each
+    query's (N, d) difference matrix at once.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}; expected one of {TIE_RULES}")
     model.assert_finite()
     q = np.asarray(test, dtype=np.int64).reshape(-1, 3)
     k = np.asarray(known if filtered else (), dtype=np.int64).reshape(-1, 3)
-    drops = zip(
-        _known_answers(k[:, 1], k[:, 2], k[:, 0], q[:, 1], q[:, 2]),
-        _known_answers(k[:, 0], k[:, 1], k[:, 2], q[:, 0], q[:, 1]),
-    )
-    buf = model.score_scratch()
+    # per side, the (query, candidate) pairs filtering drops: every known
+    # answer other than the target, in query order
+    drops = []
+    for answers, target in (
+        (_known_answers(k[:, 1], k[:, 2], k[:, 0], q[:, 1], q[:, 2]), q[:, 0]),
+        (_known_answers(k[:, 0], k[:, 1], k[:, 2], q[:, 0], q[:, 1]), q[:, 2]),
+    ):
+        rows = np.repeat(np.arange(len(q)), [len(a) for a in answers])
+        ids = np.concatenate([np.empty(0, np.int64), *answers])
+        keep = ids != target[rows]
+        drops.append((rows[keep], ids[keep]))
+    block = max(1, embed.SCORE_BLOCK // model.num_entities)
+    buf = model.score_scratch(block)
 
     # candidates scoring better than the target, and tied with it (target excluded)
-    better = np.zeros((len(q), 2), dtype=np.int64)
-    equal = np.zeros((len(q), 2), dtype=np.int64)
-    for i, ((s, p, o), side_drops) in enumerate(zip(q.tolist(), drops)):
-        for j, drop in enumerate(side_drops):
+    better = np.empty((len(q), 2), dtype=np.int64)
+    equal = np.empty((len(q), 2), dtype=np.int64)
+    for start in range(0, len(q), block):
+        s, p, o = q[start:start + block].T
+        stop = start + len(s)
+        targets = np.empty((len(s), 2))
+        for j, target in enumerate((s, o)):
             if j:
-                scores, target = model.score_objects(s, p, out=buf), o
+                scores = model.score_objects(s, p, out=buf)
             else:
-                scores, target = model.score_subjects(p, o, out=buf), s
-            target_score = scores[target]
-            if not math.isfinite(target_score):
-                raise NumericError(
-                    f"score of {(s, p, o)} is {target_score} ({('subject', 'object')[j]}"
-                    " query); the model's values are too large to rank"
-                )
+                scores = model.score_subjects(p, o, out=buf)
+            target_score = targets[:, j] = scores[np.arange(len(s)), target]
             # count over all candidates, then take back the filtered ones
-            dropped = scores[drop[drop != target]]
-            better[i, j] = np.count_nonzero(scores < target_score) - np.count_nonzero(
-                dropped < target_score)
-            equal[i, j] = np.count_nonzero(scores == target_score) - 1 - np.count_nonzero(
-                dropped == target_score)
+            rows, ids = drops[j]
+            lo, hi = np.searchsorted(rows, (start, stop))
+            rows, ids = rows[lo:hi] - start, ids[lo:hi]
+            dropped, dropped_target = scores[rows, ids], target_score[rows]
+            better[start:stop, j] = np.count_nonzero(
+                scores < target_score[:, None], axis=1) - np.bincount(
+                rows[dropped < dropped_target], minlength=len(s))
+            equal[start:stop, j] = np.count_nonzero(
+                scores == target_score[:, None], axis=1) - 1 - np.bincount(
+                rows[dropped == dropped_target], minlength=len(s))
+        bad = np.flatnonzero(~np.isfinite(targets))
+        if bad.size:
+            i, j = divmod(int(bad[0]), 2)
+            triple = tuple(q[start + i].tolist())
+            raise NumericError(
+                f"score of {triple} is {targets[i, j]} ({('subject', 'object')[j]}"
+                " query); the model's values are too large to rank"
+            )
     if tie_rule == "optimistic":
         return (better + 1).astype(np.float64)
     if tie_rule == "pessimistic":

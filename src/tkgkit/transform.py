@@ -41,7 +41,9 @@ _NO_ROWS = np.empty((0, 6), dtype=np.int64)
 
 def _group(rows: np.ndarray, key: np.ndarray, values) -> list[np.ndarray]:
     """``rows`` split into one block per entry of the increasing ``values``
-    that ``key`` takes, each block in row order."""
+    that ``key`` takes, each block in row order; no block for no values."""
+    if not len(values):
+        return []
     order = np.argsort(key, kind="stable")
     return np.split(rows[order], np.searchsorted(key[order], values[1:]))
 

@@ -99,9 +99,11 @@ def random_case(rng, n_ent=10, n_pred=3, dim=4, ties=False):
 @pytest.mark.parametrize("tie_rule", TIE_RULES)
 @pytest.mark.parametrize("filtered", [True, False])
 def test_rank_queries_matches_bruteforce(tie_rule, filtered, monkeypatch):
-    for block in (None, 12):
+    for block in (None, 12, 1, 30):
         # block 12 scores the 10 x 4 entity matrix 3 rows at a time: three
-        # full row blocks and a partial one per query
+        # full row blocks and a partial one per query; block 1 scores one
+        # candidate of one query at a time; block 30 scores three queries
+        # at once, 3 candidates at a time, with a partial last tile
         if block is not None:
             monkeypatch.setattr(tkgkit.embed, "SCORE_BLOCK", block)
         rng = np.random.default_rng(123)
@@ -158,26 +160,61 @@ def reference_rank_queries(model, test, known, tie_rule, filtered):
 @pytest.mark.parametrize("norm", ["l1", "l2"])
 @pytest.mark.parametrize("ties", [False, True])
 def test_rank_queries_across_real_blocks_match_whole_matrix(norm, ties):
-    # 2,000 x 20 entities: more than one real score block, the last one partial
-    n_ent, dim = 2000, 20
-    assert n_ent * dim > tkgkit.embed.SCORE_BLOCK
-    assert n_ent % (tkgkit.embed.SCORE_BLOCK // dim)
-    rng = np.random.default_rng(31 + ties)
-    model, test, known = random_case(rng, n_ent=n_ent, n_pred=4, dim=dim, ties=ties)
-    model.norm = norm
-    test += [T(int(rng.integers(n_ent)), int(rng.integers(4)), int(rng.integers(n_ent)))
-             for _ in range(20)]
-    known += test
-    for s, p, o in test:
-        for side, a, b in (("object", s, p), ("subject", p, o)):
-            score = model.score_objects if side == "object" else model.score_subjects
-            got = score(a, b, out=model.score_scratch())
-            assert got.tobytes() == whole_matrix_scores(model, side, a, b).tobytes()
-    for tie_rule in TIE_RULES:
-        for filtered in (True, False):
-            got = rank_queries(model, test, known, tie_rule=tie_rule, filtered=filtered)
-            want = reference_rank_queries(model, test, known, tie_rule, filtered)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # 2,000 x 20 (and x 100) entities: more than one real score block, the
+    # last one partial; d = 20 sums columns, d = 100 rows
+    n_ent = 2000
+    for dim in (20, 100):
+        assert n_ent * dim > tkgkit.embed.SCORE_BLOCK
+        assert n_ent % (tkgkit.embed.SCORE_BLOCK // dim)
+        rng = np.random.default_rng(31 + ties)
+        model, test, known = random_case(rng, n_ent=n_ent, n_pred=4, dim=dim, ties=ties)
+        model.norm = norm
+        test += [T(int(rng.integers(n_ent)), int(rng.integers(4)), int(rng.integers(n_ent)))
+                 for _ in range(20)]
+        known += test
+        for s, p, o in test:
+            for side, a, b in (("object", s, p), ("subject", p, o)):
+                score = model.score_objects if side == "object" else model.score_subjects
+                got = score(a, b, out=model.score_scratch())
+                assert got.tobytes() == whole_matrix_scores(model, side, a, b).tobytes()
+        for tie_rule in TIE_RULES:
+            for filtered in (True, False):
+                got = rank_queries(model, test, known, tie_rule=tie_rule, filtered=filtered)
+                want = reference_rank_queries(model, test, known, tie_rule, filtered)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("path", ["columns", "rows"])
+@pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 15, 16, 17, 100, 128, 129, 300])
+def test_block_scores_match_numpy_row_sums(dim, path, monkeypatch):
+    # scoring by columns adds terms in numpy's pairwise order: this fails
+    # if a numpy release changes the order in which sum(axis=-1) adds a row
+    monkeypatch.setattr(tkgkit.embed, "ROWS_FROM", 1 if path == "rows" else 10**9)
+    rng = np.random.default_rng(dim)
+    n_ent, n_pred = 300, 3
+
+    def draw(rows, scale):
+        # magnitudes that vary over six orders within each model
+        return rng.normal(size=(rows, dim)) * 10.0 ** rng.uniform(-3, 3, (rows, dim)) * scale
+
+    models = [(draw(n_ent, scale), draw(n_pred, scale))
+              for scale in (1e-150, 1e-50, 1.0, 1e50, 1e150)]
+    # small integers: many candidates tie exactly
+    models.append((rng.integers(-2, 3, size=(n_ent, dim)).astype(float),
+                   rng.integers(-2, 3, size=(n_pred, dim)).astype(float)))
+    for entity, predicate in models:
+        for norm in ("l1", "l2"):
+            model = EmbeddingModel(entity=entity, predicate=predicate, norm=norm)
+            ents, preds = rng.integers(n_ent, size=5), rng.integers(n_pred, size=5)
+            with np.errstate(over="ignore"):
+                got = model.score_objects(ents, preds), model.score_subjects(preds, ents)
+                one = model.score_objects(int(ents[0]), int(preds[0]))
+                want = [np.stack([whole_matrix_scores(model, side, a, b) for a, b in pairs])
+                        for side, pairs in (("object", zip(ents, preds)),
+                                            ("subject", zip(preds, ents)))]
+            for g, w in zip(got, want):
+                assert g.shape == (5, n_ent) and g.tobytes() == w.tobytes()
+            assert one.shape == (n_ent,) and one.tobytes() == want[0][0].tobytes()
 
 
 def test_two_records_per_triple():
@@ -185,6 +222,10 @@ def test_two_records_per_triple():
     model, test, known = random_case(rng)
     ranks = rank_queries(model, test, known)
     assert ranks.shape == (len(test), 2)
+    for filtered in (True, False):
+        for empty in ([], np.empty((0, 3), dtype=np.int64)):
+            ranks = rank_queries(model, empty, known, filtered=filtered)
+            assert ranks.dtype == np.float64 and ranks.shape == (0, 2)
 
 
 def test_ranks_are_subject_then_object_per_triple():
@@ -259,6 +300,28 @@ def test_overflowing_scores_raise(norm, value):
     for filtered in (True, False):
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="inf"):
             rank_queries(model, [T(0, 0, 1)], [T(0, 0, 1), T(0, 0, 2)], filtered=filtered)
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_first_overflowing_query_is_named(block, monkeypatch):
+    # with predicate 1e308, (6, 0, 6) overflows on its object side only,
+    # (e_6 + p) - e_6, and (7, 0, 7) on its subject side only,
+    # (p - e_7) + e_7; the first in (triple, subject then object) order is
+    # named, within one block of queries and (block 1) across blocks
+    if block is not None:
+        monkeypatch.setattr(tkgkit.embed, "SCORE_BLOCK", block)
+    entity = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0], [1e308], [-1e308]])
+    model = EmbeddingModel(entity=entity, predicate=np.array([[1e308]]), norm="l1")
+    ok, obj, subj = T(0, 0, 1), T(6, 0, 6), T(7, 0, 7)
+    cases = [
+        ([ok, obj, subj], r"\(6, 0, 6\) is inf \(object query\)"),
+        ([ok, subj, obj], r"\(7, 0, 7\) is inf \(subject query\)"),
+        ([ok, ok, ok, obj], r"\(6, 0, 6\) is inf \(object query\)"),
+    ]
+    for test, message in cases:
+        for filtered in (True, False):
+            with np.errstate(over="ignore"), pytest.raises(NumericError, match=message):
+                rank_queries(model, test, test, filtered=filtered)
 
 
 def test_unknown_tie_rule():

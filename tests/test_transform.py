@@ -660,6 +660,18 @@ LINEAGE_TRANSFORMS = {
 }
 
 
+@pytest.mark.parametrize("method", sorted(LINEAGE_TRANSFORMS))
+def test_empty_graph_transforms_to_empty_graph(method):
+    # no predicates and no facts: an empty result, not a bucket for a
+    # predicate id 0 that has no label
+    g = TemporalGraph(np.empty((0, 5)), [], ("a",), (), ("0",))
+    res = LINEAGE_TRANSFORMS[method](g)
+    assert res.graph.facts.shape == (0, 5)
+    assert res.graph.predicate_labels == ()
+    assert res.lineage == {}
+    assert (res.report.predicates_after, res.report.facts_after) == (0, 0)
+
+
 def assert_lineage_holds_facts(res):
     """One lineage entry per output predicate, every fact inside its
     predicate's interval, and a stamp that is the whole interval."""

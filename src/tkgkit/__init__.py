@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .cpd import CpdConfig, Segmentation, bottom_up, median_heuristic_gamma, normalize_rows, rbf_kernel, segment_cost
 from .embed import EmbeddingModel, NumericError, TrainConfig, load_model, save_model, train
-from .eval import MetricReport, evaluate, metrics, predict_predicates, rank_queries
+from .eval import MetricReport, evaluate, metrics, rank_queries
 from .graph import (
     DataError,
     TemporalGraph,
@@ -21,7 +21,6 @@ from .graph import (
     load_triples,
     save_dataset,
     save_triples,
-    slice_at,
     strip_temporal,
 )
 from .leakage import DuplicateAudit, apply_filter, audit
@@ -32,12 +31,10 @@ from .transform import (
     TransformReport,
     TransformResult,
     identity,
-    load_lineage,
     merge,
     random_split,
     save_lineage,
     split_cpd,
-    split_once,
     split_parameterized,
     timestamp,
 )

@@ -204,11 +204,6 @@ class EmbeddingModel:
             np.sqrt(scores, out=scores)
         return scores if query.ndim > 1 else scores[0]
 
-    def score_predicates(self, s: int, o: int) -> np.ndarray:
-        """Scores of (s, p, o) for every candidate predicate p."""
-        delta = self.predicate + (self.entity[s] - self.entity[o])[None, :]
-        return _norm_of(delta, self.norm)
-
     def assert_finite(self) -> None:
         if not (np.isfinite(self.entity).all() and np.isfinite(self.predicate).all()):
             raise NumericError("model contains non-finite values")
@@ -627,6 +622,8 @@ def load_model(model_dir: str | Path) -> EmbeddingModel:
         predicate = np.load(root / "predicate.npy")
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read model from {root}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise DataError(f"{root}: model.meta.json holds a {type(meta).__name__}, not an object")
     if meta.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {meta.get('format_version')!r}")
     dim = meta.get("dimension")
@@ -638,6 +635,8 @@ def load_model(model_dir: str | Path) -> EmbeddingModel:
             raise DataError(
                 f"{root}: {name}.npy has shape {array.shape}, meta file says ({rows}, {dim})"
             )
+        if array.dtype != np.float64:
+            raise DataError(f"{root}: {name}.npy holds {array.dtype}, not float64")
     if meta.get("norm") not in NORMS:
         raise DataError(f"{root}: norm {meta.get('norm')!r} is not one of {NORMS}")
     return EmbeddingModel(entity=entity, predicate=predicate, norm=meta["norm"])

@@ -9,13 +9,11 @@ the surviving candidates feeds MRR and hits@k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import embed
 from .embed import EmbeddingModel, NumericError
-from .transform import LineageEntry
 
 TIE_RULES = ("optimistic", "pessimistic", "mean")
 DEFAULT_HITS = (1, 3, 10)
@@ -46,19 +44,19 @@ def rank_queries(
     test: np.ndarray,
     known: np.ndarray,
     tie_rule: str = "optimistic",
-    filtered: bool = True,
 ) -> np.ndarray:
     """Rank the true entity on both query sides of every test triple.
 
     ``test`` and ``known`` are (n, 3) arrays of ``(s, p, o)`` rows.
     ``known`` holds all true triples (train, valid, test; duplicates are
-    fine); under ``filtered=True`` those candidates are excluded from the
-    comparison, keeping only the query triple itself.  Returns a float64
-    (n, 2) array: row i holds test triple i's subject-query rank, then its
-    object-query rank.  A model with non-finite values raises NumericError:
-    NaN scores compare false with everything, which would score MRR 1, 2 or
-    inf depending on the tie rule.  So does a target score that overflows
-    to inf, which ties with every overflowing candidate.
+    fine); those candidates are excluded from the comparison, keeping only
+    the query triple itself, so an empty ``known`` gives raw ranks.
+    Returns a float64 (n, 2) array: row i holds test triple i's
+    subject-query rank, then its object-query rank.  A model with
+    non-finite values raises NumericError: NaN scores compare false with
+    everything, which would score MRR 1, 2 or inf depending on the tie
+    rule.  So does a target score that overflows to inf, which ties with
+    every overflowing candidate.
 
     Queries are scored a block at a time: each block of
     ``max(1, SCORE_BLOCK // N)`` test triples takes one ``score_subjects``
@@ -69,7 +67,7 @@ def rank_queries(
         raise ValueError(f"unknown tie rule {tie_rule!r}; expected one of {TIE_RULES}")
     model.assert_finite()
     q = np.asarray(test, dtype=np.int64).reshape(-1, 3)
-    k = np.asarray(known if filtered else (), dtype=np.int64).reshape(-1, 3)
+    k = np.asarray(known, dtype=np.int64).reshape(-1, 3)
     # per side, the (query, candidate) pairs filtering drops: every known
     # answer other than the target, in query order
     drops = []
@@ -161,9 +159,8 @@ def evaluate(
     known: np.ndarray,
     tie_rule: str = "optimistic",
     ks: tuple[int, ...] = DEFAULT_HITS,
-    filtered: bool = True,
 ) -> tuple[MetricReport, np.ndarray]:
-    ranks = rank_queries(model, test, known, tie_rule=tie_rule, filtered=filtered)
+    ranks = rank_queries(model, test, known, tie_rule=tie_rule)
     return metrics(ranks, ks), ranks
 
 
@@ -176,36 +173,3 @@ def ranks_tsv(test: np.ndarray, ranks: np.ndarray) -> str:
         lines.append(f"{s}\t{p}\t{o}\tsubject\t{subject:g}")
         lines.append(f"{s}\t{p}\t{o}\tobject\t{obj:g}")
     return "\n".join(lines) + "\n"
-
-
-def predict_predicates(
-    model: EmbeddingModel,
-    lineage: dict[int, LineageEntry],
-    query: Sequence[int],
-    top: int,
-) -> list[str]:
-    """Temporally filtered predicate prediction for one query.
-
-    ``query`` is one fact row ``(s, p, o, b, e)``; its predicate is not
-    used.  Scores every derived predicate between the query's entities,
-    keeps the ``top`` best, drops those whose lineage interval misses
-    [b, e] entirely, then maps the survivors to their source predicates,
-    deduplicated in best-rank order.
-    """
-    if top < 1:
-        raise ValueError("top must be >= 1")
-    s, _, o, b, e = (int(x) for x in query)
-    scores = model.score_predicates(s, o)
-    order = np.argsort(scores, kind="stable")[:top]
-    out: list[str] = []
-    seen: set[str] = set()
-    for pid in order:
-        ent = lineage.get(int(pid))
-        if ent is None:
-            continue
-        if ent.end < b or ent.begin > e:
-            continue
-        if ent.source not in seen:
-            seen.add(ent.source)
-            out.append(ent.source)
-    return out

@@ -1,4 +1,4 @@
-"""Temporal knowledge graph data model, dataset ingestion and slicing.
+"""Temporal knowledge graph data model and dataset ingestion.
 
 A graph's facts are one int64 array of shape (n, 5) whose columns are
 ``(s, p, o, b, e)``: subject, predicate, object, and the begin and end of
@@ -110,29 +110,6 @@ class TemporalGraph:
     def split_sizes(self) -> dict[str, int]:
         return dict(zip(SPLIT_NAMES, np.bincount(self.splits, minlength=3).tolist()))
 
-    def _subgraph(self, keep: np.ndarray) -> TemporalGraph:
-        return TemporalGraph(
-            facts=self.facts[keep],
-            splits=self.splits[keep],
-            entity_labels=self.entity_labels,
-            predicate_labels=self.predicate_labels,
-            time_labels=self.time_labels,
-        )
-
-
-def slice_at(g: TemporalGraph, t: int) -> TemporalGraph:
-    """Facts valid at ``t``, i.e. those with b <= t <= e."""
-    if not 0 <= t < g.num_timestamps:
-        raise ValueError(f"timestamp id {t} not in graph")
-    return g._subgraph((g.facts[:, 3] <= t) & (t <= g.facts[:, 4]))
-
-
-def restrict_predicate(g: TemporalGraph, r: int) -> TemporalGraph:
-    """Facts whose predicate is ``r``."""
-    if not 0 <= r < g.num_predicates:
-        raise ValueError(f"predicate id {r} not in graph")
-    return g._subgraph(g.facts[:, 1] == r)
-
 
 def strip_temporal(g: TemporalGraph) -> dict[str, np.ndarray]:
     """Discard temporal scopes, keeping duplicates and split membership:
@@ -194,7 +171,11 @@ def _read_columns(path: Path, arity: int, what: str) -> list[list[str]]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
+    # read_text turns "\r\n" and "\r" into "\n"; split there only, since
+    # str.splitlines also breaks at U+2028, \x1c and other label characters
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
     tabs = list(map(str.count, lines, repeat("\t")))
     # indices of the lines with the right number of fields, and of the rest
     at: range | list[int] = range(len(lines))

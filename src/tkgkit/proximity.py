@@ -171,12 +171,3 @@ def signature_series(
         for u, v in active[t]:
             row[col[(u, v)]] = score(slices[t], u, v)
     return series
-
-
-def signature_csv(series: SignatureSeries, entity_labels: tuple[str, ...]) -> str:
-    """Debug dump: header of canonical pair labels, one row per timestamp."""
-    header = ",".join(f"{entity_labels[u]}|{entity_labels[v]}" for u, v in series.pairs)
-    lines = [header]
-    for row in series.matrix:
-        lines.append(",".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .cpd import CpdConfig, bottom_up, normalize_rows
-from .graph import DataError, TemporalGraph, expand_ranges
+from .graph import TemporalGraph, expand_ranges
 from .proximity import SIGNATURE_SCOPES, can_share_neighbors, neighbor_slices, signature_series
 
 logger = logging.getLogger(__name__)
@@ -134,19 +134,18 @@ class _MutableTKG:
     ``lineage`` and, while it is live, its rows in ``buckets``.  A predicate
     reaches the output exactly while it has a bucket; ``new_predicate``
     gives a new id past the input vocabulary a label and an entry, and the
-    caller gives it its rows.  Sources are carried as labels so chained
-    transformations keep pointing at the oldest ancestor.  ``split_points``
-    records every cut ``split_at`` makes.
+    caller gives it its rows.  Sources are carried as labels, so a child
+    cut again still names the input predicate it came from.
+    ``split_points`` records every cut ``split_at`` makes.
     """
 
-    def __init__(self, g: TemporalGraph, lineage: dict[int, LineageEntry] | None = None):
+    def __init__(self, g: TemporalGraph):
         self.g = g
         self.labels: list[str] = list(g.predicate_labels)
         self._used: set[str] = set(self.labels)
         rows = np.column_stack((g.facts, g.splits))
         self.buckets = dict(enumerate(_group(rows, rows[:, 1], range(g.num_predicates))))
-        lineage = lineage or {}
-        self.lineage = {p: lineage.get(p, root) for p, root in _root_lineage(g).items()}
+        self.lineage = _root_lineage(g)
         self.split_points: list[tuple[str, str]] = []
         self._ordinal: dict[str, int] = defaultdict(int)
 
@@ -315,27 +314,6 @@ def timestamp(g: TemporalGraph) -> TransformResult:
 # ---------------------------------------------------------------------------
 # splitting
 # ---------------------------------------------------------------------------
-
-def split_once(
-    g: TemporalGraph,
-    predicate: int,
-    t: int,
-    lineage: dict[int, LineageEntry] | None = None,
-) -> TransformResult:
-    """Split one predicate of ``g`` at timestamp ``t``.
-
-    ``lineage`` from an earlier transformation keeps sources pointing at
-    the oldest ancestors; without it every predicate counts as original.
-    """
-    if not 0 <= predicate < g.num_predicates:
-        raise ValueError(f"predicate id {predicate} not in graph")
-    mg = _MutableTKG(g, lineage)
-    mg.split_once(predicate, t)
-    report = _base_report(
-        "split_once", {"predicate": g.predicate_labels[predicate], "t": g.time_labels[t]}, g
-    )
-    return _finish(mg, report)
-
 
 def _midpoint_split(mg: _MutableTKG, pid: int) -> int | None:
     span = mg.span(pid)
@@ -636,35 +614,3 @@ def save_lineage(
             if ent.stamp is not None:
                 row.append(g.time_labels[ent.stamp])
             fh.write("\t".join(row) + "\n")
-
-
-def load_lineage(g: TemporalGraph, path: str | Path) -> dict[int, LineageEntry]:
-    """Read a lineage sidecar back against the graph it was written for."""
-    pred_id = {label: i for i, label in enumerate(g.predicate_labels)}
-    time_id = {label: i for i, label in enumerate(g.time_labels)}
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    lineage: dict[int, LineageEntry] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) not in (4, 5):
-            raise DataError(f"{path}:{lineno}: expected 4 or 5 columns")
-        derived, source, b_lab, e_lab = parts[:4]
-        if derived not in pred_id:
-            raise DataError(f"{path}:{lineno}: unknown predicate {derived!r}")
-        if b_lab not in time_id or e_lab not in time_id:
-            raise DataError(f"{path}:{lineno}: unknown timestamp in {line!r}")
-        stamp = None
-        if len(parts) == 5 and parts[4]:
-            if parts[4] not in time_id:
-                raise DataError(f"{path}:{lineno}: unknown stamp {parts[4]!r}")
-            stamp = time_id[parts[4]]
-        lineage[pred_id[derived]] = LineageEntry(
-            source=source, begin=time_id[b_lab], end=time_id[e_lab], stamp=stamp
-        )
-    return lineage

@@ -293,7 +293,7 @@ def _filtered_mrr(g, seed: int) -> float:
     )
     model = train(s["train"], g.num_entities, g.num_predicates, cfg)
     known = np.concatenate((s["train"], s["valid"], s["test"]))
-    return metrics(rank_queries(model, s["test"], known, "mean", filtered=True)).mrr
+    return metrics(rank_queries(model, s["test"], known, "mean")).mrr
 
 
 def test_c5b_transforms_beat_static_baseline():
@@ -452,7 +452,7 @@ def test_c7_ranking_matches_enumeration():
         known = draw(int(rng.integers(5, 40))) + test
         tie = ("optimistic", "pessimistic", "mean")[case % 3]
         filtered = case % 4 != 3
-        got = rank_queries(model, test, known, tie, filtered)
+        got = rank_queries(model, test, known if filtered else (), tie)
         want = np.reshape(enumerated_ranks(model, test, known, tie, filtered), (-1, 2))
         assert got.tolist() == want.tolist(), case
 
@@ -492,7 +492,7 @@ def test_c9_leakage_filter_lowers_hits10():
         for seed in range(3):
             cfg = TrainConfig(epochs=20, seed=seed)
             model = train(tr, g.num_entities, g.num_predicates, cfg)
-            ranks = rank_queries(model, te, np.concatenate((tr, va, te)), "mean", filtered=True)
+            ranks = rank_queries(model, te, np.concatenate((tr, va, te)), "mean")
             hits[mode, seed] = metrics(ranks, (10,)).hits[10]
     for seed in range(3):
         assert hits["both", seed] < hits["none", seed], hits

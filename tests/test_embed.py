@@ -612,6 +612,27 @@ def test_load_model_checks_meta(tmp_path, key, value, hint):
         load_model(tmp_path / "m")
 
 
+@pytest.mark.parametrize("meta", ["[1]", "1", '"model"', "null"])
+def test_load_model_rejects_meta_that_is_not_an_object(tmp_path, meta):
+    model = EmbeddingModel(entity=np.zeros((2, 2)), predicate=np.zeros((1, 2)))
+    save_model(model, tmp_path / "m")
+    (tmp_path / "m" / "model.meta.json").write_text(meta)
+    with pytest.raises(DataError, match="not an object"):
+        load_model(tmp_path / "m")
+
+
+@pytest.mark.parametrize("name", ["entity", "predicate"])
+@pytest.mark.parametrize("dtype", [np.complex128, np.float32, np.int64])
+def test_load_model_rejects_arrays_that_are_not_float64(tmp_path, name, dtype):
+    # a complex array would load and then fail to rank with a TypeError
+    model = EmbeddingModel(entity=np.zeros((2, 2)), predicate=np.zeros((1, 2)))
+    save_model(model, tmp_path / "m")
+    path = tmp_path / "m" / f"{name}.npy"
+    np.save(path, np.load(path).astype(dtype))
+    with pytest.raises(DataError, match=f"{name}.npy holds .*, not float64"):
+        load_model(tmp_path / "m")
+
+
 def test_export_embeddings(tmp_path):
     model = EmbeddingModel(entity=np.arange(6.0).reshape(3, 2),
                            predicate=np.ones((1, 2)))

@@ -1,4 +1,4 @@
-"""Ranking against a brute-force oracle, metric math, predicate prediction."""
+"""Ranking against a brute-force oracle, and metric math."""
 
 from __future__ import annotations
 
@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 
 import tkgkit.embed
-from tkgkit import (
-    EmbeddingModel,
-    LineageEntry,
-    NumericError,
-    evaluate,
-    metrics,
-    predict_predicates,
-    rank_queries,
-)
+from tkgkit import EmbeddingModel, NumericError, evaluate, metrics, rank_queries
 from tkgkit.eval import TIE_RULES, _known_answers, ranks_tsv
 
 def T(s, p, o):
@@ -37,7 +29,7 @@ def rank_from_counts(n_better, n_equal, tie_rule):
     return n_better + n_equal / 2.0 + 1
 
 
-def brute_force_ranks(model, test, known, tie_rule, filtered):
+def brute_force_ranks(model, test, known, tie_rule):
     """Rank by explicit candidate enumeration, one python loop per query:
     a (subject rank, object rank) pair per test triple."""
     known = set(known)
@@ -50,7 +42,7 @@ def brute_force_ranks(model, test, known, tie_rule, filtered):
                 cands = [
                     e
                     for e in range(model.num_entities)
-                    if e == o or not (filtered and T(s, p, e) in known)
+                    if e == o or T(s, p, e) not in known
                 ]
                 scores = {e: naive_score(model, s, p, e) for e in cands}
                 target = o
@@ -58,7 +50,7 @@ def brute_force_ranks(model, test, known, tie_rule, filtered):
                 cands = [
                     e
                     for e in range(model.num_entities)
-                    if e == s or not (filtered and T(e, p, o) in known)
+                    if e == s or T(e, p, o) not in known
                 ]
                 scores = {e: naive_score(model, e, p, o) for e in cands}
                 target = s
@@ -109,8 +101,10 @@ def test_rank_queries_matches_bruteforce(tie_rule, filtered, monkeypatch):
         rng = np.random.default_rng(123)
         for i in range(60):
             model, test, known = random_case(rng, ties=i >= 30)
-            got = rank_queries(model, test, known, tie_rule=tie_rule, filtered=filtered)
-            want = brute_force_ranks(model, test, known, tie_rule, filtered)
+            if not filtered:
+                known = []
+            got = rank_queries(model, test, known, tie_rule=tie_rule)
+            want = brute_force_ranks(model, test, known, tie_rule)
             assert got.dtype == np.float64 and got.shape == (len(test), 2)
             assert got.tolist() == want
 
@@ -126,11 +120,11 @@ def whole_matrix_scores(model, side, a, b):
     return np.sqrt(np.square(delta).sum(axis=-1))
 
 
-def reference_rank_queries(model, test, known, tie_rule, filtered):
+def reference_rank_queries(model, test, known, tie_rule):
     """rank_queries as written before row blocking, one whole-matrix pass a query."""
     test = list(test)
     q = np.asarray(test, dtype=np.int64).reshape(-1, 3)
-    k = np.asarray(known if filtered else (), dtype=np.int64).reshape(-1, 3)
+    k = np.asarray(known, dtype=np.int64).reshape(-1, 3)
     drops = zip(
         _known_answers(k[:, 1], k[:, 2], k[:, 0], q[:, 1], q[:, 2]),
         _known_answers(k[:, 0], k[:, 1], k[:, 2], q[:, 0], q[:, 1]),
@@ -178,9 +172,9 @@ def test_rank_queries_across_real_blocks_match_whole_matrix(norm, ties):
                 got = score(a, b, out=model.score_scratch())
                 assert got.tobytes() == whole_matrix_scores(model, side, a, b).tobytes()
         for tie_rule in TIE_RULES:
-            for filtered in (True, False):
-                got = rank_queries(model, test, known, tie_rule=tie_rule, filtered=filtered)
-                want = reference_rank_queries(model, test, known, tie_rule, filtered)
+            for k in (known, ()):
+                got = rank_queries(model, test, k, tie_rule=tie_rule)
+                want = reference_rank_queries(model, test, k, tie_rule)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -222,9 +216,9 @@ def test_two_records_per_triple():
     model, test, known = random_case(rng)
     ranks = rank_queries(model, test, known)
     assert ranks.shape == (len(test), 2)
-    for filtered in (True, False):
+    for k in (known, ()):
         for empty in ([], np.empty((0, 3), dtype=np.int64)):
-            ranks = rank_queries(model, empty, known, filtered=filtered)
+            ranks = rank_queries(model, empty, k)
             assert ranks.dtype == np.float64 and ranks.shape == (0, 2)
 
 
@@ -255,8 +249,8 @@ def test_filtering_never_hurts_rank():
     rng = np.random.default_rng(9)
     for _ in range(10):
         model, test, known = random_case(rng)
-        raw = rank_queries(model, test, known, filtered=False)
-        filt = rank_queries(model, test, known, filtered=True)
+        raw = rank_queries(model, test, ())
+        filt = rank_queries(model, test, known)
         assert (filt <= raw).all()
 
 
@@ -268,8 +262,8 @@ def test_filtering_removes_known_competitors():
     model = EmbeddingModel(entity=entity, predicate=predicate, norm="l1")
     test = [T(0, 0, 1)]
     known = [T(0, 0, 2)] + test
-    raw = rank_queries(model, test, known, filtered=False)
-    filt = rank_queries(model, test, known, filtered=True)
+    raw = rank_queries(model, test, ())
+    filt = rank_queries(model, test, known)
     assert raw[0, 1] == 3  # loses to entities 0 and 2
     assert filt[0, 1] == 2  # entity 2 is filtered out; entity 0 remains
 
@@ -277,7 +271,7 @@ def test_filtering_removes_known_competitors():
 def test_target_itself_never_filtered():
     model = EmbeddingModel(entity=np.zeros((4, 2)), predicate=np.zeros((1, 2)))
     test = [T(0, 0, 1)]
-    ranks = rank_queries(model, test, known=test, filtered=True)
+    ranks = rank_queries(model, test, known=test)
     assert np.isfinite(ranks).all()
 
 
@@ -297,9 +291,9 @@ def test_overflowing_scores_raise(norm, value):
     model = EmbeddingModel(entity=np.full((4, 2), value), predicate=np.full((1, 2), value),
                            norm=norm)
     model.assert_finite()
-    for filtered in (True, False):
+    for known in ([T(0, 0, 1), T(0, 0, 2)], ()):
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="inf"):
-            rank_queries(model, [T(0, 0, 1)], [T(0, 0, 1), T(0, 0, 2)], filtered=filtered)
+            rank_queries(model, [T(0, 0, 1)], known)
 
 
 @pytest.mark.parametrize("block", [None, 1])
@@ -319,9 +313,9 @@ def test_first_overflowing_query_is_named(block, monkeypatch):
         ([ok, ok, ok, obj], r"\(6, 0, 6\) is inf \(object query\)"),
     ]
     for test, message in cases:
-        for filtered in (True, False):
+        for known in (test, ()):
             with np.errstate(over="ignore"), pytest.raises(NumericError, match=message):
-                rank_queries(model, test, test, filtered=filtered)
+                rank_queries(model, test, known)
 
 
 def test_unknown_tie_rule():
@@ -372,66 +366,3 @@ def test_ranks_tsv():
         "0\t2\t5\tsubject\t1",
         "0\t2\t5\tobject\t12",
     ]
-
-
-# ---------------------------------------------------------------------------
-# predicate prediction with temporal lineage filtering
-# ---------------------------------------------------------------------------
-
-def pred_model(scores):
-    # one-dimensional embeddings: with e_s = e_o the predicate score is
-    # just |value|, so the given order is the rank order
-    entity = np.zeros((2, 1))
-    predicate = np.array([[s] for s in scores], dtype=float)
-    return EmbeddingModel(entity=entity, predicate=predicate, norm="l1")
-
-
-def test_predict_predicates_orders_and_maps_to_source():
-    model = pred_model([3.0, 1.0, 2.0])
-    lineage = {
-        0: LineageEntry("a", 0, 9),
-        1: LineageEntry("b", 0, 9),
-        2: LineageEntry("c", 0, 9),
-    }
-    got = predict_predicates(model, lineage, (0, 0, 1, 2, 5), top=3)
-    assert got == ["b", "c", "a"]
-
-
-def test_predict_predicates_interval_filter_after_top():
-    # the best-scoring predicate lies outside the query window; it is
-    # dropped, not replaced, because the top cut happens first
-    model = pred_model([1.0, 2.0, 3.0])
-    lineage = {
-        0: LineageEntry("a", 0, 1),  # misses [4, 6]
-        1: LineageEntry("b", 4, 9),
-        2: LineageEntry("c", 5, 6),
-    }
-    got = predict_predicates(model, lineage, (0, 0, 1, 4, 6), top=2)
-    assert got == ["b"]
-
-
-def test_predict_predicates_boundary_overlap_counts():
-    model = pred_model([1.0, 2.0])
-    lineage = {
-        0: LineageEntry("a", 0, 4),  # touches the window at 4
-        1: LineageEntry("b", 7, 9),  # starts after it ends
-    }
-    got = predict_predicates(model, lineage, (0, 0, 1, 4, 6), top=2)
-    assert got == ["a"]
-
-
-def test_predict_predicates_dedups_sources():
-    model = pred_model([1.0, 2.0, 3.0])
-    lineage = {
-        0: LineageEntry("a", 0, 9),
-        1: LineageEntry("a", 0, 9),
-        2: LineageEntry("b", 0, 9),
-    }
-    got = predict_predicates(model, lineage, (0, 0, 1, 0, 9), top=3)
-    assert got == ["a", "b"]
-
-
-def test_predict_predicates_validates_top():
-    model = pred_model([1.0])
-    with pytest.raises(ValueError):
-        predict_predicates(model, {}, (0, 0, 1, 0, 0), top=0)

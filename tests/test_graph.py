@@ -21,7 +21,6 @@ from tkgkit import (
     load_triples,
     save_dataset,
     save_triples,
-    slice_at,
     strip_temporal,
 )
 from tkgkit.graph import (
@@ -29,7 +28,6 @@ from tkgkit.graph import (
     DEFAULT_MISSING_TOKENS,
     SPLIT_NAMES,
     format_stats,
-    restrict_predicate,
 )
 
 from tkgkit.cli import main
@@ -136,6 +134,27 @@ def test_malformed_line_dropped_with_warning(tmp_path, caplog):
     assert ":2:" in dropped[0].getMessage()  # line number reported
 
 
+def test_lines_break_at_newline_only(tmp_path, caplog):
+    # str.splitlines would also break inside these labels, at U+2028, U+0085,
+    # \x0b, \x0c and \x1c-\x1e, and load "Ann" as a malformed line
+    labels = [f"Ann{c}Lee" for c in "\u2028\x85\x0b\x0c\x1c\x1d\x1e"]
+    root = tmp_path / "d"
+    root.mkdir()
+    texts = {
+        "train": "".join(f"{label}\tmeets\tBob\t2014-01-01\r\n" for label in labels),
+        "valid": "Bob\tmeets\tAnn\t2014-01-02\n",
+        "test": "Bob\tmeets\tCid\t2014-01-03",
+    }
+    for name, text in texts.items():
+        (root / f"{name}.txt").write_bytes(text.encode("utf-8"))
+    with caplog.at_level(logging.WARNING):
+        g = load_dataset(root, "event")
+    assert not caplog.records
+    assert g.split_sizes() == {"train": 7, "valid": 1, "test": 1}
+    subjects = [g.entity_labels[s] for s in g.facts[g.splits == 0, 0].tolist()]
+    assert subjects == labels
+
+
 def test_missing_file_raises(tmp_path):
     root = tmp_path / "d"
     root.mkdir()
@@ -225,26 +244,6 @@ def test_constructor_rejects_unknown_split_ids(bad):
         )
 
 
-def test_slice_at_matches_bruteforce():
-    facts = [(0, 0, 1, 0, 3), (1, 0, 2, 2, 2), (2, 1, 0, 1, 4), (0, 1, 2, 4, 4)]
-    g = build_graph(facts, splits=[0, 0, 1, 2])
-    for t in range(5):
-        sl = slice_at(g, t)
-        rows = zip(g.facts.tolist(), g.splits.tolist())
-        expect = [(f, sp) for f, sp in rows if f[3] <= t <= f[4]]
-        assert list(zip(sl.facts.tolist(), sl.splits.tolist())) == expect
-    with pytest.raises(ValueError):
-        slice_at(g, 5)
-
-
-def test_restrict_predicate():
-    facts = [(0, 0, 1, 0, 3), (1, 1, 2, 2, 2), (2, 0, 0, 1, 4)]
-    g = build_graph(facts, splits=[0, 1, 2])
-    r = restrict_predicate(g, 0)
-    assert r.facts[:, 1].tolist() == [0, 0]
-    assert list(r.splits) == [0, 2]
-
-
 def test_constructor_takes_no_derived_state():
     # an index handed in could disagree with the facts: here it files fact 1
     # under predicate 0 and no fact under predicate 1
@@ -329,7 +328,7 @@ def _ref_read_rows(path, fmt):
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -434,7 +433,7 @@ def reference_load_triples(path):
         except OSError as exc:
             raise DataError(f"cannot read {fp}: {exc}") from exc
         rows = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
             parts = line.split("\t")
@@ -566,7 +565,7 @@ def test_loader_matches_reference_on_empty_and_unparseable(tmp_path):
         assert_loads_as_reference(root, None)
 
 
-LABELS = ["a", "b", "c", "d", "e", " a", "b ", "\xa0c", "d\xa0", "", " ", "x\x1cy"]
+LABELS = ["a", "b", "c", "d", "e", " a", "b ", "\xa0c", "d\xa0", "", " ", "x\x1cy", "x\u2028y"]
 YEARS = ["1990", "2001", "1850", " 2001", "007", "0", "-12", "-0", "abc", "12abc",
          "2001-05-03", "٣", "-", "####", "####-##-##", "", " "]
 NUMERIC_STAMPS = ["1", "2", "10", "-5", "100"]

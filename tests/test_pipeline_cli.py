@@ -374,6 +374,25 @@ def test_cli_eval_non_finite_model(tiny_dataset, tmp_path):
     assert main(["eval", "--triples", str(filtered), "--model", str(tmp_path / "model")]) == 4
 
 
+def test_cli_eval_bad_checkpoint_exits_3(tiny_dataset, tmp_path, capsys):
+    import numpy as np
+
+    filtered = tmp_path / "filtered"
+    main(["filter", "--data", str(tiny_dataset), "--mode", "none", "--out", str(filtered)])
+    _, entity_labels, predicate_labels = tkgkit.load_triples(filtered)
+    model = tkgkit.EmbeddingModel(
+        entity=np.zeros((len(entity_labels), 4)), predicate=np.zeros((len(predicate_labels), 4))
+    )
+    for bad, edit in (
+        ("meta", lambda d: (d / "model.meta.json").write_text("[]")),
+        ("dtype", lambda d: np.save(d / "entity.npy", model.entity.astype(complex))),
+    ):
+        tkgkit.save_model(model, tmp_path / bad)
+        edit(tmp_path / bad)
+        assert main(["eval", "--triples", str(filtered), "--model", str(tmp_path / bad)]) == 3
+        assert "data error" in capsys.readouterr().err
+
+
 def test_cli_segment_debug(tmp_path, capsys):
     sig = tmp_path / "sig.csv"
     sig.write_text("0\n0\n0\n5\n5\n5\n")

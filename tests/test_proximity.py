@@ -22,7 +22,6 @@ from tkgkit.proximity import (
     can_share_neighbors,
     get_measure,
     neighbor_slices,
-    signature_csv,
 )
 
 from conftest import build_graph
@@ -189,15 +188,6 @@ def test_signature_rejects_bad_args():
     for wrong in (slices[:3], slices + slices[:1], []):
         with pytest.raises(ValueError, match="slices"):
             signature_series(rows, n_t, slices=wrong)
-
-
-def test_signature_csv_layout():
-    g = _demo_graph()
-    sig = _signature(g, 1)
-    text = signature_csv(sig, g.entity_labels)
-    lines = text.strip().split("\n")
-    assert len(lines) == 1 + g.num_timestamps
-    assert lines[0].count("|") == len(sig.pairs)
 
 
 def reference_signature(g, predicate, measure, scope):

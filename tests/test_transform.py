@@ -13,12 +13,10 @@ from tkgkit import (
     CpdConfig,
     TemporalGraph,
     identity,
-    load_lineage,
     merge,
     random_split,
     save_lineage,
     split_cpd,
-    split_once,
     split_parameterized,
     timestamp,
 )
@@ -99,8 +97,16 @@ def test_timestamp_label_collision_guard():
 
 
 # ---------------------------------------------------------------------------
-# split_once
+# split_once: the cut split_parameterized and random_split make
 # ---------------------------------------------------------------------------
+
+def cut(g, *cuts):
+    """The result of ``_MutableTKG.split_once`` at each (pid, t) in turn."""
+    mg = _MutableTKG(g)
+    for pid, t in cuts:
+        mg.split_once(pid, t)
+    return _finish(mg, _base_report("cut", {}, g))
+
 
 def test_split_once_partitions_facts():
     g = build_graph(
@@ -112,7 +118,7 @@ def test_split_once_partitions_facts():
         splits=[0, 1, 2],
         num_times=5,
     )
-    res = split_once(g, 0, 2)
+    res = cut(g, (0, 2))
     out = res.graph
     assert out.num_predicates == 2
     assert out.predicate_labels == ("r0#1[0,2]", "r0#2[2,4]")
@@ -133,7 +139,7 @@ def test_split_once_boundary_facts_span():
     # the spanning branch is checked first, so any fact touching t lands in
     # both children, cut at t; strictly-one-sided facts move whole
     g = build_graph([(0, 0, 1, 0, 2), (1, 0, 2, 2, 4), (2, 0, 3, 0, 1)], num_times=5)
-    res = split_once(g, 0, 2)
+    res = cut(g, (0, 2))
     by_pred = {}
     for s, p, _, b, e in res.graph.facts.tolist():
         by_pred.setdefault(p, []).append((s, b, e))
@@ -143,26 +149,22 @@ def test_split_once_boundary_facts_span():
 
 def test_split_once_rejects_out_of_span():
     g = build_graph([(0, 0, 1, 2, 5)], num_times=8)
-    with pytest.raises(ValueError, match="active span"):
-        split_once(g, 0, 1)
-    with pytest.raises(ValueError, match="active span"):
-        split_once(g, 0, 6)
-    with pytest.raises(ValueError):
-        split_once(g, 3, 2)  # no such predicate
+    for t in (1, 6):
+        with pytest.raises(ValueError, match="active span"):
+            _MutableTKG(g).split_once(0, t)
 
 
 def test_split_once_chained_lineage():
     g = build_graph([(0, 0, 1, 0, 9)], num_times=10)
-    first = split_once(g, 0, 4)
-    # split the right child again, carrying lineage through
-    second = split_once(first.graph, 1, 7, lineage=first.lineage)
-    assert second.graph.num_predicates == 3
-    for ent in second.lineage.values():
-        assert ent.source == "r0"  # oldest ancestor, not the intermediate
+    # the first cut gives children 1 and 2; cut the right one again
+    res = cut(g, (0, 4), (2, 7))
+    assert res.graph.num_predicates == 3
+    for ent in res.lineage.values():
+        assert ent.source == "r0"  # the input predicate, not the intermediate
     # intervals tile the source span, overlapping only at split points
-    ivs = sorted((ent.begin, ent.end) for ent in second.lineage.values())
+    ivs = sorted((ent.begin, ent.end) for ent in res.lineage.values())
     assert ivs == [(0, 4), (4, 7), (7, 9)]
-    assert coverage(second.graph, second.lineage) == coverage(g)
+    assert coverage(res.graph, res.lineage) == coverage(g)
 
 
 def test_split_ordinals_count_per_source():
@@ -568,12 +570,23 @@ def test_report_format_lines(tiny_graph):
     assert sum(1 for l in lines if l.startswith("split\t")) == res.report.splits_applied
 
 
+def read_lineage(g, path):
+    """A lineage sidecar's rows, labels mapped back to ids: derived,
+    source, begin, end[, stamp]."""
+    pid = {label: i for i, label in enumerate(g.predicate_labels)}
+    tid = {label: i for i, label in enumerate(g.time_labels)}
+    lineage = {}
+    for line in path.read_text(encoding="utf-8").split("\n")[:-1]:
+        derived, source, *stamps = line.split("\t")
+        lineage[pid[derived]] = LineageEntry(source, *(tid[t] for t in stamps))
+    return lineage
+
+
 def test_lineage_roundtrip(tmp_path, tiny_graph):
     res = timestamp(tiny_graph)
     path = tmp_path / "lineage.tsv"
     save_lineage(res.graph, res.lineage, path)
-    loaded = load_lineage(res.graph, path)
-    assert loaded == res.lineage
+    assert read_lineage(res.graph, path) == res.lineage
     first = path.read_text().splitlines()[0].split("\t")
     assert len(first) == 5  # stamped predicates carry the stamp column
 
@@ -582,8 +595,7 @@ def test_lineage_roundtrip_without_stamp(tmp_path, tiny_graph):
     res = split_parameterized(tiny_graph, "time", grow=2)
     path = tmp_path / "lineage.tsv"
     save_lineage(res.graph, res.lineage, path)
-    loaded = load_lineage(res.graph, path)
-    assert loaded == res.lineage
+    assert read_lineage(res.graph, path) == res.lineage
     first = path.read_text().splitlines()[0].split("\t")
     assert len(first) == 4
 
@@ -689,12 +701,12 @@ def assert_lineage_holds_facts(res):
 def test_lineage_intervals_hold_facts_property(g, method, data):
     res = LINEAGE_TRANSFORMS[method](g)
     assert_lineage_holds_facts(res)
-    # split_once chained on the result, carrying its lineage
+    # a second transformation's cut on the result
     facts = res.graph.facts
     pid = data.draw(st.sampled_from(sorted(set(facts[:, 1].tolist()))))
     mine = facts[facts[:, 1] == pid]
     t = data.draw(st.integers(int(mine[:, 3].min()), int(mine[:, 4].max())))
-    assert_lineage_holds_facts(split_once(res.graph, pid, t, lineage=res.lineage))
+    assert_lineage_holds_facts(cut(res.graph, (pid, t)))
 
 
 @settings(max_examples=60, deadline=None)

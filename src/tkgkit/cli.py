@@ -12,13 +12,14 @@ import argparse
 import itertools
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .cpd import bottom_up, normalize_rows
-from .embed import NumericError, config_dict, export_embeddings, load_model, save_model, train
+from .embed import NumericError, export_embeddings, load_model, save_model, train
 from .eval import evaluate, ranks_tsv
 from .graph import (
     DataError,
@@ -229,7 +230,7 @@ def cmd_train(args) -> int:
     model = train(
         triples["train"], len(entity_labels), len(predicate_labels), cfg, history=history
     )
-    save_model(model, args.out, extra_meta={"train_config": config_dict(cfg)})
+    save_model(model, args.out, extra_meta={"train_config": asdict(cfg)})
     if args.export:
         export_embeddings(model, entity_labels, predicate_labels, args.out)
     if history:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -139,27 +139,19 @@ class EmbeddingModel:
         phi, _ = _phi_delta(self.entity, self.predicate, s, p, o, self.norm)
         return phi
 
-    def score_objects(self, s, p, out: np.ndarray | None = None) -> np.ndarray:
+    def score_objects(self, s, p) -> np.ndarray:
         """Scores of (s, p, e) for every candidate entity e.
 
         ``s`` and ``p`` are ids, giving an (N,) array, or equal-length id
-        arrays, giving one (B, N) row per query.  ``out``, scratch from
-        :meth:`score_scratch`, is overwritten.
+        arrays, giving one (B, N) row per query.
         """
-        return self._entity_scores(np.subtract, self.entity[s] + self.predicate[p], out)
+        return self._entity_scores(np.subtract, self.entity[s] + self.predicate[p])
 
-    def score_subjects(self, p, o, out: np.ndarray | None = None) -> np.ndarray:
+    def score_subjects(self, p, o) -> np.ndarray:
         """Scores of (e, p, o) for every candidate entity e; arguments as above."""
-        return self._entity_scores(np.add, self.predicate[p] - self.entity[o], out)
+        return self._entity_scores(np.add, self.predicate[p] - self.entity[o])
 
-    def score_scratch(self, queries: int = 1) -> np.ndarray:
-        """Scratch for scoring up to ``queries`` queries at once: two
-        ``SCORE_BLOCK`` blocks, or one candidate's share if that is more."""
-        per_candidate = _per_candidate(self.dimension, queries)
-        width = min(self.num_entities, max(1, 2 * SCORE_BLOCK // per_candidate))
-        return np.empty(width * per_candidate)
-
-    def _entity_scores(self, op, query: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
+    def _entity_scores(self, op, query: np.ndarray) -> np.ndarray:
         """Norm of ``op(q, e)`` for each query row q and every entity row e.
 
         Each score has the bits of numpy's norm of the query's whole (N, d)
@@ -172,14 +164,16 @@ class EmbeddingModel:
           order;
         - from ``ROWS_FROM`` on, a query at a time, by ``sum(axis=-1)`` over
           row-major differences.
+
+        The tiles share one scratch array of two ``SCORE_BLOCK`` blocks, or
+        one candidate's share if that is more.
         """
         queries = query.reshape(-1, self.dimension)
         b, d = queries.shape
         n = self.num_entities
-        per_candidate = _per_candidate(d, b)
-        if scratch is None or scratch.size < per_candidate:
-            scratch = self.score_scratch(b)
-        step = min(n, scratch.size // per_candidate)
+        per_candidate = 2 * d if d >= ROWS_FROM else d * (b + 1)
+        step = min(n, max(1, 2 * SCORE_BLOCK // per_candidate))
+        scratch = np.empty(step * per_candidate)
         magnitude = np.abs if self.norm == "l1" else np.square
         scores = np.empty((b, n))
         if d >= ROWS_FROM:
@@ -227,11 +221,6 @@ def _norm_of(delta: np.ndarray, norm: str) -> np.ndarray:
     if norm == "l1":
         return np.abs(delta).sum(axis=-1)
     return np.sqrt(np.square(delta).sum(axis=-1))
-
-
-def _per_candidate(d: int, queries: int) -> int:
-    """Scratch elements per candidate when scoring ``queries`` queries at once."""
-    return 2 * d if d >= ROWS_FROM else d * (queries + 1)
 
 
 def _pairwise_sum(terms: np.ndarray, out: np.ndarray) -> None:
@@ -469,18 +458,17 @@ def _draw_negatives(pos: np.ndarray, k: int, num_entities: int, rng: np.random.G
 # and the two scratch arrays take 1.5 MB, which stays in cache; of 2^12 to
 # 2^17, 2^15 was fastest on a 12,554 x 100 matrix
 ADAM_BLOCK = 1 << 15
+# Adam's decay rates of the moment estimates, and the term that keeps its
+# denominator off zero (Kingma & Ba 2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
     """Standard Adam over a fixed list of dense parameter arrays."""
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[np.ndarray], learning_rate: float):
         self.params = params
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
@@ -494,7 +482,7 @@ class Adam:
         as the whole-array form ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``.
         """
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
@@ -516,7 +504,7 @@ class Adam:
                 np.multiply(self.lr, ab, out=ab)
                 np.divide(vb, c2, out=bb)
                 np.sqrt(bb, out=bb)
-                bb += self.eps
+                bb += ADAM_EPS
                 ab /= bb
                 pb -= ab
 
@@ -658,7 +646,3 @@ def export_embeddings(
         with open(out / name, "w", encoding="utf-8") as fh:
             for label, row in zip(labels, matrix):
                 fh.write(label + "\t" + "\t".join(repr(float(x)) for x in row) + "\n")
-
-
-def config_dict(cfg: TrainConfig) -> dict:
-    return asdict(cfg)

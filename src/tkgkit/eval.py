@@ -80,7 +80,6 @@ def rank_queries(
         keep = ids != target[rows]
         drops.append((rows[keep], ids[keep]))
     block = max(1, embed.SCORE_BLOCK // model.num_entities)
-    buf = model.score_scratch(block)
 
     # candidates scoring better than the target, and tied with it (target excluded)
     better = np.empty((len(q), 2), dtype=np.int64)
@@ -90,10 +89,7 @@ def rank_queries(
         stop = start + len(s)
         targets = np.empty((len(s), 2))
         for j, target in enumerate((s, o)):
-            if j:
-                scores = model.score_objects(s, p, out=buf)
-            else:
-                scores = model.score_subjects(p, o, out=buf)
+            scores = model.score_objects(s, p) if j else model.score_subjects(p, o)
             target_score = targets[:, j] = scores[np.arange(len(s)), target]
             # count over all candidates, then take back the filtered ones
             rows, ids = drops[j]
@@ -170,6 +166,6 @@ def ranks_tsv(test: np.ndarray, ranks: np.ndarray) -> str:
     lines = ["subject\tpredicate\tobject\tside\trank"]
     triples = np.asarray(test, dtype=np.int64).reshape(-1, 3).tolist()
     for (s, p, o), (subject, obj) in zip(triples, ranks.tolist(), strict=True):
-        lines.append(f"{s}\t{p}\t{o}\tsubject\t{subject:g}")
-        lines.append(f"{s}\t{p}\t{o}\tobject\t{obj:g}")
+        lines.append(f"{s}\t{p}\t{o}\tsubject\t{subject:.15g}")
+        lines.append(f"{s}\t{p}\t{o}\tobject\t{obj:.15g}")
     return "\n".join(lines) + "\n"

@@ -9,7 +9,10 @@ parallel int8 array of shape (n,) holds each fact's split (0 train, 1
 valid, 2 test).  Stripping time leaves, per split, an int64 (n, 3) array of
 ``(s, p, o)`` rows.  A :class:`TemporalGraph` is treated as immutable after
 construction and holds no derived state, such as per-predicate indexes:
-every transformation builds a new graph.
+every transformation builds a new graph.  Two array primitives serve the
+transforms and the proximity signatures: ``expand_ranges`` lists each fact
+at each stamp it spans, and ``group_rows`` splits rows into blocks by a
+key, keeping row order within a block.
 """
 from __future__ import annotations
 
@@ -127,6 +130,15 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return which, lo[which] + np.arange(len(which)) - np.repeat(starts, counts)
 
 
+def group_rows(rows: np.ndarray, key: np.ndarray, values) -> list[np.ndarray]:
+    """``rows`` split into one block per entry of the increasing ``values``
+    that ``key`` takes, each block in row order; no block for no values."""
+    if not len(values):
+        return []
+    order = np.argsort(key, kind="stable")
+    return np.split(rows[order], np.searchsorted(key[order], values[1:]))
+
+
 # ---------------------------------------------------------------------------
 # dataset loading
 # ---------------------------------------------------------------------------
@@ -150,8 +162,8 @@ def format_stats(st: DatasetStats) -> str:
     return "".join(f"{name:<12} {value}\n" for name, value in vars(st).items())
 
 
-def _parse_year(token: str, missing_tokens: frozenset[str]) -> int | None:
-    if token.strip() in missing_tokens:
+def _parse_year(token: str) -> int | None:
+    if token.strip() in DEFAULT_MISSING_TOKENS:
         return None
     m = _YEAR_RE.match(token)
     if m is None:
@@ -240,11 +252,7 @@ def _event_time_labels(root: Path, tokens: dict[str, None]) -> tuple[str, ...]:
     return tuple(sorted(tokens, key=numbers.__getitem__) if numbers else sorted(tokens))
 
 
-def load_dataset(
-    path: str | Path,
-    fmt: str = "valid_time",
-    missing_tokens: frozenset[str] = DEFAULT_MISSING_TOKENS,
-) -> TemporalGraph:
+def load_dataset(path: str | Path, fmt: str = "valid_time") -> TemporalGraph:
     """Load ``train.txt``/``valid.txt``/``test.txt`` from a dataset directory.
 
     Valid-time files carry ``s p o begin end`` per line (tab-separated),
@@ -263,7 +271,7 @@ def load_dataset(
 
     if fmt == "valid_time":
         stamps = set().union(*(cols[k] for cols in per_split for k in (3, 4)))
-        year = {tok: _parse_year(tok, missing_tokens) for tok in stamps}
+        year = {tok: _parse_year(tok) for tok in stamps}
         # a missing begin sorts before every year and a missing end after
         low = {tok: -math.inf if y is None else y for tok, y in year.items()}
         high = {tok: math.inf if y is None else y for tok, y in year.items()}

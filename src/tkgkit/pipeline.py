@@ -16,15 +16,14 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .cpd import CpdConfig
-from .embed import (TRAIN_KEYS, TrainConfig, config_dict, parse_bool, parse_float,
-                    save_model, train)
+from .embed import TRAIN_KEYS, TrainConfig, parse_bool, parse_float, save_model, train
 from .eval import DEFAULT_HITS, TIE_RULES, evaluate, ranks_tsv
 from .graph import (
     DATA_FORMATS,
@@ -349,7 +348,7 @@ def run_pipeline(cfg: PipelineConfig):
         model,
         out / "model",
         extra_meta={
-            "train_config": config_dict(cfg.train),
+            "train_config": asdict(cfg.train),
             "config_hash": run_hash,
             "version": __version__,
         },

@@ -5,7 +5,10 @@ Neighborhoods are taken over the undirected view of a graph slice: an edge
 series stacks, per timestamp, the proximity scores of the entity pairs a
 predicate connects at that timestamp, giving one row per timestamp and one
 column per pair the predicate ever connects.  Change points in that matrix
-are where the predicate's neighborhood structure shifts.
+are where the predicate's neighborhood structure shifts.  Facts are
+expanded to their stamps with ``graph.expand_ranges``, and each stamp's
+edges keep fact order (``graph.group_rows`` is stable), because the order
+edges enter a neighborhood set fixes the order ``adamic_adar`` adds in.
 """
 from __future__ import annotations
 
@@ -13,6 +16,8 @@ import math
 from typing import Callable, Iterable
 
 import numpy as np
+
+from .graph import expand_ranges, group_rows
 
 PROXIMITY_MEASURES = ("jaccard", "adar", "pref")
 SIGNATURE_SCOPES = ("predicate", "graph")
@@ -99,31 +104,23 @@ class SignatureSeries:
     """Per-timestamp proximity scores for the pairs a predicate connects.
 
     ``matrix`` has shape (num timestamps in the graph, num distinct pairs);
-    ``pairs[j]`` is the canonical (min, max) entity pair of column ``j`` and
-    ``pair_index`` the inverse map.  Column order is fixed by sorted pair
-    order, so identical inputs always produce identical matrices.  A cell is
-    zero whenever its pair is not connected by the predicate at that row's
-    timestamp.
+    ``pairs[j]`` is the canonical (min, max) entity pair of column ``j``.
+    Column order is fixed by sorted pair order, so identical inputs always
+    produce identical matrices.  A cell is zero whenever its pair is not
+    connected by the predicate at that row's timestamp.
     """
 
     def __init__(self, matrix: np.ndarray, pairs: list[tuple[int, int]]):
         self.matrix = matrix
         self.pairs = pairs
-        self.pair_index = {pq: j for j, pq in enumerate(pairs)}
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 def neighbor_slices(facts: np.ndarray, num_timestamps: int) -> list[NeighborIndex]:
     """One NeighborIndex per timestamp over the fact rows valid then, each
     built from their (s, o) edges in fact order."""
-    edges: list[list[tuple[int, int]]] = [[] for _ in range(num_timestamps)]
-    for s, _, o, b, e in facts.tolist():
-        for t in range(b, e + 1):
-            edges[t].append((s, o))
-    return [NeighborIndex(e) for e in edges]
+    which, t = expand_ranges(facts[:, 3], facts[:, 4])
+    edges = group_rows(facts[:, [0, 2]][which], t, range(num_timestamps))
+    return [NeighborIndex(block.tolist()) for block in edges]
 
 
 def signature_series(
@@ -145,29 +142,25 @@ def signature_series(
     if slices is not None and len(slices) != num_timestamps:
         raise ValueError(f"{len(slices)} neighborhood slices for {num_timestamps} timestamps")
     score = get_measure(measure)
+    if not len(rows):
+        return SignatureSeries(np.zeros((num_timestamps, 0)), [])
 
-    facts = rows.tolist()
-    pairs = sorted({(min(s, o), max(s, o)) for s, _, o, _, _ in facts})
+    # each pair packed into one key, min * width + max, whose sorted order is
+    # the pairs' sorted order; column j holds the j-th distinct key
+    lo = np.minimum(rows[:, 0], rows[:, 2])
+    hi = np.maximum(rows[:, 0], rows[:, 2])
+    width = int(hi.max()) + 1
+    keys, column = np.unique(lo * width + hi, return_inverse=True)
+    lo, hi = np.divmod(keys, width)
+    n_pairs = len(keys)
 
-    n_t = num_timestamps
-    matrix = np.zeros((n_t, len(pairs)), dtype=np.float64)
-    series = SignatureSeries(matrix, pairs)
-    if not pairs:
-        return series
-
-    # bucket facts into every slice they span
-    active: list[set[tuple[int, int]]] = [set() for _ in range(n_t)]
-    for s, _, o, b, e in facts:
-        pq = (min(s, o), max(s, o))
-        for t in range(b, e + 1):
-            active[t].add(pq)
+    # the (timestamp, column) cells some fact connects, once each
+    which, t = expand_ranges(rows[:, 3], rows[:, 4])
+    t, j = np.divmod(np.unique(t * n_pairs + column[which]), n_pairs)
 
     if slices is None:
-        slices = neighbor_slices(rows, n_t)
-
-    col = series.pair_index
-    for t in range(n_t):
-        row = matrix[t]
-        for u, v in active[t]:
-            row[col[(u, v)]] = score(slices[t], u, v)
-    return series
+        slices = neighbor_slices(rows, num_timestamps)
+    matrix = np.zeros((num_timestamps, n_pairs), dtype=np.float64)
+    matrix[t, j] = [score(slices[k], u, v)
+                    for k, u, v in zip(t.tolist(), lo[j].tolist(), hi[j].tolist())]
+    return SignatureSeries(matrix, list(zip(lo.tolist(), hi.tolist())))

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .cpd import CpdConfig, bottom_up, normalize_rows
-from .graph import TemporalGraph, expand_ranges
+from .graph import TemporalGraph, expand_ranges, group_rows
 from .proximity import SIGNATURE_SCOPES, can_share_neighbors, neighbor_slices, signature_series
 
 logger = logging.getLogger(__name__)
@@ -37,15 +37,6 @@ SPLIT_METHODS = ("time", "count")
 # column keeps the input predicate until finalize numbers the output ones
 _B, _E = 3, 4
 _NO_ROWS = np.empty((0, 6), dtype=np.int64)
-
-
-def _group(rows: np.ndarray, key: np.ndarray, values) -> list[np.ndarray]:
-    """``rows`` split into one block per entry of the increasing ``values``
-    that ``key`` takes, each block in row order; no block for no values."""
-    if not len(values):
-        return []
-    order = np.argsort(key, kind="stable")
-    return np.split(rows[order], np.searchsorted(key[order], values[1:]))
 
 
 @dataclass(frozen=True)
@@ -144,7 +135,7 @@ class _MutableTKG:
         self.labels: list[str] = list(g.predicate_labels)
         self._used: set[str] = set(self.labels)
         rows = np.column_stack((g.facts, g.splits))
-        self.buckets = dict(enumerate(_group(rows, rows[:, 1], range(g.num_predicates))))
+        self.buckets = dict(enumerate(group_rows(rows, rows[:, 1], range(g.num_predicates))))
         self.lineage = _root_lineage(g)
         self.split_points: list[tuple[str, str]] = []
         self._ordinal: dict[str, int] = defaultdict(int)
@@ -222,7 +213,7 @@ class _MutableTKG:
         pieces = rows[which]
         pieces[:, _B] = np.maximum(pieces[:, _B], floor[child])
         pieces[:, _E] = np.minimum(pieces[:, _E], ceiling[child])
-        for c, block in zip(children, _group(pieces, child, range(len(children)))):
+        for c, block in zip(children, group_rows(pieces, child, range(len(children)))):
             self.buckets[c] = block
         return children
 
@@ -294,7 +285,7 @@ def _timestamp_into(mg: _MutableTKG) -> dict[int, list[int]]:
         }
         stamps = stamps.tolist()
         children[pid] = [dp[k] for k in stamps]
-        for c, block in zip(children[pid], _group(rows, t, stamps)):
+        for c, block in zip(children[pid], group_rows(rows, t, stamps)):
             mg.buckets[c] = block
     return children
 

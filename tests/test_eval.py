@@ -169,7 +169,7 @@ def test_rank_queries_across_real_blocks_match_whole_matrix(norm, ties):
         for s, p, o in test:
             for side, a, b in (("object", s, p), ("subject", p, o)):
                 score = model.score_objects if side == "object" else model.score_subjects
-                got = score(a, b, out=model.score_scratch())
+                got = score(a, b)
                 assert got.tobytes() == whole_matrix_scores(model, side, a, b).tobytes()
         for tie_rule in TIE_RULES:
             for k in (known, ()):
@@ -366,3 +366,11 @@ def test_ranks_tsv():
         "0\t2\t5\tsubject\t1",
         "0\t2\t5\tobject\t12",
     ]
+
+
+def test_ranks_tsv_keeps_every_digit_of_large_ranks():
+    # a mean-tie rank past 6 significant digits, and a rank past 10^6
+    text = ranks_tsv(np.array([T(0, 0, 1)]), np.array([[123456.5, 1234567.0]]))
+    assert text.splitlines()[1:] == ["0\t0\t1\tsubject\t123456.5", "0\t0\t1\tobject\t1234567"]
+    ranks = np.arange(1.0, 100000.5, 0.5)
+    assert [f"{r:.15g}" for r in ranks.tolist()] == [f"{r:g}" for r in ranks.tolist()]

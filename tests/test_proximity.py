@@ -153,7 +153,7 @@ def test_signature_matches_oracle(measure, scope):
 def test_signature_zero_when_inactive():
     g = _demo_graph()
     sig = _signature(g, 0, measure="pref")
-    j = sig.pair_index[(0, 1)]
+    j = sig.pairs.index((0, 1))
     assert sig.matrix[3, j] == 0.0  # (0,1) inactive at t=3
     assert sig.matrix[0, j] != 0.0
 
@@ -161,7 +161,7 @@ def test_signature_zero_when_inactive():
 def test_signature_shape_and_order():
     g = _demo_graph()
     sig = _signature(g, 0)
-    assert sig.shape == (4, len(sig.pairs))
+    assert sig.matrix.shape == (4, len(sig.pairs))
     assert sig.pairs == sorted(sig.pairs)
     assert all(u <= v for u, v in sig.pairs)
 
@@ -176,7 +176,7 @@ def test_signature_scope_changes_scores():
 def test_signature_empty_predicate():
     g = build_graph([(0, 0, 1, 0, 1)], num_predicates=2, num_times=2)
     sig = _signature(g, 1)
-    assert sig.shape == (2, 0)
+    assert sig.matrix.shape == (2, 0)
 
 
 def test_signature_rejects_bad_args():
@@ -253,6 +253,27 @@ def test_signature_bytes_match_reference(rows):
                                    slices=shared)
             assert got.matrix.tobytes() == reference_signature(g, pid, measure, "graph").tobytes()
 
+
+@settings(max_examples=60, deadline=None)
+@given(rows=quintuples)
+def test_neighbor_slices_keep_fact_order(rows):
+    """Each stamp's neighbour sets are filled edge by edge in fact order, so
+    their iteration order, on which the Adamic-Adar sum depends, is that of
+    the per-fact loop; stamps with no facts, also past the last one in use,
+    get an empty index."""
+    facts = np.array([(s, p, o, b, min(b + k, 7)) for s, p, o, b, k in rows])
+    n_t = 10
+    edges = [[] for _ in range(n_t)]
+    for s, _, o, b, e in facts.tolist():
+        for t in range(b, e + 1):
+            edges[t].append((s, o))
+    slices = neighbor_slices(facts, n_t)
+    assert len(slices) == n_t
+    for t, index in enumerate(slices):
+        want = NeighborIndex(edges[t])
+        for v in range(41):
+            assert list(index.neighbors(v)) == list(want.neighbors(v)), (t, v)
+    assert not any(edges[8:])  # stamps 8 and 9 come after every fact
 
 
 def _edges_of(g, pid):

@@ -19,6 +19,8 @@ import numpy as np
 
 # difference elements median_heuristic_gamma holds at once (256 KB)
 _CHUNK_ELEMENTS = 1 << 15
+# pairs median_heuristic_gamma samples at most
+MEDIAN_PAIRS = 10000
 
 
 def normalize_rows(signal: np.ndarray) -> np.ndarray:
@@ -50,8 +52,8 @@ def rbf_kernel(x1: np.ndarray, x2: np.ndarray, gamma: float) -> float:
     return float(np.exp(-gamma * float(diff @ diff)))
 
 
-def median_heuristic_gamma(signal: np.ndarray, max_pairs: int = 10000) -> float:
-    """1 / median pairwise squared distance, from at most ``max_pairs`` pairs.
+def median_heuristic_gamma(signal: np.ndarray) -> float:
+    """1 / median pairwise squared distance, from at most ``MEDIAN_PAIRS`` pairs.
 
     Pairs are taken in a fixed order by striding the full (i < j) pair list.
     Falls back to 1.0 when the median distance is zero (constant signal) or
@@ -62,7 +64,7 @@ def median_heuristic_gamma(signal: np.ndarray, max_pairs: int = 10000) -> float:
     if n < 2:
         return 1.0
     total = n * (n - 1) // 2
-    stride = -(-total // max_pairs)
+    stride = -(-total // MEDIAN_PAIRS)
     # flat index f of pair (i, j) is start[i] + j - i - 1; only the sampled
     # pairs are computed, a bounded chunk of difference rows at a time
     rows = np.arange(n - 1)
@@ -117,7 +119,6 @@ class Segmentation:
     num_samples: int
     total_cost: float
     gamma: float
-    degenerate: bool = False
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -153,14 +154,6 @@ class _GramCosts:
         if length <= 0:
             raise ValueError(f"empty segment [{a}, {b})")
         return length - self.block_sum(a, b) / length
-
-
-def segment_cost(signal: np.ndarray, a: int, b: int, gamma: float) -> float:
-    """Kernelized mean-change cost of samples a..b-1 (standalone helper)."""
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    return _GramCosts(x[a:b], gamma).cost(0, b - a)
 
 
 def bottom_up(
@@ -204,7 +197,6 @@ def bottom_up(
             num_samples=n,
             total_cost=costs.cost(0, n),
             gamma=g,
-            degenerate=True,
             warnings=[f"signal too short to split ({n} < 2*min_size)"],
         )
 

@@ -212,7 +212,8 @@ class EmbeddingModel:
 SCORE_BLOCK = 1 << 15
 # dimension from which scoring sums rows rather than columns: on a 2-core
 # Xeon with 1,255 or 12,554 candidates, columns took 2.6-3.4 ns per term at
-# d = 4-16 against 2.7-9.3 for rows, and 3.1-4.5 against 1.9-2.4 at d = 64-100
+# d = 4-16 against 2.7-9.3 for rows, and 3.1-4.5 against 1.9-2.4 at d = 64-100.
+# It must stay at or below 129: _pairwise_sum adds at most 128 terms
 ROWS_FROM = 24
 
 
@@ -225,17 +226,17 @@ def _norm_of(delta: np.ndarray, norm: str) -> np.ndarray:
 
 def _pairwise_sum(terms: np.ndarray, out: np.ndarray) -> None:
     """Write to ``out`` the sum over the first axis of ``terms``, added in
-    the order of numpy's pairwise summation of n contiguous elements
-    (``pairwise_sum`` in numpy's ``loops_utils.h.src``); ``terms`` is
-    overwritten.  No term may be -0.0: numpy's sum starts from 0.0, which
-    turns a sum of -0.0 into 0.0.
+    the order of numpy's pairwise summation of n <= 128 contiguous elements
+    (``pairwise_sum`` in numpy's ``loops_utils.h.src``, which splits longer
+    sums in halves first); ``terms`` is overwritten.  No term may be -0.0:
+    numpy's sum starts from 0.0, which turns a sum of -0.0 into 0.0.
     """
     n = len(terms)
     if n < 8:
         np.copyto(out, terms[0])
         for term in terms[1:]:
             out += term
-    elif n <= 128:
+    else:
         # eight accumulators over terms j, j + 8, ...; then
         # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)); then the rest
         stop = n - n % 8
@@ -247,11 +248,6 @@ def _pairwise_sum(terms: np.ndarray, out: np.ndarray) -> None:
         np.add(r[0], r[4], out=out)
         for term in terms[stop:]:
             out += term
-    else:
-        half = n // 2 - n // 2 % 8
-        _pairwise_sum(terms[:half], out)
-        _pairwise_sum(terms[half:], terms[half])
-        out += terms[half]
 
 
 def _phi_delta(entity, predicate, s, p, o, norm):

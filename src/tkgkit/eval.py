@@ -14,6 +14,7 @@ import numpy as np
 
 from . import embed
 from .embed import EmbeddingModel, NumericError
+from .graph import expand_ranges
 
 TIE_RULES = ("optimistic", "pessimistic", "mean")
 DEFAULT_HITS = (1, 3, 10)
@@ -61,47 +62,40 @@ def rank_queries(
     Queries are scored a block at a time: each block of
     ``max(1, SCORE_BLOCK // N)`` test triples takes one ``score_subjects``
     and one ``score_objects`` call, whose scores are those of scoring each
-    query's (N, d) difference matrix at once.
+    query's (N, d) difference matrix at once.  Each block of scores is the
+    call's own array, so after reading the targets' scores the block sets
+    every filtered candidate and the target itself to ``inf``, which no
+    finite target score exceeds or equals, and counts the rest.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}; expected one of {TIE_RULES}")
     model.assert_finite()
     q = np.asarray(test, dtype=np.int64).reshape(-1, 3)
     k = np.asarray(known, dtype=np.int64).reshape(-1, 3)
-    # per side, the (query, candidate) pairs filtering drops: every known
-    # answer other than the target, in query order
-    drops = []
-    for answers, target in (
-        (_known_answers(k[:, 1], k[:, 2], k[:, 0], q[:, 1], q[:, 2]), q[:, 0]),
-        (_known_answers(k[:, 0], k[:, 1], k[:, 2], q[:, 0], q[:, 1]), q[:, 2]),
-    ):
-        rows = np.repeat(np.arange(len(q)), [len(a) for a in answers])
-        ids = np.concatenate([np.empty(0, np.int64), *answers])
-        keep = ids != target[rows]
-        drops.append((rows[keep], ids[keep]))
+    # per side, every (query, known answer) pair, in query order
+    answers = (
+        _known_answers(k[:, 1], k[:, 2], k[:, 0], q[:, 1], q[:, 2]),
+        _known_answers(k[:, 0], k[:, 1], k[:, 2], q[:, 0], q[:, 1]),
+    )
     block = max(1, embed.SCORE_BLOCK // model.num_entities)
 
-    # candidates scoring better than the target, and tied with it (target excluded)
+    # candidates scoring better than the target, and tied with it
     better = np.empty((len(q), 2), dtype=np.int64)
     equal = np.empty((len(q), 2), dtype=np.int64)
     for start in range(0, len(q), block):
         s, p, o = q[start:start + block].T
         stop = start + len(s)
+        at = np.arange(len(s))
         targets = np.empty((len(s), 2))
         for j, target in enumerate((s, o)):
             scores = model.score_objects(s, p) if j else model.score_subjects(p, o)
-            target_score = targets[:, j] = scores[np.arange(len(s)), target]
-            # count over all candidates, then take back the filtered ones
-            rows, ids = drops[j]
+            target_score = targets[:, j] = scores[at, target]
+            rows, ids = answers[j]
             lo, hi = np.searchsorted(rows, (start, stop))
-            rows, ids = rows[lo:hi] - start, ids[lo:hi]
-            dropped, dropped_target = scores[rows, ids], target_score[rows]
-            better[start:stop, j] = np.count_nonzero(
-                scores < target_score[:, None], axis=1) - np.bincount(
-                rows[dropped < dropped_target], minlength=len(s))
-            equal[start:stop, j] = np.count_nonzero(
-                scores == target_score[:, None], axis=1) - 1 - np.bincount(
-                rows[dropped == dropped_target], minlength=len(s))
+            scores[rows[lo:hi] - start, ids[lo:hi]] = np.inf
+            scores[at, target] = np.inf
+            better[start:stop, j] = np.count_nonzero(scores < target_score[:, None], axis=1)
+            equal[start:stop, j] = np.count_nonzero(scores == target_score[:, None], axis=1)
         bad = np.flatnonzero(~np.isfinite(targets))
         if bad.size:
             i, j = divmod(int(bad[0]), 2)
@@ -117,24 +111,22 @@ def rank_queries(
     return better + equal / 2.0 + 1
 
 
-def _known_answers(a, b, answer, query_a, query_b) -> list[np.ndarray]:
-    """The distinct ``answer`` ids of the rows keyed (a, b), for each query key.
+def _known_answers(a, b, answer, query_a, query_b) -> tuple[np.ndarray, np.ndarray]:
+    """Each ``answer`` id of the rows keyed (a, b), for each query key: the
+    query's index and the id, in query order, once per matching row.
 
     Keys are packed into one int64, ``a * width + b``, with ``width`` above
     every b, so one sort and two ``searchsorted`` calls serve all queries.
     """
     width = int(max(b.max(initial=0), query_b.max(initial=0))) + 1
     keys = a * width + b
-    order = np.lexsort((answer, keys))
-    keys, answer = keys[order], answer[order]
-    # first of each run of equal rows: drops duplicate known triples
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]) | (answer[1:] != answer[:-1])
-    keys, answer = keys[first], answer[first]
+    order = np.argsort(keys)
+    keys = keys[order]
     query = query_a * width + query_b
-    lo = np.searchsorted(keys, query).tolist()
-    hi = np.searchsorted(keys, query, side="right").tolist()
-    return [answer[i:j] for i, j in zip(lo, hi)]
+    lo = np.searchsorted(keys, query)
+    hi = np.searchsorted(keys, query, side="right")
+    rows, at = expand_ranges(lo, hi - 1)
+    return rows, answer[order[at]]
 
 
 def metrics(ranks: np.ndarray, ks: tuple[int, ...] = DEFAULT_HITS) -> MetricReport:

@@ -372,11 +372,30 @@ def save_triples(
 def load_triples(
     path: str | Path,
 ) -> tuple[dict[str, np.ndarray], tuple[str, ...], tuple[str, ...]]:
-    """Load three-column triple files into one int64 (n, 3) array per split,
-    interning labels in first-seen order."""
+    """Load three-column triple files into one int64 (n, 3) array per split.
+
+    When the directory holds both ``entities.dict`` and ``predicates.dict``,
+    as ``save_triples`` writes it, ids are taken from those tables, and a
+    label they lack is numbered after them; otherwise labels are numbered in
+    first-seen order.  Tables are read as the split files are; one whose
+    ids are not 0, 1, ... in order, with one distinct label each, raises
+    DataError.
+    """
     root = Path(path)
     per_split = [_read_columns(root / f"{name}.txt", 3, "triples") for name in SPLIT_NAMES]
-    ids, entity_labels, predicate_labels = _intern(per_split)
+    ids, *labels = _intern(per_split)
+    tables = [root / "entities.dict", root / "predicates.dict"]
+    if all(map(Path.is_file, tables)):
+        for k, (table, columns) in enumerate(zip(tables, ([0, 2], [1]))):
+            numbers, names = _read_columns(table, 2, "labels")
+            named = dict(zip(names, count()))
+            if numbers != list(map(str, range(len(numbers)))) or len(named) < len(names):
+                raise DataError(f"{table}: ids must run 0, 1, ... in order,"
+                                " with one distinct label each")
+            # first-seen ids to the table's; labels it lacks come after its own
+            named.update(zip([x for x in labels[k] if x not in named], count(len(named))))
+            ids[:, columns] = _ids(named, labels[k])[ids[:, columns]]
+            labels[k] = tuple(named)
     ends = np.cumsum([len(cols[0]) for cols in per_split])
     out = dict(zip(SPLIT_NAMES, np.split(ids, ends[:-1])))
-    return out, entity_labels, predicate_labels
+    return out, *labels

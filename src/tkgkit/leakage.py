@@ -42,15 +42,6 @@ class DuplicateAudit:
     def split(self, name: str) -> SplitAudit:
         return {"train": self.train, "valid": self.valid, "test": self.test}[name]
 
-    def is_clean(self) -> bool:
-        return (
-            self.train.duplicates == 0
-            and self.valid.duplicates == 0
-            and self.test.duplicates == 0
-            and self.test_in_train == 0
-            and self.valid_in_train == 0
-        )
-
 
 def _rows(triples) -> np.ndarray:
     return np.asarray(triples, dtype=np.int64).reshape(-1, 3)

@@ -17,7 +17,6 @@ and a report of what happened.  Available rewrites:
 from __future__ import annotations
 
 import heapq
-import logging
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -28,8 +27,6 @@ import numpy as np
 from .cpd import CpdConfig, bottom_up, normalize_rows
 from .graph import TemporalGraph, expand_ranges, group_rows
 from .proximity import SIGNATURE_SCOPES, can_share_neighbors, neighbor_slices, signature_series
-
-logger = logging.getLogger(__name__)
 
 SPLIT_METHODS = ("time", "count")
 

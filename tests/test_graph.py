@@ -298,6 +298,26 @@ def test_save_load_triples_roundtrip(tiny_graph, tmp_path):
         assert loaded[name].tolist() == want
 
 
+def test_load_triples_takes_ids_from_tables(tmp_path):
+    out = tmp_path / "static"
+    triples = {name: np.array([[0, 0, 1]]) for name in SPLIT_NAMES}
+    save_triples(triples, ("b", "a"), ("r",), out)
+    loaded, ents, preds = load_triples(out)
+    assert (ents, preds) == (("b", "a"), ("r",))
+    assert all(rows.tolist() == [[0, 0, 1]] for rows in loaded.values())
+    # a label the tables lack is numbered after them
+    (out / "entities.dict").write_text("0\ta\n")
+    loaded, ents, _ = load_triples(out)
+    assert ents == ("a", "b") and loaded["test"].tolist() == [[1, 0, 0]]
+    for bad in ("1\tb\n0\ta\n", "0\tb\n1\tb\n", "0\tb\n2\ta\n", "0 b\n1 a\n", ""):
+        (out / "entities.dict").write_text(bad)
+        with pytest.raises(DataError, match="entities.dict"):
+            load_triples(out)
+    # without both tables, labels are numbered in first-seen order
+    (out / "predicates.dict").unlink()
+    assert load_triples(out)[1] == ("b", "a")
+
+
 def test_format_stats(tiny_graph):
     text = format_stats(dataset_stats(tiny_graph))
     assert text.splitlines()[0].split() == ["entities", "3"]

@@ -360,6 +360,45 @@ def test_cli_eval_model_mismatch(tiny_dataset, tmp_path, capsys):
     assert main(["eval", "--triples", str(other), "--model", str(model_dir)]) == 3
 
 
+def test_cli_eval_ranks_a_run_with_its_ids(tiny_dataset, tmp_path):
+    import numpy as np
+
+    from conftest import write_split_files
+
+    # split_time reorders facts, so first-seen order is not the run's ids
+    out = tmp_path / "tiny_run"
+    ini = write_ini(tmp_path / "tiny.ini", tiny_dataset, out,
+                    transform__method="split_time", transform__grow=2)
+    assert main(["run", "--config", str(ini)]) == 0
+    assert tkgkit.load_triples(out / "filtered")[1] == ("a", "b", "c")
+
+    # 30 entities and 3 predicates: eval reproduces the run's metrics
+    rng = np.random.default_rng(0)
+    rows = {"train": [], "valid": [], "test": []}
+    for name, n in (("train", 120), ("valid", 10), ("test", 20)):
+        for _ in range(n):
+            s, o = rng.choice(30, 2, replace=False)
+            b, p, d = rng.integers(2000, 2010), rng.integers(3), rng.integers(4)
+            rows[name].append((f"e{s}", f"r{p}", f"e{o}", b, b + d))
+    out = tmp_path / "run"
+    ini = write_ini(tmp_path / "run.ini", write_split_files(tmp_path / "data", rows), out,
+                    transform__method="split_time", transform__grow=3)
+    assert main(["run", "--config", str(ini)]) == 0
+    csv = tmp_path / "metrics.csv"
+    args = ["eval", "--triples", str(out / "filtered"), "--model", str(out / "model")]
+    assert main([*args, "--csv", str(csv)]) == 0
+    assert csv.read_text() == (out / "metrics.csv").read_text()
+    # ids out of order, or a label the tables lack, is a data error
+    table = out / "filtered" / "entities.dict"
+    lines = table.read_text().splitlines(keepends=True)
+    table.write_text("".join(lines[1::-1] + lines[2:]))
+    assert main(args) == 3
+    table.write_text("".join(lines))
+    with open(out / "filtered" / "test.txt", "a") as fh:
+        fh.write("e0\tunseen\te1\n")
+    assert main(args) == 3
+
+
 def test_cli_eval_non_finite_model(tiny_dataset, tmp_path):
     import numpy as np
 

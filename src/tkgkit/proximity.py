@@ -6,9 +6,15 @@ series stacks, per timestamp, the proximity scores of the entity pairs a
 predicate connects at that timestamp, giving one row per timestamp and one
 column per pair the predicate ever connects.  Change points in that matrix
 are where the predicate's neighborhood structure shifts.  Facts are
-expanded to their stamps with ``graph.expand_ranges``, and each stamp's
-edges keep fact order (``graph.group_rows`` is stable), because the order
-edges enter a neighborhood set fixes the order ``adamic_adar`` adds in.
+expanded to their stamps with ``graph.expand_ranges``.
+
+``pref`` reads per-stamp degree arrays (:class:`StampDegrees`): its score is
+an integer product, so arrays give the same bits as sets, with no Python
+loop over stamps or cells.  ``adar`` and ``jaccard`` read one
+:class:`NeighborIndex` of Python sets per stamp.  Each stamp's edges keep
+fact order there (``graph.group_rows`` is stable), because the order edges
+enter a neighborhood set fixes the order ``adamic_adar`` adds in, and an
+array sum in id order can differ in the last bit.
 """
 from __future__ import annotations
 
@@ -115,6 +121,12 @@ class SignatureSeries:
         self.pairs = pairs
 
 
+def _check_packable(*widths: int) -> None:
+    """Raise unless keys packed from values below ``widths`` fit an int64."""
+    if math.prod(widths) >= 2**63:
+        raise ValueError("entity ids too large to pack into one int64")
+
+
 def neighbor_slices(facts: np.ndarray, num_timestamps: int) -> list[NeighborIndex]:
     """One NeighborIndex per timestamp over the fact rows valid then, each
     built from their (s, o) edges in fact order."""
@@ -123,21 +135,73 @@ def neighbor_slices(facts: np.ndarray, num_timestamps: int) -> list[NeighborInde
     return [NeighborIndex(block.tolist()) for block in edges]
 
 
+class StampDegrees:
+    """Each node's degree at each timestamp over the fact rows valid then,
+    counted as ``NeighborIndex.degree`` counts it: distinct undirected
+    neighbors, so a self-loop counts once and parallel edges collapse.
+
+    Only the (stamp, node) entries with an edge are kept, as sorted keys
+    ``stamp * width + node``; no dense stamps x entities table is built.
+    ``len()`` is the number of timestamps, as for ``neighbor_slices``.
+    """
+
+    def __init__(self, facts: np.ndarray, num_timestamps: int):
+        which, t = expand_ranges(facts[:, 3], facts[:, 4])
+        lo = np.minimum(facts[:, 0], facts[:, 2])[which]
+        hi = np.maximum(facts[:, 0], facts[:, 2])[which]
+        width = int(hi.max(initial=0)) + 1
+        _check_packable(num_timestamps, width, width)
+        # the distinct undirected edges (t, lo, hi), as the keys of their ends
+        # node = t * width + lo and other = t * width + hi; each adds one to
+        # the degree of both ends, a self-loop one to its node's
+        node, hi = np.divmod(np.unique((t * width + lo) * width + hi), width)
+        other = node - node % width + hi
+        keys, counts = np.unique(np.concatenate([node, other[other != node]]),
+                                 return_counts=True)
+        # a last key above every lookup, of degree 0, so a miss finds a key
+        self._keys = np.append(keys, np.iinfo(np.int64).max)
+        self._counts = np.append(counts, 0)
+        self._width = width
+        self._num_timestamps = num_timestamps
+
+    def __len__(self) -> int:
+        return self._num_timestamps
+
+    def degree(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The degree of each node ``v[i]`` at timestamp ``t[i]``."""
+        # a node above every id seen has no edge; its key would alias another's
+        key = np.where(v < self._width, t * self._width + v, -1)
+        i = np.searchsorted(self._keys, key)
+        return np.where(self._keys[i] == key, self._counts[i], 0)
+
+
+def stamp_neighborhoods(
+    facts: np.ndarray, num_timestamps: int, measure: str
+) -> StampDegrees | list[NeighborIndex]:
+    """What ``signature_series`` reads at each timestamp to score
+    ``measure`` over ``facts``: degree arrays for ``pref``, neighbor sets
+    for ``adar`` and ``jaccard``."""
+    if measure == "pref":
+        return StampDegrees(facts, num_timestamps)
+    return neighbor_slices(facts, num_timestamps)
+
+
 def signature_series(
     rows: np.ndarray,
     num_timestamps: int,
     measure: str = "pref",
-    slices: list[NeighborIndex] | None = None,
+    slices: StampDegrees | list[NeighborIndex] | None = None,
 ) -> SignatureSeries:
     """Build the proximity signature of one predicate across all timestamps.
 
     ``rows`` are the predicate's own fact rows ``(s, p, o, b, e)``, in fact
-    order.  ``slices`` holds the neighborhood index of each timestamp; the
-    graph scope passes ``neighbor_slices(g.facts, g.num_timestamps)``, which
-    callers scoring many predicates build once.  Without it the rows' own
-    edges define the neighborhoods (the predicate scope).  Scores are
-    written only for pairs connected at the row's timestamp; other cells
-    stay zero.
+    order.  ``slices`` holds the neighborhoods of each timestamp; the graph
+    scope passes ``stamp_neighborhoods(g.facts, g.num_timestamps, measure)``,
+    which callers scoring many predicates build once.  A per-stamp list of
+    ``NeighborIndex`` scores any measure with its set-based function.
+    Without ``slices`` the rows' own edges define the neighborhoods (the
+    predicate scope).  Scores are written only for pairs connected at the
+    row's timestamp; other cells stay zero.
     """
     if slices is not None and len(slices) != num_timestamps:
         raise ValueError(f"{len(slices)} neighborhood slices for {num_timestamps} timestamps")
@@ -150,6 +214,7 @@ def signature_series(
     lo = np.minimum(rows[:, 0], rows[:, 2])
     hi = np.maximum(rows[:, 0], rows[:, 2])
     width = int(hi.max()) + 1
+    _check_packable(width, width)
     keys, column = np.unique(lo * width + hi, return_inverse=True)
     lo, hi = np.divmod(keys, width)
     n_pairs = len(keys)
@@ -159,8 +224,12 @@ def signature_series(
     t, j = np.divmod(np.unique(t * n_pairs + column[which]), n_pairs)
 
     if slices is None:
-        slices = neighbor_slices(rows, num_timestamps)
+        slices = stamp_neighborhoods(rows, num_timestamps, measure)
     matrix = np.zeros((num_timestamps, n_pairs), dtype=np.float64)
-    matrix[t, j] = [score(slices[k], u, v)
-                    for k, u, v in zip(t.tolist(), lo[j].tolist(), hi[j].tolist())]
+    if isinstance(slices, StampDegrees):
+        # an int64 product, cast once to float64: pref_attachment's bits
+        matrix[t, j] = slices.degree(t, lo[j]) * slices.degree(t, hi[j])
+    else:
+        matrix[t, j] = [score(slices[k], u, v)
+                        for k, u, v in zip(t.tolist(), lo[j].tolist(), hi[j].tolist())]
     return SignatureSeries(matrix, list(zip(lo.tolist(), hi.tolist())))

@@ -26,7 +26,13 @@ import numpy as np
 
 from .cpd import CpdConfig, bottom_up, normalize_rows
 from .graph import TemporalGraph, expand_ranges, group_rows
-from .proximity import SIGNATURE_SCOPES, can_share_neighbors, neighbor_slices, signature_series
+from .proximity import (
+    PROXIMITY_MEASURES,
+    SIGNATURE_SCOPES,
+    can_share_neighbors,
+    signature_series,
+    stamp_neighborhoods,
+)
 
 SPLIT_METHODS = ("time", "count")
 
@@ -415,6 +421,8 @@ def split_cpd(
     a common neighbor, so the signature would be all zero.  Skipping it does
     not change the output.
     """
+    if score not in PROXIMITY_MEASURES:
+        raise ValueError(f"unknown proximity measure {score!r}")
     if scope not in SIGNATURE_SCOPES:
         raise ValueError(f"unknown signature scope {scope!r}")
     cfg = cfg or CpdConfig()
@@ -433,8 +441,11 @@ def split_cpd(
         g,
     )
 
-    # built once here, not cached on g: at 0.1 x Wikidata12k it holds ~9 MB
-    slices = neighbor_slices(g.facts, g.num_timestamps) if scope == "graph" else None
+    # built once here, not cached on g.  At 0.1 x Wikidata12k, pref's degree
+    # arrays (one key and count per stamp and node with an edge) hold ~0.5 MB;
+    # adar and jaccard need each stamp's neighbor sets for their common
+    # neighbors, ~9 MB
+    slices = stamp_neighborhoods(g.facts, g.num_timestamps, score) if scope == "graph" else None
     zero_unless_shared = scope == "predicate" and score in ("adar", "jaccard")
     tl = g.time_labels
     for pid in range(g.num_predicates):

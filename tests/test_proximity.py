@@ -19,9 +19,11 @@ from tkgkit import (
 from tkgkit.proximity import (
     PROXIMITY_MEASURES,
     SIGNATURE_SCOPES,
+    StampDegrees,
     can_share_neighbors,
     get_measure,
     neighbor_slices,
+    stamp_neighborhoods,
 )
 
 from conftest import build_graph
@@ -136,7 +138,8 @@ def _rows_of(g, pid):
 def _signature(g, pid, measure="pref", scope="predicate"):
     """signature_series of predicate ``pid`` of ``g``, as split_cpd calls it
     for ``scope``."""
-    slices = neighbor_slices(g.facts, g.num_timestamps) if scope == "graph" else None
+    slices = (stamp_neighborhoods(g.facts, g.num_timestamps, measure) if scope == "graph"
+              else None)
     return signature_series(_rows_of(g, pid), g.num_timestamps, measure=measure, slices=slices)
 
 
@@ -188,6 +191,24 @@ def test_signature_rejects_bad_args():
     for wrong in (slices[:3], slices + slices[:1], []):
         with pytest.raises(ValueError, match="slices"):
             signature_series(rows, n_t, slices=wrong)
+    for wrong_t in (3, 5):
+        with pytest.raises(ValueError, match="slices"):
+            signature_series(rows, n_t, slices=StampDegrees(g.facts, wrong_t))
+
+
+def test_signature_rejects_ids_too_large_to_pack():
+    # min * width + max with width = 2**32 + 1 would wrap around int64
+    rows = np.array([(2**31 + 5, 0, 2**32, 0, 0), (3, 0, 2**32 - 7, 0, 1)])
+    for measure in PROXIMITY_MEASURES:
+        with pytest.raises(ValueError, match="too large"):
+            signature_series(rows, 2, measure=measure)
+    with pytest.raises(ValueError, match="too large"):
+        StampDegrees(rows, 2)
+    # (t, min, max) keys: 2**21 stamps x (2**21)**2 ids passes 2**63
+    rows = np.array([(0, 0, 2**21 - 1, 0, 0)])
+    assert signature_series(rows, 1).pairs == [(0, 2**21 - 1)]
+    with pytest.raises(ValueError, match="too large"):
+        StampDegrees(rows, 2**21)
 
 
 def reference_signature(g, predicate, measure, scope):
@@ -274,6 +295,22 @@ def test_neighbor_slices_keep_fact_order(rows):
         for v in range(41):
             assert list(index.neighbors(v)) == list(want.neighbors(v)), (t, v)
     assert not any(edges[8:])  # stamps 8 and 9 come after every fact
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=quintuples)
+@example(rows=[(0, 0, 0, 0, 3), (0, 0, 8, 1, 3), (8, 1, 0, 1, 1), (8, 2, 0, 2, 0)])
+def test_stamp_degrees_match_neighbor_index(rows):
+    """The array degree of every (stamp, node) is NeighborIndex's: a
+    self-loop counts once, parallel and reversed edges once."""
+    facts = np.array([(s, p, o, b, min(b + k, 7)) for s, p, o, b, k in rows])
+    n_t, nodes = 9, np.arange(42)  # stamp 8 and node 41 have no edge
+    degrees = StampDegrees(facts, n_t)
+    assert len(degrees) == n_t
+    for t in range(n_t):
+        want = NeighborIndex([(s, o) for s, _, o, b, e in facts.tolist() if b <= t <= e])
+        got = degrees.degree(np.full(len(nodes), t), nodes)
+        assert got.tolist() == [want.degree(v) for v in nodes.tolist()], t
 
 
 def _edges_of(g, pid):

@@ -20,6 +20,7 @@ from tkgkit import (
     split_parameterized,
     timestamp,
 )
+from tkgkit import proximity
 from tkgkit.cpd import bottom_up, normalize_rows
 from tkgkit.proximity import PROXIMITY_MEASURES, SIGNATURE_SCOPES, neighbor_slices, signature_series
 from tkgkit.transform import LineageEntry, _base_report, _finish, _MutableTKG
@@ -310,6 +311,25 @@ def test_split_cpd_validates_config():
         split_cpd(_two_phase_graph(), cfg=CpdConfig(epsilon=-1))
     with pytest.raises(ValueError, match="unknown signature scope 'global'"):
         split_cpd(_two_phase_graph(), scope="global")
+
+
+def test_split_cpd_rejects_unknown_score_with_no_predicates():
+    # no predicate is scored, so only an up-front check catches the name
+    g = TemporalGraph(np.empty((0, 5)), [], ("a",), (), ("0",))
+    for scope in SIGNATURE_SCOPES:
+        with pytest.raises(ValueError, match="unknown proximity measure 'simrank'"):
+            split_cpd(g, score="simrank", scope=scope)
+
+
+def test_split_cpd_graph_pref_builds_no_neighbor_sets(monkeypatch):
+    """Graph-scope pref reads degree arrays: no per-stamp set index."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("NeighborIndex built")
+
+    monkeypatch.setattr(proximity, "NeighborIndex", refuse)
+    res = split_cpd(_two_phase_graph(), score="pref", cfg=CpdConfig(epsilon=0.01),
+                    scope="graph")
+    assert ("r0", "5") in res.report.split_points
 
 
 def reference_split_once(mg, pid, t):

@@ -84,7 +84,6 @@ class TrainConfig:
     temperature: float = _default("temperature")
     norm: str = _default("norm")
     seed: int = _default("seed")
-    initializer: str = "xavier_uniform"
     adversarial: bool = _default("adversarial")
     detach_weights: bool = _default("detach_weights")
 
@@ -112,8 +111,6 @@ class TrainConfig:
             raise ValueError(f"norm must be one of {NORMS}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.initializer != "xavier_uniform":
-            raise ValueError("only the xavier_uniform initializer is supported")
 
 
 @dataclass

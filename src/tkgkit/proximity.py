@@ -8,9 +8,10 @@ column per pair the predicate ever connects.  Change points in that matrix
 are where the predicate's neighborhood structure shifts.  Facts are
 expanded to their stamps with ``graph.expand_ranges``.
 
-``pref`` reads per-stamp degree arrays (:class:`StampDegrees`): its score is
-an integer product, so arrays give the same bits as sets, with no Python
-loop over stamps or cells.  ``adar`` and ``jaccard`` read one
+``pref`` and ``jaccard`` read per-stamp neighbor arrays
+(:class:`StampNeighbors`): their scores are exact integer arithmetic and at
+most one division, so arrays give the same bits as sets, with no Python
+loop over stamps or cells.  ``adar`` alone reads one
 :class:`NeighborIndex` of Python sets per stamp.  Each stamp's edges keep
 fact order there (``graph.group_rows`` is stable), because the order edges
 enter a neighborhood set fixes the order ``adamic_adar`` adds in, and an
@@ -19,7 +20,7 @@ array sum in id order can differ in the last bit.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .graph import expand_ranges, group_rows
 
 PROXIMITY_MEASURES = ("jaccard", "adar", "pref")
 SIGNATURE_SCOPES = ("predicate", "graph")
+# the measures that score 0 a pair whose ends share no neighbor
+ZERO_UNLESS_SHARED = ("jaccard", "adar")
 
 
 class NeighborIndex:
@@ -50,15 +53,6 @@ class NeighborIndex:
         return len(self._adj.get(v, ()))
 
 
-def jaccard(index: NeighborIndex, u: int, v: int) -> float:
-    """|N(u) & N(v)| / |N(u) | N(v)|, zero when the union is empty."""
-    nu, nv = index.neighbors(u), index.neighbors(v)
-    union = len(nu | nv)
-    if union == 0:
-        return 0.0
-    return len(nu & nv) / union
-
-
 def adamic_adar(index: NeighborIndex, u: int, v: int) -> float:
     """Sum of 1/ln(deg(z)) over common neighbors z with degree > 1.
 
@@ -77,33 +71,12 @@ def can_share_neighbors(edges: Iterable[tuple[int, int]]) -> bool:
 
     True when the undirected edge set holds a triangle or a self-loop, which
     puts a node in its own neighborhood.  When False, no edge's endpoints
-    share a neighbor in any subgraph of ``edges`` either, and ``jaccard`` and
-    ``adamic_adar`` score every such pair 0.
+    share a neighbor in any subgraph of ``edges`` either, and every measure
+    in ``ZERO_UNLESS_SHARED`` scores each such pair 0.
     """
     edges = set(edges)
     index = NeighborIndex(edges)
     return any(not index.neighbors(s).isdisjoint(index.neighbors(o)) for s, o in edges)
-
-
-def pref_attachment(index: NeighborIndex, u: int, v: int) -> float:
-    """deg(u) * deg(v)."""
-    return float(index.degree(u) * index.degree(v))
-
-
-_MEASURES: dict[str, Callable[[NeighborIndex, int, int], float]] = {
-    "jaccard": jaccard,
-    "adar": adamic_adar,
-    "pref": pref_attachment,
-}
-
-
-def get_measure(name: str) -> Callable[[NeighborIndex, int, int], float]:
-    try:
-        return _MEASURES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown proximity measure {name!r}; expected one of {PROXIMITY_MEASURES}"
-        ) from None
 
 
 class SignatureSeries:
@@ -127,85 +100,100 @@ def _check_packable(*widths: int) -> None:
         raise ValueError("entity ids too large to pack into one int64")
 
 
-def neighbor_slices(facts: np.ndarray, num_timestamps: int) -> list[NeighborIndex]:
-    """One NeighborIndex per timestamp over the fact rows valid then, each
-    built from their (s, o) edges in fact order."""
-    which, t = expand_ranges(facts[:, 3], facts[:, 4])
-    edges = group_rows(facts[:, [0, 2]][which], t, range(num_timestamps))
-    return [NeighborIndex(block.tolist()) for block in edges]
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` of keys >= 0 by one sort; numpy 2.4's hashing is ~25 x slower."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
-class StampDegrees:
-    """Each node's degree at each timestamp over the fact rows valid then,
-    counted as ``NeighborIndex.degree`` counts it: distinct undirected
-    neighbors, so a self-loop counts once and parallel edges collapse.
-
-    Only the (stamp, node) entries with an edge are kept, as sorted keys
-    ``stamp * width + node``; no dense stamps x entities table is built.
-    ``len()`` is the number of timestamps, as for ``neighbor_slices``.
+class StampNeighbors:
+    """Each node's neighbors at each timestamp over the fact rows valid
+    then, as ``NeighborIndex`` holds them, but in arrays: the neighbors of
+    node ``v`` at stamp ``t`` are one run of the sorted keys ``(t * width +
+    v) * width + neighbor``, found from the run starts of the (stamp, node)
+    entries with an edge.  ``len()`` is the number of timestamps.
     """
 
     def __init__(self, facts: np.ndarray, num_timestamps: int):
         which, t = expand_ranges(facts[:, 3], facts[:, 4])
-        lo = np.minimum(facts[:, 0], facts[:, 2])[which]
-        hi = np.maximum(facts[:, 0], facts[:, 2])[which]
-        width = int(hi.max(initial=0)) + 1
+        ends = facts[:, [0, 2]][which]
+        width = int(ends.max(initial=0)) + 1
         _check_packable(num_timestamps, width, width)
-        # the distinct undirected edges (t, lo, hi), as the keys of their ends
-        # node = t * width + lo and other = t * width + hi; each adds one to
-        # the degree of both ends, a self-loop one to its node's
-        node, hi = np.divmod(np.unique((t * width + lo) * width + hi), width)
-        other = node - node % width + hi
-        keys, counts = np.unique(np.concatenate([node, other[other != node]]),
-                                 return_counts=True)
-        # a last key above every lookup, of degree 0, so a miss finds a key
-        self._keys = np.append(keys, np.iinfo(np.int64).max)
-        self._counts = np.append(counts, 0)
+        # every edge from both ends, once each; a self-loop's two are one
+        s, o = ends.T
+        pairs = _distinct(np.append((t * width + s) * width + o, (t * width + o) * width + s))
+        node = pairs // width
+        runs = np.flatnonzero(np.diff(node, prepend=-1))
+        # a last key above every lookup, whose run is empty, so a miss finds
+        # a key; the neighbor keys end in one too, for common's lookups
+        self._keys = np.append(node[runs], np.iinfo(np.int64).max)
+        self._starts = np.append(runs, [len(pairs), len(pairs)])
+        self._pairs = np.append(pairs, np.iinfo(np.int64).max)
         self._width = width
         self._num_timestamps = num_timestamps
 
     def __len__(self) -> int:
         return self._num_timestamps
 
-    def degree(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The degree of each node ``v[i]`` at timestamp ``t[i]``."""
+    def _runs(self, t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where the neighbor run of node ``v[i]`` at stamp ``t[i]`` starts, and its length."""
         # a node above every id seen has no edge; its key would alias another's
         key = np.where(v < self._width, t * self._width + v, -1)
         i = np.searchsorted(self._keys, key)
-        return np.where(self._keys[i] == key, self._counts[i], 0)
+        start = self._starts[i]
+        return start, np.where(self._keys[i] == key, self._starts[i + 1] - start, 0)
+
+    def degree(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The degree of each node ``v[i]`` at timestamp ``t[i]``."""
+        return self._runs(t, v)[1]
+
+    def common(self, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """How many neighbors nodes ``u[i]`` and ``v[i]`` share at stamp ``t[i]``."""
+        (su, du), (sv, dv) = self._runs(t, u), self._runs(t, v)
+        # each neighbor of the lower-degree end, looked up among the other's
+        swap = dv < du
+        start, other = np.where(swap, sv, su), np.where(swap, u, v)
+        cell, at = expand_ranges(start, start + np.minimum(du, dv) - 1)
+        w = self._width
+        key = (t[cell] * w + other[cell]) * w + self._pairs[at] % w
+        found = self._pairs[np.searchsorted(self._pairs, key)] == key
+        return np.bincount(cell[found], minlength=len(t))
 
 
 def stamp_neighborhoods(
     facts: np.ndarray, num_timestamps: int, measure: str
-) -> StampDegrees | list[NeighborIndex]:
+) -> StampNeighbors | list[NeighborIndex]:
     """What ``signature_series`` reads at each timestamp to score
-    ``measure`` over ``facts``: degree arrays for ``pref``, neighbor sets
-    for ``adar`` and ``jaccard``."""
-    if measure == "pref":
-        return StampDegrees(facts, num_timestamps)
-    return neighbor_slices(facts, num_timestamps)
+    ``measure`` over ``facts``: a :class:`StampNeighbors`, or for ``adar``,
+    whose float sum follows set order, one NeighborIndex per timestamp built
+    from the (s, o) edges valid then, in fact order."""
+    if measure != "adar":
+        return StampNeighbors(facts, num_timestamps)
+    which, t = expand_ranges(facts[:, 3], facts[:, 4])
+    edges = group_rows(facts[:, [0, 2]][which], t, range(num_timestamps))
+    return [NeighborIndex(block.tolist()) for block in edges]
 
 
 def signature_series(
     rows: np.ndarray,
     num_timestamps: int,
     measure: str = "pref",
-    slices: StampDegrees | list[NeighborIndex] | None = None,
+    slices: StampNeighbors | list[NeighborIndex] | None = None,
 ) -> SignatureSeries:
     """Build the proximity signature of one predicate across all timestamps.
 
     ``rows`` are the predicate's own fact rows ``(s, p, o, b, e)``, in fact
-    order.  ``slices`` holds the neighborhoods of each timestamp; the graph
-    scope passes ``stamp_neighborhoods(g.facts, g.num_timestamps, measure)``,
-    which callers scoring many predicates build once.  A per-stamp list of
-    ``NeighborIndex`` scores any measure with its set-based function.
-    Without ``slices`` the rows' own edges define the neighborhoods (the
-    predicate scope).  Scores are written only for pairs connected at the
-    row's timestamp; other cells stay zero.
+    order.  ``slices`` holds the neighborhoods of each timestamp, as
+    ``stamp_neighborhoods(facts, num_timestamps, measure)`` builds them; the
+    graph scope passes those of every fact, which callers scoring many
+    predicates build once.  Without ``slices`` the rows' own edges define
+    the neighborhoods (the predicate scope).  Scores are written only for
+    pairs connected at the row's timestamp; other cells stay zero.
     """
+    if measure not in PROXIMITY_MEASURES:
+        raise ValueError(f"unknown proximity measure {measure!r}")
     if slices is not None and len(slices) != num_timestamps:
         raise ValueError(f"{len(slices)} neighborhood slices for {num_timestamps} timestamps")
-    score = get_measure(measure)
     if not len(rows):
         return SignatureSeries(np.zeros((num_timestamps, 0)), [])
 
@@ -221,15 +209,22 @@ def signature_series(
 
     # the (timestamp, column) cells some fact connects, once each
     which, t = expand_ranges(rows[:, 3], rows[:, 4])
-    t, j = np.divmod(np.unique(t * n_pairs + column[which]), n_pairs)
+    t, j = np.divmod(_distinct(t * n_pairs + column[which]), n_pairs)
+    u, v = lo[j], hi[j]
 
     if slices is None:
         slices = stamp_neighborhoods(rows, num_timestamps, measure)
     matrix = np.zeros((num_timestamps, n_pairs), dtype=np.float64)
-    if isinstance(slices, StampDegrees):
-        # an int64 product, cast once to float64: pref_attachment's bits
-        matrix[t, j] = slices.degree(t, lo[j]) * slices.degree(t, hi[j])
+    if measure == "adar":
+        matrix[t, j] = [adamic_adar(slices[k], a, b)
+                        for k, a, b in zip(t.tolist(), u.tolist(), v.tolist())]
+    elif measure == "pref":
+        # an int64 product, cast once to float64: deg(u) * deg(v) in floats
+        matrix[t, j] = slices.degree(t, u) * slices.degree(t, v)
     else:
-        matrix[t, j] = [score(slices[k], u, v)
-                        for k, u, v in zip(t.tolist(), lo[j].tolist(), hi[j].tolist())]
+        # |N(u) & N(v)| / |N(u) | N(v)| as one division of exact integers,
+        # correctly rounded as Python's is; a pair with no neighbor scores 0
+        shared = slices.common(t, u, v)
+        union = slices.degree(t, u) + slices.degree(t, v) - shared
+        matrix[t, j] = shared / np.maximum(union, 1)
     return SignatureSeries(matrix, list(zip(lo.tolist(), hi.tolist())))

@@ -29,6 +29,7 @@ from .graph import TemporalGraph, expand_ranges, group_rows
 from .proximity import (
     PROXIMITY_MEASURES,
     SIGNATURE_SCOPES,
+    ZERO_UNLESS_SHARED,
     can_share_neighbors,
     signature_series,
     stamp_neighborhoods,
@@ -414,12 +415,13 @@ def split_cpd(
     produced so far).  Breakpoints falling outside the current child's
     active span are skipped and counted.
 
-    A constant signature leaves its predicate whole.  With ``scope =
-    "predicate"`` and ``score`` ``adar`` or ``jaccard``, a predicate whose
-    own edges, over all timestamps, hold no self-loop and no triangle is
-    left whole before its signature is built: no pair it connects can have
-    a common neighbor, so the signature would be all zero.  Skipping it does
-    not change the output.
+    A constant signature leaves its predicate whole.  When ``min_size`` and
+    ``jump`` leave no grid point to cut at, no signature is built and the
+    report warns.  With ``scope = "predicate"`` and ``score`` in
+    ``ZERO_UNLESS_SHARED``, a predicate whose own edges, over all
+    timestamps, hold no self-loop and no triangle is left whole before its
+    signature is built: no pair it connects can have a common neighbor, so
+    the signature would be all zero.  Skipping it does not change the output.
     """
     if score not in PROXIMITY_MEASURES:
         raise ValueError(f"unknown proximity measure {score!r}")
@@ -441,12 +443,17 @@ def split_cpd(
         g,
     )
 
-    # built once here, not cached on g.  At 0.1 x Wikidata12k, pref's degree
-    # arrays (one key and count per stamp and node with an edge) hold ~0.5 MB;
-    # adar and jaccard need each stamp's neighbor sets for their common
-    # neighbors, ~9 MB
+    # bottom_up's first grid point, the least multiple of jump >= min_size,
+    # must leave min_size stamps after it
+    if -(-cfg.min_size // cfg.jump) * cfg.jump > g.num_timestamps - cfg.min_size:
+        report.warnings.append(f"no cut possible: min_size {cfg.min_size} and jump {cfg.jump}"
+                               f" leave no grid point inside {g.num_timestamps} timestamps")
+        return _finish(mg, report)
+
+    # built once here, not cached on g.  At 0.1 x Wikidata12k, the neighbor
+    # arrays of pref and jaccard hold ~1 MB, adar's per-stamp sets ~10 MB
     slices = stamp_neighborhoods(g.facts, g.num_timestamps, score) if scope == "graph" else None
-    zero_unless_shared = scope == "predicate" and score in ("adar", "jaccard")
+    zero_unless_shared = scope == "predicate" and score in ZERO_UNLESS_SHARED
     tl = g.time_labels
     for pid in range(g.num_predicates):
         rows = mg.buckets[pid]

@@ -3,12 +3,14 @@ discovery of the optional benchmark datasets used by the gated tests."""
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tkgkit import TemporalGraph, load_dataset
+from tkgkit import NeighborIndex, TemporalGraph, load_dataset
 
 DATASET_NAMES = ("wikidata12k", "yago11k", "icews14")
 
@@ -88,6 +90,70 @@ def unroll(g: TemporalGraph, lineage=None):
         for t in range(b, e + 1):
             out[(s, src, o, t, sp)] += 1
     return out
+
+
+# The set-based proximity scorers, as tkgkit first scored every measure:
+# the references score on per-stamp NeighborIndex sets with these, so none
+# of them calls the array code or the adamic_adar it checks.
+
+def jaccard(index: NeighborIndex, u: int, v: int) -> float:
+    """|N(u) & N(v)| / |N(u) | N(v)|, zero when the union is empty."""
+    nu, nv = index.neighbors(u), index.neighbors(v)
+    union = len(nu | nv)
+    if union == 0:
+        return 0.0
+    return len(nu & nv) / union
+
+
+def adamic_adar(index: NeighborIndex, u: int, v: int) -> float:
+    """Sum of 1/ln(deg(z)) over common neighbors z with degree > 1.
+
+    Degree-one common neighbors would divide by ln(1) = 0 and are skipped.
+    """
+    total = 0.0
+    for z in index.neighbors(u) & index.neighbors(v):
+        dz = index.degree(z)
+        if dz > 1:
+            total += 1.0 / math.log(dz)
+    return total
+
+
+def pref_attachment(index: NeighborIndex, u: int, v: int) -> float:
+    """deg(u) * deg(v)."""
+    return float(index.degree(u) * index.degree(v))
+
+
+SET_MEASURES = {"jaccard": jaccard, "adar": adamic_adar, "pref": pref_attachment}
+
+
+def reference_signature(g, predicate, measure, scope):
+    """signature_series as first written: every call buckets the scope's
+    facts per timestamp and builds each active timestamp's index anew."""
+    score = SET_MEASURES[measure]
+    mine = g.facts[g.facts[:, 1] == predicate].tolist()
+    pairs = sorted({(min(s, o), max(s, o)) for s, _, o, _, _ in mine})
+    n_t = g.num_timestamps
+    matrix = np.zeros((n_t, len(pairs)), dtype=np.float64)
+    if not pairs:
+        return matrix
+    col = {pq: j for j, pq in enumerate(pairs)}
+    active = [set() for _ in range(n_t)]
+    for s, _, o, b, e in mine:
+        pq = (min(s, o), max(s, o))
+        for t in range(b, e + 1):
+            active[t].add(pq)
+    pool = mine if scope == "predicate" else g.facts.tolist()
+    edges = [[] for _ in range(n_t)]
+    for s, _, o, b, e in pool:
+        for t in range(b, e + 1):
+            edges[t].append((s, o))
+    for t in range(n_t):
+        if not active[t]:
+            continue
+        index = NeighborIndex(edges[t])
+        for u, v in active[t]:
+            matrix[t, col[(u, v)]] = score(index, u, v)
+    return matrix
 
 
 @pytest.fixture

@@ -532,7 +532,6 @@ def test_train_config_validation():
         TrainConfig(margin=0),
         TrainConfig(temperature=0),
         TrainConfig(norm="l3"),
-        TrainConfig(initializer="normal"),
         TrainConfig(learning_rate=math.inf),
         TrainConfig(margin=math.inf),
         TrainConfig(temperature=math.inf),

@@ -1,8 +1,10 @@
 """Golden artifact bytes: every transform method on one small seeded dataset.
 
 Each run's artifact tree is hashed and compared with a digest recorded
-before the fact store became arrays, so a refactor that changes any output
-byte fails here even when two runs of the new code agree with each other.
+before the fact store became arrays (``split_cpd_jaccard``'s before
+``jaccard`` moved from neighbour sets to arrays), so a refactor that
+changes any output byte fails here even when two runs of the new code agree
+with each other.
 ``manifest.json`` and ``model/model.meta.json`` are left out: both carry
 the config hash, which covers the temporary paths.
 
@@ -35,6 +37,10 @@ RUNS = {
         {"method": "split_cpd", "epsilon": "0.5", "score": "pref", "scope": "graph"},
         "both", "valid_time",
     ),
+    "split_cpd_jaccard": (
+        {"method": "split_cpd", "epsilon": "0.5", "score": "jaccard", "scope": "graph"},
+        "inter", "valid_time",
+    ),
     "merge": ({"method": "merge", "shrink": "3"}, "inter", "valid_time"),
     "random": ({"method": "random", "grow": "2", "seed": "3"}, "both", "valid_time"),
     "event": (
@@ -49,6 +55,7 @@ GOLDEN = {
     "split_time": "8cd6193abe1fc4c0e0fcade6815588af591fdeeb7f6c6cda0f8415f97a04ee08",
     "split_count": "4e8a3526ce8cc840e79eb2c43b6734e8e9592e8720934fdcc0e1a904b86f01a8",
     "split_cpd": "df2808b6c9b2a73530b392ca0c299e15e46f1f1e7a496d2b47533f3719e3fa6e",
+    "split_cpd_jaccard": "5b043211020c4c42c634dba9bc93e0888d8cbe06eb7de3e2a3b0a45746ef17f4",
     "merge": "fb883fdb0f27b2dad24855d59f0d020f47d38aca85b528103db5ee94b6099392",
     "random": "905c20e1c563213c0c898da05c1136d640b23d5caf2ae2798a8eff66c2950a8e",
     "event": "4fd63405da4372ff5724e11322f89af09f199a621b5b721b541cc7145b74d78b",

@@ -9,24 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tkgkit import (
-    NeighborIndex,
-    adamic_adar,
-    jaccard,
-    pref_attachment,
-    signature_series,
-)
+from tkgkit import NeighborIndex, adamic_adar, signature_series
 from tkgkit.proximity import (
     PROXIMITY_MEASURES,
     SIGNATURE_SCOPES,
-    StampDegrees,
+    ZERO_UNLESS_SHARED,
+    StampNeighbors,
     can_share_neighbors,
-    get_measure,
-    neighbor_slices,
     stamp_neighborhoods,
 )
 
-from conftest import build_graph
+from conftest import SET_MEASURES, build_graph, reference_signature
 
 
 def star_index():
@@ -52,12 +45,19 @@ def test_neighbor_index_self_loop():
     assert idx.neighbors(2) == {2}
 
 
+def _scores(edges, pairs, measure):
+    """The signature cells of ``pairs`` at one stamp whose neighborhoods
+    are those of ``edges``."""
+    facts = np.array([(s, 0, o, 0, 0) for s, o in edges])
+    rows = np.array([(u, 0, v, 0, 0) for u, v in pairs])
+    slices = stamp_neighborhoods(facts, 1, measure)
+    return signature_series(rows, 1, measure=measure, slices=slices).matrix[0].tolist()
+
+
 def test_jaccard_values():
-    idx = NeighborIndex([(0, 2), (0, 3), (1, 2), (1, 3), (1, 4)])
-    # N(0) = {2,3}, N(1) = {2,3,4}
-    assert jaccard(idx, 0, 1) == pytest.approx(2 / 3)
-    assert jaccard(idx, 0, 0) == 1.0
-    assert jaccard(idx, 8, 9) == 0.0  # empty union
+    edges = [(0, 2), (0, 3), (1, 2), (1, 3), (1, 4)]
+    # N(0) = {2,3}, N(1) = {2,3,4}; 8 and 9 have no edge: an empty union
+    assert _scores(edges, [(0, 0), (0, 1), (8, 9)], "jaccard") == [1.0, 2 / 3, 0.0]
 
 
 def test_adamic_adar_values():
@@ -74,17 +74,8 @@ def test_adamic_adar_skips_degree_one():
 
 
 def test_pref_attachment():
-    idx = star_index()
-    assert pref_attachment(idx, 0, 1) == 3.0
-    assert pref_attachment(idx, 0, 9) == 0.0
-
-
-def test_get_measure_registry():
-    assert set(PROXIMITY_MEASURES) == {"jaccard", "adar", "pref"}
-    for name in PROXIMITY_MEASURES:
-        assert callable(get_measure(name))
-    with pytest.raises(ValueError):
-        get_measure("katz")
+    star = [(0, 1), (0, 2), (0, 3), (4, 5)]
+    assert _scores(star, [(0, 1), (0, 9)], "pref") == [3.0, 0.0]
 
 
 @settings(max_examples=50, deadline=None)
@@ -95,15 +86,18 @@ def test_get_measure_registry():
 )
 def test_measures_symmetric(edges, u, v):
     idx = NeighborIndex(edges)
-    for name in PROXIMITY_MEASURES:
-        m = get_measure(name)
-        assert m(idx, u, v) == pytest.approx(m(idx, v, u))
+    assert adamic_adar(idx, u, v) == pytest.approx(adamic_adar(idx, v, u))
+    facts = np.array([(s, 0, o, 0, 0) for s, o in edges], dtype=np.int64).reshape(-1, 5)
+    arrays = StampNeighbors(facts, 1)
+    t, a, b = np.zeros(1, dtype=np.int64), np.array([u]), np.array([v])
+    shared = len(idx.neighbors(u) & idx.neighbors(v))
+    assert arrays.common(t, a, b).tolist() == arrays.common(t, b, a).tolist() == [shared]
 
 
 def _signature_oracle(g, predicate, measure, scope):
     """Independent recomputation: per timestamp, build the neighborhood from
     scratch and score only the pairs the predicate connects right then."""
-    score = get_measure(measure)
+    score = SET_MEASURES[measure]
     facts = g.facts.tolist()
     mine = [f for f in facts if f[1] == predicate]
     pairs = sorted({(min(s, o), max(s, o)) for s, _, o, _, _ in mine})
@@ -185,15 +179,17 @@ def test_signature_empty_predicate():
 def test_signature_rejects_bad_args():
     g = _demo_graph()
     rows, n_t = _rows_of(g, 0), g.num_timestamps
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown proximity measure 'simrank'"):
         signature_series(rows, n_t, measure="simrank")
-    slices = neighbor_slices(g.facts, n_t)
+    slices = stamp_neighborhoods(g.facts, n_t, "adar")
     for wrong in (slices[:3], slices + slices[:1], []):
         with pytest.raises(ValueError, match="slices"):
-            signature_series(rows, n_t, slices=wrong)
+            signature_series(rows, n_t, measure="adar", slices=wrong)
     for wrong_t in (3, 5):
-        with pytest.raises(ValueError, match="slices"):
-            signature_series(rows, n_t, slices=StampDegrees(g.facts, wrong_t))
+        for measure in ("pref", "jaccard"):
+            with pytest.raises(ValueError, match="slices"):
+                signature_series(rows, n_t, measure=measure,
+                                 slices=StampNeighbors(g.facts, wrong_t))
 
 
 def test_signature_rejects_ids_too_large_to_pack():
@@ -203,42 +199,12 @@ def test_signature_rejects_ids_too_large_to_pack():
         with pytest.raises(ValueError, match="too large"):
             signature_series(rows, 2, measure=measure)
     with pytest.raises(ValueError, match="too large"):
-        StampDegrees(rows, 2)
-    # (t, min, max) keys: 2**21 stamps x (2**21)**2 ids passes 2**63
+        StampNeighbors(rows, 2)
+    # (t, node, neighbor) keys: 2**21 stamps x (2**21)**2 ids passes 2**63
     rows = np.array([(0, 0, 2**21 - 1, 0, 0)])
     assert signature_series(rows, 1).pairs == [(0, 2**21 - 1)]
     with pytest.raises(ValueError, match="too large"):
-        StampDegrees(rows, 2**21)
-
-
-def reference_signature(g, predicate, measure, scope):
-    """signature_series as first written: every call buckets the scope's
-    facts per timestamp and builds each active timestamp's index anew."""
-    score = get_measure(measure)
-    mine = g.facts[g.facts[:, 1] == predicate].tolist()
-    pairs = sorted({(min(s, o), max(s, o)) for s, _, o, _, _ in mine})
-    n_t = g.num_timestamps
-    matrix = np.zeros((n_t, len(pairs)), dtype=np.float64)
-    if not pairs:
-        return matrix
-    col = {pq: j for j, pq in enumerate(pairs)}
-    active = [set() for _ in range(n_t)]
-    for s, _, o, b, e in mine:
-        pq = (min(s, o), max(s, o))
-        for t in range(b, e + 1):
-            active[t].add(pq)
-    pool = mine if scope == "predicate" else g.facts.tolist()
-    edges = [[] for _ in range(n_t)]
-    for s, _, o, b, e in pool:
-        for t in range(b, e + 1):
-            edges[t].append((s, o))
-    for t in range(n_t):
-        if not active[t]:
-            continue
-        index = NeighborIndex(edges[t])
-        for u, v in active[t]:
-            matrix[t, col[(u, v)]] = score(index, u, v)
-    return matrix
+        StampNeighbors(rows, 2**21)
 
 
 # (s, p, o, begin, length): six entities make self-loops and repeated
@@ -260,11 +226,17 @@ quintuples = st.lists(
 @example(rows=[(0, 0, 0, 0, 3), (0, 0, 8, 1, 3), (0, 0, 8, 1, 1), (8, 1, 16, 0, 5),
                (16, 1, 16, 2, 0), (8, 0, 0, 3, 2), (16, 2, 24, 0, 1), (24, 2, 8, 4, 1)])
 @example(rows=[(0, 0, 0, 0, 0), (0, 0, 8, 0, 0), (0, 0, 16, 0, 0), (8, 0, 16, 0, 0)])
+# the pair (0, 8) shares 16; its lower-degree end is 8 at stamp 0 and 0 at
+# stamp 1, so common looks up each end's neighbors among the other's
+@example(rows=[(0, 0, 8, 0, 1), (0, 0, 24, 0, 0), (0, 0, 16, 0, 1), (8, 0, 16, 0, 1),
+               (8, 0, 24, 1, 0), (8, 0, 32, 1, 0)])
+# a self-loop pair, whose jaccard is 1.0, next to a pair sharing the loop's node
+@example(rows=[(16, 0, 16, 0, 0), (16, 0, 8, 0, 0)])
 def test_signature_bytes_match_reference(rows):
     facts = [(s, p, o, b, min(b + k, 7)) for s, p, o, b, k in rows]
     g = build_graph(facts, num_entities=41, num_predicates=3, num_times=8)
-    shared = neighbor_slices(g.facts, g.num_timestamps)
     for measure in PROXIMITY_MEASURES:
+        shared = stamp_neighborhoods(g.facts, g.num_timestamps, measure)
         for pid in range(g.num_predicates):
             for scope in SIGNATURE_SCOPES:
                 want = reference_signature(g, pid, measure, scope).tobytes()
@@ -288,7 +260,7 @@ def test_neighbor_slices_keep_fact_order(rows):
     for s, _, o, b, e in facts.tolist():
         for t in range(b, e + 1):
             edges[t].append((s, o))
-    slices = neighbor_slices(facts, n_t)
+    slices = stamp_neighborhoods(facts, n_t, "adar")
     assert len(slices) == n_t
     for t, index in enumerate(slices):
         want = NeighborIndex(edges[t])
@@ -300,17 +272,23 @@ def test_neighbor_slices_keep_fact_order(rows):
 @settings(max_examples=60, deadline=None)
 @given(rows=quintuples)
 @example(rows=[(0, 0, 0, 0, 3), (0, 0, 8, 1, 3), (8, 1, 0, 1, 1), (8, 2, 0, 2, 0)])
-def test_stamp_degrees_match_neighbor_index(rows):
-    """The array degree of every (stamp, node) is NeighborIndex's: a
-    self-loop counts once, parallel and reversed edges once."""
+def test_stamp_neighbors_match_neighbor_index(rows):
+    """The array degree of every (stamp, node) and the shared neighbors of
+    every (stamp, pair) are NeighborIndex's: a self-loop counts once,
+    parallel and reversed edges once."""
     facts = np.array([(s, p, o, b, min(b + k, 7)) for s, p, o, b, k in rows])
     n_t, nodes = 9, np.arange(42)  # stamp 8 and node 41 have no edge
-    degrees = StampDegrees(facts, n_t)
-    assert len(degrees) == n_t
+    arrays = StampNeighbors(facts, n_t)
+    assert len(arrays) == n_t
+    ends = [0, 8, 16, 24, 32, 40, 41]  # every entity in use, and node 41
+    u, v = np.array([(a, b) for a in ends for b in ends]).T
     for t in range(n_t):
         want = NeighborIndex([(s, o) for s, _, o, b, e in facts.tolist() if b <= t <= e])
-        got = degrees.degree(np.full(len(nodes), t), nodes)
-        assert got.tolist() == [want.degree(v) for v in nodes.tolist()], t
+        got = arrays.degree(np.full(len(nodes), t), nodes)
+        assert got.tolist() == [want.degree(n) for n in nodes.tolist()], t
+        got = arrays.common(np.full(len(u), t), u, v)
+        assert got.tolist() == [len(want.neighbors(a) & want.neighbors(b))
+                                for a, b in zip(u.tolist(), v.tolist())], t
 
 
 def _edges_of(g, pid):
@@ -329,7 +307,7 @@ def test_no_shared_neighbors_means_zero_signature(rows):
     for pid in range(g.num_predicates):
         if can_share_neighbors(_edges_of(g, pid)):
             continue
-        for measure in ("adar", "jaccard"):
+        for measure in ZERO_UNLESS_SHARED:
             sig = _signature(g, pid, measure=measure)
             assert not sig.matrix.any(), (measure, pid)
 

@@ -20,12 +20,12 @@ from tkgkit import (
     split_parameterized,
     timestamp,
 )
-from tkgkit import proximity
+from tkgkit import proximity, transform
 from tkgkit.cpd import bottom_up, normalize_rows
-from tkgkit.proximity import PROXIMITY_MEASURES, SIGNATURE_SCOPES, neighbor_slices, signature_series
+from tkgkit.proximity import PROXIMITY_MEASURES, SIGNATURE_SCOPES
 from tkgkit.transform import LineageEntry, _base_report, _finish, _MutableTKG
 
-from conftest import build_graph, unroll
+from conftest import build_graph, reference_signature, unroll
 
 
 def coverage(g, lineage=None):
@@ -322,14 +322,45 @@ def test_split_cpd_rejects_unknown_score_with_no_predicates():
 
 
 def test_split_cpd_graph_pref_builds_no_neighbor_sets(monkeypatch):
-    """Graph-scope pref reads degree arrays: no per-stamp set index."""
+    """pref and jaccard read neighbor arrays: no per-stamp set index.  Only
+    adar and, at predicate scope, can_share_neighbors build one."""
     def refuse(*args, **kwargs):
         raise AssertionError("NeighborIndex built")
 
     monkeypatch.setattr(proximity, "NeighborIndex", refuse)
-    res = split_cpd(_two_phase_graph(), score="pref", cfg=CpdConfig(epsilon=0.01),
-                    scope="graph")
-    assert ("r0", "5") in res.report.split_points
+    # pair (0, 1) shares 2 during [0, 4], pair (2, 3) holds during [5, 9]
+    g = build_graph([(0, 0, 1, 0, 4), (2, 0, 3, 5, 9), (0, 1, 2, 0, 9), (1, 1, 2, 0, 9)])
+    for score, scope in (("pref", "graph"), ("pref", "predicate"), ("jaccard", "graph")):
+        res = split_cpd(g, score=score, cfg=CpdConfig(epsilon=0.01), scope=scope)
+        assert ("r0", "5") in res.report.split_points, (score, scope)
+
+
+@pytest.mark.parametrize("min_size, jump", [(7, 1), (1, 10), (4, 7), (6, 6)])
+def test_split_cpd_warns_when_no_cut_is_possible(monkeypatch, min_size, jump):
+    """bottom_up's grid starts at the least multiple of jump >= min_size
+    and must leave min_size stamps after it; with no such point no
+    signature is built, and the report says why nothing was cut."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("signature built")
+
+    g = _two_phase_graph()  # 10 stamps
+    cfg = CpdConfig(epsilon=0.01, min_size=min_size, jump=jump)
+    monkeypatch.setattr(transform, "signature_series", refuse)
+    res = split_cpd(g, cfg=cfg)
+    assert res.graph.facts.tolist() == g.facts.tolist()
+    assert res.report.split_points == []
+    assert res.report.warnings == [
+        f"no cut possible: min_size {min_size} and jump {jump}"
+        " leave no grid point inside 10 timestamps"
+    ]
+
+
+def test_split_cpd_cuts_at_the_last_grid_point():
+    # the first multiple of jump = 5 is the last point leaving min_size = 5
+    g = _two_phase_graph()
+    res = split_cpd(g, cfg=CpdConfig(epsilon=0.01, min_size=5, jump=5))
+    assert res.report.split_points == [("r0", "5")]
+    assert res.report.warnings == []
 
 
 def reference_split_once(mg, pid, t):
@@ -375,13 +406,11 @@ def reference_split_cpd(g, score, cfg, scope):
         "scope": scope,
     }
     report = _base_report("split_cpd", params, g)
-    slices = neighbor_slices(g.facts, g.num_timestamps) if scope == "graph" else None
     for pid in range(g.num_predicates):
-        mine = g.facts[g.facts[:, 1] == pid]
-        series = signature_series(mine, g.num_timestamps, measure=score, slices=slices)
-        if series.matrix.size == 0 or bool(np.all(series.matrix == series.matrix[0])):
+        matrix = reference_signature(g, pid, score, scope)
+        if matrix.size == 0 or bool(np.all(matrix == matrix[0])):
             continue
-        x = normalize_rows(series.matrix)
+        x = normalize_rows(matrix)
         seg = bottom_up(x, cfg.epsilon, min_size=cfg.min_size, jump=cfg.jump, gamma=cfg.gamma)
         current = pid
         applied = []

@@ -10,15 +10,16 @@ valid, 2 test).  Stripping time leaves, per split, an int64 (n, 3) array of
 ``(s, p, o)`` rows.  A :class:`TemporalGraph` is treated as immutable after
 construction and holds no derived state, such as per-predicate indexes:
 every transformation builds a new graph.  Two array primitives serve the
-transforms and the proximity signatures: ``expand_ranges`` lists each fact
-at each stamp it spans, and ``group_rows`` splits rows into blocks by a
-key, keeping row order within a block.
+other modules: ``expand_ranges`` lists each fact at each stamp it spans,
+and ``group_rows``, for the proximity signatures, splits rows into blocks
+by a key, keeping row order within a block.
 """
 from __future__ import annotations
 
 import logging
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import le
@@ -52,8 +53,8 @@ class TemporalGraph:
     (0/1/2); the constructor converts array-likes to these types.  Label
     tuples double as the id spaces: identifier ``k`` names ``*_labels[k]``.
     ``time_labels`` is in chronological order, so comparing time ids
-    compares timestamps.  Two graphs are equal when their arrays and labels
-    are.
+    compares timestamps.  A label repeated within one tuple is an error.
+    Two graphs are equal when their arrays and labels are.
     """
 
     facts: np.ndarray
@@ -71,6 +72,11 @@ class TemporalGraph:
             raise ValueError(f"facts must be (n, 5) rows, got shape {facts.shape}")
         if splits.shape != (len(facts),):
             raise ValueError("facts and splits must be parallel")
+        for what, labels in (("entity", self.entity_labels),
+                             ("predicate", self.predicate_labels), ("time", self.time_labels)):
+            if len(set(labels)) < len(labels):
+                label = next(x for x, n in Counter(labels).items() if n > 1)
+                raise ValueError(f"repeated {what} label {label!r}")
         ne, np_, nt = self.num_entities, self.num_predicates, self.num_timestamps
         bad = (facts < 0) | (facts >= (ne, np_, ne, nt, nt))
         for what, rows in (

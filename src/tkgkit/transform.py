@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .cpd import CpdConfig, bottom_up, normalize_rows
-from .graph import TemporalGraph, expand_ranges, group_rows
+from .graph import TemporalGraph, expand_ranges
 from .proximity import (
     PROXIMITY_MEASURES,
     SIGNATURE_SCOPES,
@@ -37,10 +37,9 @@ from .proximity import (
 
 SPLIT_METHODS = ("time", "count")
 
-# a predicate bucket is an int64 array of rows (s, p, o, b, e, split); the p
-# column keeps the input predicate until finalize numbers the output ones
+# the working copy's rows are int64 (s, p, o, b, e, split); the p column
+# holds the source predicate until finalize numbers the output ones
 _B, _E = 3, 4
-_NO_ROWS = np.empty((0, 6), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -126,23 +125,42 @@ class _MutableTKG:
     """Working copy of a graph while a transformation runs.
 
     One record per predicate id: its label in ``labels``, its provenance in
-    ``lineage`` and, while it is live, its rows in ``buckets``.  A predicate
-    reaches the output exactly while it has a bucket; ``new_predicate``
-    gives a new id past the input vocabulary a label and an entry, and the
-    caller gives it its rows.  Sources are carried as labels, so a child
-    cut again still names the input predicate it came from.
-    ``split_points`` records every cut ``split_at`` makes.
+    ``lineage``, and ``live`` holds the ids that reach the output.  No
+    predicate holds rows: its rows are its source's ``base`` rows that meet
+    its lineage interval, clipped to it, in base order.  The base holds the
+    input rows by source in fact order or, once timestamped, one row per
+    fact and stamp by source, stamp and fact.  So a cut or a merge only adds
+    ids, labels and lineage, and ``finalize`` places every row.  Sources are
+    carried as labels, so a child cut again still names the input predicate
+    it came from.  ``split_points`` records every cut ``split_at`` makes.
     """
 
     def __init__(self, g: TemporalGraph):
         self.g = g
         self.labels: list[str] = list(g.predicate_labels)
         self._used: set[str] = set(self.labels)
-        rows = np.column_stack((g.facts, g.splits))
-        self.buckets = dict(enumerate(group_rows(rows, rows[:, 1], range(g.num_predicates))))
+        self._source = {label: p for p, label in enumerate(self.labels)}  # labels are distinct
         self.lineage = _root_lineage(g)
+        self.live: set[int] = set(range(g.num_predicates))
         self.split_points: list[tuple[str, str]] = []
         self._ordinal: dict[str, int] = defaultdict(int)
+        rows = np.column_stack((g.facts, g.splits))
+        self.set_base(rows[np.argsort(rows[:, 1], kind="stable")])
+
+    def set_base(self, rows: np.ndarray) -> None:
+        """Source ``p``'s rows are ``rows[offsets[p]:offsets[p + 1]]``."""
+        self.base = rows
+        self.offsets = np.searchsorted(rows[:, 1], np.arange(self.g.num_predicates + 1))
+
+    def rows(self, pid: int) -> np.ndarray:
+        """``pid``'s rows, as ``finalize`` would place them."""
+        ent = self.lineage[pid]
+        src = self._source[ent.source]
+        rows = self.base[self.offsets[src]:self.offsets[src + 1]]
+        rows = rows[(rows[:, _B] <= ent.end) & (rows[:, _E] >= ent.begin)]
+        np.maximum(rows[:, _B], ent.begin, out=rows[:, _B])
+        np.minimum(rows[:, _E], ent.end, out=rows[:, _E])
+        return rows
 
     def new_predicate(self, label: str, entry: LineageEntry) -> int:
         while label in self._used:
@@ -153,40 +171,15 @@ class _MutableTKG:
         self.lineage[pid] = entry
         return pid
 
-    def count(self, pid: int) -> int:
-        return len(self.buckets[pid])
-
-    def span(self, pid: int) -> tuple[int, int] | None:
-        """Active span: earliest begin and latest end over the facts."""
-        rows = self.buckets[pid]
-        if not len(rows):
-            return None
-        return int(rows[:, _B].min()), int(rows[:, _E].max())
-
-    def split_once(self, pid: int, t: int) -> tuple[int, int]:
-        """Replace ``pid`` by two children partitioned at ``t``.
-
-        Facts spanning ``t`` land in both children, cut at ``t``; the rest
-        go left or right whole.  ``t`` must lie in the active span.
-        """
-        span = self.span(pid)
-        if span is None:
-            raise ValueError(f"predicate {self.labels[pid]!r} has no facts to split")
-        if not span[0] <= t <= span[1]:
-            raise ValueError(
-                f"split point {t} outside active span {span} of {self.labels[pid]!r}"
-            )
-        return tuple(self.split_at(pid, [t]))
-
     def split_at(self, pid: int, cuts: list[int]) -> list[int]:
-        """Cut ``pid`` at each of one or more increasing timestamps at once.
+        """Replace ``pid`` by children cut at one or more increasing stamps.
 
-        The result equals ``split_once`` at each cut in turn, each time on
-        the right child of the last one: the same labels, ids and row order.
-        Cuts are not checked against the span.  Each cut goes into
-        ``split_points`` under the label of the id it replaces: ``pid``, then
-        each right child the next cut replaces, which gets no bucket but
-        keeps its label taken.  Returns the children in time order.
+        Each cut splits the right child of the last one in two that share
+        the cut stamp, so a fact spanning it lands in both.  Cuts are not
+        checked against the span.  Each cut goes into ``split_points`` under
+        the label of the id it replaces: ``pid``, then each right child the
+        next cut replaces, which never goes live but keeps its label taken.
+        Returns the children in time order.
         """
         ent = self.lineage[pid]
         src, lo, hi = ent.source, ent.begin, ent.end
@@ -203,38 +196,41 @@ class _MutableTKG:
             cut = self.new_predicate(right, LineageEntry(src, t, hi))
             lo = t
         children.append(cut)
-        # a row goes to every child from the one holding b to the one holding
-        # e, clipped to the cuts around that child: whole when no cut falls
-        # inside [b, e], else cut at each of them
-        rows = self.buckets.pop(pid)
-        at = np.asarray(cuts)
-        which, child = expand_ranges(
-            np.searchsorted(at, rows[:, _B], side="left"),
-            np.searchsorted(at, rows[:, _E], side="right"),
-        )
-        floor = np.concatenate(([0], at))
-        ceiling = np.concatenate((at, [self.g.num_timestamps]))
-        pieces = rows[which]
-        pieces[:, _B] = np.maximum(pieces[:, _B], floor[child])
-        pieces[:, _E] = np.minimum(pieces[:, _E], ceiling[child])
-        for c, block in zip(children, group_rows(pieces, child, range(len(children)))):
-            self.buckets[c] = block
+        self.live.remove(pid)
+        self.live.update(children)
         return children
 
     def finalize(self) -> tuple[TemporalGraph, dict[int, LineageEntry]]:
-        """Compact live predicates into a fresh graph plus its lineage."""
-        order = sorted(self.buckets)
-        blocks = [self.buckets[pid] for pid in order]
-        rows = np.concatenate([_NO_ROWS, *blocks])
-        rows[:, 1] = np.repeat(np.arange(len(order)), [len(b) for b in blocks])
-        graph = TemporalGraph(
-            facts=rows[:, :5],
-            splits=rows[:, 5],
-            entity_labels=self.g.entity_labels,
-            predicate_labels=tuple(self.labels[pid] for pid in order),
-            time_labels=self.g.time_labels,
+        """Compact live predicates into a fresh graph plus its lineage.
+
+        Sorted by source, begin and end, one source's live intervals also
+        have increasing ends: they tile its timeline, sharing cut stamps,
+        or are disjoint.  So the intervals a base row meets are one run,
+        from the first that ends at or after its begin to the last that
+        begins at or before its end.
+        """
+        order = sorted(self.live)
+        ents = [self.lineage[pid] for pid in order]
+        n_t = self.g.num_timestamps
+        src, begin, end = np.array(
+            [(self._source[ent.source] * n_t, ent.begin, ent.end) for ent in ents], dtype=np.int64
+        ).reshape(-1, 3).T
+        by = np.lexsort((end, src + begin))
+        key = self.base[:, 1] * n_t
+        # each base row at each interval it meets, then by output id
+        which, new = expand_ranges(
+            np.searchsorted((src + end)[by], key + self.base[:, _B], side="left"),
+            np.searchsorted((src + begin)[by], key + self.base[:, _E], side="right") - 1,
         )
-        return graph, {new_pid: self.lineage[pid] for new_pid, pid in enumerate(order)}
+        new = by[new]
+        keep = np.argsort(new, kind="stable")
+        rows = self.base[which[keep]]
+        rows[:, 1] = new = new[keep]
+        np.maximum(rows[:, _B], begin[new], out=rows[:, _B])
+        np.minimum(rows[:, _E], end[new], out=rows[:, _E])
+        graph = TemporalGraph(rows[:, :5], rows[:, 5], self.g.entity_labels,
+                              tuple(self.labels[pid] for pid in order), self.g.time_labels)
+        return graph, dict(enumerate(ents))
 
 
 def _base_report(method: str, params: dict, g: TemporalGraph) -> TransformReport:
@@ -265,33 +261,28 @@ def identity(g: TemporalGraph) -> TransformResult:
 # timestamping
 # ---------------------------------------------------------------------------
 
-def _timestamp_into(mg: _MutableTKG) -> dict[int, list[int]]:
-    """Expand every fact into per-timestamp facts under stamped predicates.
-
-    Returns, per source predicate id with facts, the stamped children in
-    chronological order.
-    """
+def _timestamp_into(mg: _MutableTKG) -> list[tuple[int, int, int]]:
+    """Replace every source by one stamped predicate per stamp its facts
+    cover, and the base by one row per fact and stamp.  Returns (source id,
+    stamped id, fact count) per stamped predicate, by source and stamp."""
     g = mg.g
-    children: dict[int, list[int]] = {}
-    for pid in range(g.num_predicates):
-        rows = mg.buckets.pop(pid)
-        if not len(rows):
-            continue
-        label = g.predicate_labels[pid]
-        which, t = expand_ranges(rows[:, _B], rows[:, _E])
-        rows = rows[which]
-        rows[:, _B] = rows[:, _E] = t
-        # stamped ids in order of first use, fact by fact and then in time
-        stamps, first = np.unique(t, return_index=True)
-        dp = {
-            k: mg.new_predicate(f"{label}@{g.time_labels[k]}", LineageEntry(label, k, k, k))
-            for k in stamps[np.argsort(first)].tolist()
-        }
-        stamps = stamps.tolist()
-        children[pid] = [dp[k] for k in stamps]
-        for c, block in zip(children[pid], group_rows(rows, t, stamps)):
-            mg.buckets[c] = block
-    return children
+    n_t = g.num_timestamps
+    which, t = expand_ranges(mg.base[:, _B], mg.base[:, _E])
+    key = mg.base[which, 1] * n_t + t
+    by = np.argsort(key, kind="stable")
+    rows = mg.base[which[by]]
+    rows[:, _B] = rows[:, _E] = t[by]
+    mg.set_base(rows)
+    key = key[by]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    src, stamp = (a.tolist() for a in np.divmod(key[first], n_t))
+    pids = [0] * len(first)
+    # stamped ids in order of first use, fact by fact and then in time
+    for i in np.argsort(by[first]).tolist():
+        label, k = g.predicate_labels[src[i]], stamp[i]
+        pids[i] = mg.new_predicate(f"{label}@{g.time_labels[k]}", LineageEntry(label, k, k, k))
+    mg.live = set(pids)
+    return list(zip(src, pids, np.diff(first, append=len(key)).tolist()))
 
 
 def timestamp(g: TemporalGraph) -> TransformResult:
@@ -310,23 +301,27 @@ def timestamp(g: TemporalGraph) -> TransformResult:
 # splitting
 # ---------------------------------------------------------------------------
 
-def _midpoint_split(mg: _MutableTKG, pid: int) -> int | None:
-    span = mg.span(pid)
-    if span is None or span[0] >= span[1]:
+def _splittable_span(rows: np.ndarray) -> tuple[int, int] | None:
+    """Earliest begin and latest end of ``rows``; None below two stamps."""
+    if not len(rows):
         return None
-    return (span[0] + span[1]) // 2
+    lo, hi = int(rows[:, _B].min()), int(rows[:, _E].max())
+    return (lo, hi) if lo < hi else None
 
 
-def _balanced_split(mg: _MutableTKG, pid: int) -> int | None:
+def _midpoint_split(rows: np.ndarray) -> int | None:
+    span = _splittable_span(rows)
+    return None if span is None else (span[0] + span[1]) // 2
+
+
+def _balanced_split(rows: np.ndarray) -> int | None:
     """Timestamp minimizing |#facts ending by t - #facts starting from t|.
 
     Only timestamps leaving both sides nonempty qualify; ties take the
     earliest timestamp.  Returns None when no qualifying timestamp exists.
     """
-    span = mg.span(pid)
-    if span is None or span[0] >= span[1]:
+    if _splittable_span(rows) is None:
         return None
-    rows = mg.buckets[pid]
     begins = np.sort(rows[:, _B])
     ends = np.sort(rows[:, _E])
     # from the earliest end to the latest begin, both sides are nonempty
@@ -354,25 +349,27 @@ def split_parameterized(g: TemporalGraph, method: str, grow: float) -> Transform
     choose = _midpoint_split if method == "time" else _balanced_split
     mg = _MutableTKG(g)
     target = grow * g.num_predicates
-    heap: list[tuple[int, int]] = [(-mg.count(p), p) for p in sorted(mg.buckets)]
+    heap = [(-n, p) for p, n in enumerate(np.diff(mg.offsets).tolist())]
     heapq.heapify(heap)
     report = _base_report(f"split_{method}", {"grow": grow}, g)
-    while len(mg.buckets) < target:
+    while len(mg.live) < target:
         while heap:
             negc, pid = heapq.heappop(heap)
-            if pid in mg.buckets:
+            if pid in mg.live:
                 break
         else:
             report.warnings.append(
-                f"no splittable predicate left at {len(mg.buckets)} predicates"
+                f"no splittable predicate left at {len(mg.live)} predicates"
                 f" (target {target:g})"
             )
             break
-        t = choose(mg, pid)
+        rows = mg.rows(pid)
+        t = choose(rows)
         if t is None:
             continue
-        for child in mg.split_once(pid, t):
-            heapq.heappush(heap, (-mg.count(child), child))
+        left, right = mg.split_at(pid, [t])
+        heapq.heappush(heap, (-int(np.count_nonzero(rows[:, _B] <= t)), left))
+        heapq.heappush(heap, (-int(np.count_nonzero(rows[:, _E] >= t)), right))
     return _finish(mg, report)
 
 
@@ -456,7 +453,7 @@ def split_cpd(
     zero_unless_shared = scope == "predicate" and score in ZERO_UNLESS_SHARED
     tl = g.time_labels
     for pid in range(g.num_predicates):
-        rows = mg.buckets[pid]
+        rows = mg.base[mg.offsets[pid]:mg.offsets[pid + 1]]
         if zero_unless_shared and not can_share_neighbors(
             zip(rows[:, 0].tolist(), rows[:, 2].tolist())
         ):
@@ -492,25 +489,23 @@ def random_split(g: TemporalGraph, grow: float, seed: int = 0) -> TransformResul
     rng = random.Random(seed)
     mg = _MutableTKG(g)
     target = grow * g.num_predicates
-    pool = sorted(mg.buckets)
+    pool = list(range(g.num_predicates))
     report = _base_report("random_split", {"grow": grow, "seed": seed}, g)
     failures = 0
-    while len(mg.buckets) < target:
+    while len(mg.live) < target:
         if failures >= 100:
             report.warnings.append(
                 f"stopped after 100 consecutive unsplittable draws"
-                f" at {len(mg.buckets)} predicates (target {target:g})"
+                f" at {len(mg.live)} predicates (target {target:g})"
             )
             break
         i = rng.randrange(len(pool))
-        span = mg.span(pool[i])
-        if span is None or span[0] >= span[1]:
+        span = _splittable_span(mg.rows(pool[i]))
+        if span is None:
             failures += 1
             continue
-        t = rng.randint(span[0], span[1])
-        r1, r2 = mg.split_once(pool[i], t)
-        pool[i] = r1
-        pool.append(r2)
+        pool[i], right = mg.split_at(pool[i], [rng.randint(*span)])
+        pool.append(right)
         failures = 0
     return _finish(mg, report)
 
@@ -521,13 +516,14 @@ def random_split(g: TemporalGraph, grow: float, seed: int = 0) -> TransformResul
 
 class _MergeNode:
     """A predicate in its source's chain of stamped and merged predicates,
-    in time order; alive while ``pid`` has a bucket."""
+    in time order, with its fact count; alive while ``pid`` is live."""
 
-    __slots__ = ("pid", "src", "prev", "next")
+    __slots__ = ("pid", "src", "count", "prev", "next")
 
-    def __init__(self, pid: int, src: int):
+    def __init__(self, pid: int, src: int, count: int):
         self.pid = pid
         self.src = src
+        self.count = count
         self.prev: _MergeNode | None = None
         self.next: _MergeNode | None = None
 
@@ -544,8 +540,8 @@ def merge(g: TemporalGraph, shrink: float) -> TransformResult:
     if shrink <= 1:
         raise ValueError("shrink must be > 1")
     mg = _MutableTKG(g)
-    children = _timestamp_into(mg)
-    m_ts = len(mg.buckets)
+    stamped = _timestamp_into(mg)
+    m_ts = len(mg.live)
     target = m_ts / shrink
     report = _base_report("merge", {"shrink": shrink}, g)
     report.notes.append(f"timestamped predicates: {m_ts}")
@@ -555,32 +551,31 @@ def merge(g: TemporalGraph, shrink: float) -> TransformResult:
 
     def push(a: _MergeNode, b: _MergeNode) -> None:
         nonlocal seq
-        total = mg.count(a.pid) + mg.count(b.pid)
-        heap.append((total, mg.lineage[a.pid].begin, a.src, seq, a, b))
+        heap.append((a.count + b.count, mg.lineage[a.pid].begin, a.src, seq, a, b))
         seq += 1
 
-    for src, stamped in children.items():
-        prev: _MergeNode | None = None
-        for dp in stamped:
-            node = _MergeNode(dp, src)
-            if prev is not None:
-                prev.next = node
-                node.prev = prev
-                push(prev, node)
-            prev = node
+    prev: _MergeNode | None = None
+    for src, dp, count in stamped:
+        node = _MergeNode(dp, src, count)
+        if prev is not None and prev.src == src:
+            prev.next = node
+            node.prev = prev
+            push(prev, node)
+        prev = node
     heapq.heapify(heap)
 
     tl = g.time_labels
-    while len(mg.buckets) > target and heap:
+    while len(mg.live) > target and heap:
         *_, a, b = heapq.heappop(heap)
         # both alive means still adjacent: merging either one kills it
-        if a.pid not in mg.buckets or b.pid not in mg.buckets:
+        if a.pid not in mg.live or b.pid not in mg.live:
             continue
         first, last = mg.lineage[a.pid], mg.lineage[b.pid]
         label = f"{first.source}~[{tl[first.begin]},{tl[last.end]}]"
         dp = mg.new_predicate(label, LineageEntry(first.source, first.begin, last.end))
-        mg.buckets[dp] = np.concatenate((mg.buckets.pop(a.pid), mg.buckets.pop(b.pid)))
-        node = _MergeNode(dp, a.src)
+        mg.live -= {a.pid, b.pid}
+        mg.live.add(dp)
+        node = _MergeNode(dp, a.src, a.count + b.count)
         node.prev = a.prev
         node.next = b.next
         if node.prev is not None:
@@ -590,13 +585,10 @@ def merge(g: TemporalGraph, shrink: float) -> TransformResult:
             node.next.prev = node
             push(node, node.next)
         report.merge_trace.append(f"{mg.labels[a.pid]} + {mg.labels[b.pid]} -> {label}")
-    if len(mg.buckets) > target:
-        if len(mg.buckets) == len(children):
-            report.notes.append("fully merged: one predicate per source")
-        else:
-            report.warnings.append(
-                f"no merge candidates left at {len(mg.buckets)} predicates (target {target:g})"
-            )
+    # the heap holds every pair of adjacent live predicates, so it runs out
+    # only once each source is down to one
+    if len(mg.live) > target:
+        report.notes.append("fully merged: one predicate per source")
     return _finish(mg, report)
 
 

@@ -244,6 +244,18 @@ def test_constructor_rejects_unknown_split_ids(bad):
         )
 
 
+@pytest.mark.parametrize("field", ["entity_labels", "predicate_labels", "time_labels"])
+def test_constructor_rejects_repeated_labels(field):
+    # two ids under one label cannot be told apart in a .dict table or a
+    # lineage source; the error names the label
+    labels = {"entity_labels": ("a", "b"), "predicate_labels": ("r", "q"),
+              "time_labels": ("0", "1")}
+    labels[field] = (labels[field][0], "x", "x")
+    what = field.split("_")[0]
+    with pytest.raises(ValueError, match=f"repeated {what} label 'x'"):
+        TemporalGraph(facts=[(0, 0, 1, 0, 0)], splits=[0], **labels)
+
+
 def test_constructor_takes_no_derived_state():
     # an index handed in could disagree with the facts: here it files fact 1
     # under predicate 0 and no fact under predicate 1

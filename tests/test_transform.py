@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -98,14 +99,14 @@ def test_timestamp_label_collision_guard():
 
 
 # ---------------------------------------------------------------------------
-# split_once: the cut split_parameterized and random_split make
+# one cut: what split_parameterized and random_split make at each step
 # ---------------------------------------------------------------------------
 
 def cut(g, *cuts):
-    """The result of ``_MutableTKG.split_once`` at each (pid, t) in turn."""
+    """The result of one ``_MutableTKG.split_at`` cut at each (pid, t) in turn."""
     mg = _MutableTKG(g)
     for pid, t in cuts:
-        mg.split_once(pid, t)
+        mg.split_at(pid, [t])
     return _finish(mg, _base_report("cut", {}, g))
 
 
@@ -146,13 +147,6 @@ def test_split_once_boundary_facts_span():
         by_pred.setdefault(p, []).append((s, b, e))
     assert by_pred[0] == [(0, 0, 2), (1, 2, 2), (2, 0, 1)]
     assert by_pred[1] == [(0, 2, 2), (1, 2, 4)]
-
-
-def test_split_once_rejects_out_of_span():
-    g = build_graph([(0, 0, 1, 2, 5)], num_times=8)
-    for t in (1, 6):
-        with pytest.raises(ValueError, match="active span"):
-            _MutableTKG(g).split_once(0, t)
 
 
 def test_split_once_chained_lineage():
@@ -363,9 +357,51 @@ def test_split_cpd_cuts_at_the_last_grid_point():
     assert res.report.warnings == []
 
 
+class Buckets:
+    """The transform's working copy as first written: a list of (s, p, o, b,
+    e, split) rows per live predicate, whose p column keeps the input
+    predicate, moved by every cut.  The references cut here, so none of
+    them reads the row rule that _MutableTKG derives rows from."""
+
+    def __init__(self, g):
+        self.g = g
+        self.labels = list(g.predicate_labels)
+        last = g.num_timestamps - 1
+        self.lineage = {p: LineageEntry(label, 0, last) for p, label in enumerate(self.labels)}
+        self.buckets = {p: [] for p in range(g.num_predicates)}
+        for (s, p, o, b, e), sp in zip(g.facts.tolist(), g.splits.tolist()):
+            self.buckets[p].append((s, p, o, b, e, sp))
+        self.split_points = []
+        self._ordinal = defaultdict(int)
+
+    def new_predicate(self, label, entry):
+        while label in self.labels:
+            label += "'"
+        self.labels.append(label)
+        self.lineage[len(self.labels) - 1] = entry
+        return len(self.labels) - 1
+
+    def span(self, pid):
+        rows = self.buckets[pid]
+        return (min(r[3] for r in rows), max(r[4] for r in rows)) if rows else None
+
+    def finalize(self):
+        order = sorted(self.buckets)
+        rows = [(s, new, o, b, e, sp) for new, pid in enumerate(order)
+                for s, _, o, b, e, sp in self.buckets[pid]]
+        graph = TemporalGraph(
+            facts=[r[:5] for r in rows],
+            splits=[r[5] for r in rows],
+            entity_labels=self.g.entity_labels,
+            predicate_labels=tuple(self.labels[pid] for pid in order),
+            time_labels=self.g.time_labels,
+        )
+        return graph, {new: self.lineage[pid] for new, pid in enumerate(order)}
+
+
 def reference_split_once(mg, pid, t):
-    """_MutableTKG.split_once as first written: one pass over the rows per
-    cut.  Returns the two children."""
+    """One cut as first written, on a Buckets store: one pass over the rows.
+    Returns the two children."""
     src, lo, hi = mg.lineage[pid].source, mg.lineage[pid].begin, mg.lineage[pid].end
     tl = mg.g.time_labels
     mg.split_points.append((mg.labels[pid], tl[t]))
@@ -374,7 +410,7 @@ def reference_split_once(mg, pid, t):
     r1 = mg.new_predicate(f"{src}#{n + 1}[{tl[lo]},{tl[t]}]", LineageEntry(src, lo, t))
     r2 = mg.new_predicate(f"{src}#{n + 2}[{tl[t]},{tl[hi]}]", LineageEntry(src, t, hi))
     left, right = [], []
-    for s, p, o, b, e, sp in mg.buckets.pop(pid).tolist():
+    for s, p, o, b, e, sp in mg.buckets.pop(pid):
         if b <= t <= e:
             left.append((s, p, o, b, t, sp))
             right.append((s, p, o, t, e, sp))
@@ -382,21 +418,29 @@ def reference_split_once(mg, pid, t):
             left.append((s, p, o, b, e, sp))
         else:
             right.append((s, p, o, b, e, sp))
-    mg.buckets[r1] = np.array(left, dtype=np.int64).reshape(-1, 6)
-    mg.buckets[r2] = np.array(right, dtype=np.int64).reshape(-1, 6)
+    mg.buckets[r1] = left
+    mg.buckets[r2] = right
     return r1, r2
 
 
-def _state(mg):
-    buckets = {pid: rows.tolist() for pid, rows in mg.buckets.items()}
-    return mg.labels, buckets, mg.lineage, dict(mg._ordinal), mg.split_points
+def assert_same_state(got, want):
+    """A _MutableTKG and a Buckets store hold the same predicates, and
+    every live one the same rows."""
+    assert got.labels == want.labels
+    assert got.lineage == want.lineage
+    assert dict(got._ordinal) == dict(want._ordinal)
+    assert got.split_points == want.split_points
+    assert got.live == set(want.buckets)
+    for pid, rows in want.buckets.items():
+        assert got.rows(pid).tolist() == [list(r) for r in rows]
+    assert got.finalize() == want.finalize()
 
 
 def reference_split_cpd(g, score, cfg, scope):
     """split_cpd as first written: a signature for every predicate, then one
-    split_once per change point, each on the rightmost child so far, its
-    span scanned from the child's rows."""
-    mg = _MutableTKG(g)
+    cut per change point, each on the rightmost child so far, its span
+    scanned from the child's rows."""
+    mg = Buckets(g)
     params = {
         "score": score,
         "epsilon": cfg.epsilon,
@@ -655,9 +699,11 @@ def test_lineage_roundtrip_without_stamp(tmp_path, tiny_graph):
 
 @st.composite
 def graphs(draw):
+    """Small graphs in which some predicates may have no fact: split
+    methods keep those with no rows, timestamp and merge drop them."""
     n_t = draw(st.integers(2, 6))
     n_e = draw(st.integers(2, 5))
-    n_p = draw(st.integers(1, 3))
+    n_p = draw(st.integers(1, 4))
     n_f = draw(st.integers(1, 10))
     facts = []
     splits = []
@@ -674,11 +720,8 @@ def graphs(draw):
             )
         )
         splits.append(draw(st.integers(0, 2)))
-    used = sorted({f[1] for f in facts})
-    remap = {p: i for i, p in enumerate(used)}
-    facts = [(s, remap[p], o, b, e) for s, p, o, b, e in facts]
     return build_graph(facts, splits=splits, num_entities=n_e,
-                       num_predicates=len(used), num_times=n_t)
+                       num_predicates=n_p, num_times=n_t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -733,39 +776,60 @@ def test_empty_graph_transforms_to_empty_graph(method):
     assert (res.report.predicates_after, res.report.facts_after) == (0, 0)
 
 
-def assert_lineage_holds_facts(res):
-    """One lineage entry per output predicate, every fact inside its
-    predicate's interval, and a stamp that is the whole interval."""
+# the methods whose predicates read one row per stamp
+PER_STAMP = {"timestamp", "merge"}
+
+
+def assert_lineage_holds_facts(g, res, per_stamp):
+    """One lineage entry per output predicate, a stamp that is the whole
+    interval, and each predicate's rows by the row rule: its source's facts
+    in ``g`` that meet its interval, clipped to it, in fact order; with
+    ``per_stamp``, one row per stamp, in stamp order and then fact order."""
     lineage = res.lineage
     assert sorted(lineage) == list(range(res.graph.num_predicates))
-    for _, p, _, b, e in res.graph.facts.tolist():
-        assert lineage[p].begin <= b <= e <= lineage[p].end
     for ent in lineage.values():
         if ent.stamp is not None:
             assert ent.begin == ent.stamp == ent.end
+    source = {label: p for p, label in enumerate(g.predicate_labels)}
+    facts = list(zip(g.facts.tolist(), g.splits.tolist()))
+    want = {}
+    for pid, ent in lineage.items():
+        mine = [(s, o, b, e, sp) for (s, p, o, b, e), sp in facts if p == source[ent.source]]
+        if per_stamp:
+            want[pid] = [(s, pid, o, t, t, sp) for t in range(ent.begin, ent.end + 1)
+                         for s, o, b, e, sp in mine if b <= t <= e]
+        else:
+            want[pid] = [(s, pid, o, max(b, ent.begin), min(e, ent.end), sp)
+                         for s, o, b, e, sp in mine if b <= ent.end and e >= ent.begin]
+    got = {pid: [] for pid in lineage}
+    for row, sp in zip(res.graph.facts.tolist(), res.graph.splits.tolist()):
+        got[row[1]].append((*row, sp))
+    assert got == want
+    if res.graph is not g:  # finalize groups rows by output predicate
+        assert sorted(res.graph.facts[:, 1].tolist()) == res.graph.facts[:, 1].tolist()
 
 
 @settings(max_examples=80, deadline=None)
 @given(g=graphs(), method=st.sampled_from(sorted(LINEAGE_TRANSFORMS)), data=st.data())
 def test_lineage_intervals_hold_facts_property(g, method, data):
     res = LINEAGE_TRANSFORMS[method](g)
-    assert_lineage_holds_facts(res)
+    assert_lineage_holds_facts(g, res, method in PER_STAMP)
     # a second transformation's cut on the result
     facts = res.graph.facts
     pid = data.draw(st.sampled_from(sorted(set(facts[:, 1].tolist()))))
     mine = facts[facts[:, 1] == pid]
     t = data.draw(st.integers(int(mine[:, 3].min()), int(mine[:, 4].max())))
-    assert_lineage_holds_facts(cut(res.graph, (pid, t)))
+    assert_lineage_holds_facts(res.graph, cut(res.graph, (pid, t)), per_stamp=False)
 
 
 @settings(max_examples=60, deadline=None)
 @given(g=graphs(), data=st.data())
 def test_split_once_matches_reference(g, data):
-    # split_parameterized and random_split cut through split_once
-    got, want = _MutableTKG(g), _MutableTKG(g)
+    # split_parameterized and random_split cut once per step
+    got, want = _MutableTKG(g), Buckets(g)
     for _ in range(3):
-        pid = data.draw(st.sampled_from(sorted(got.buckets)))
-        span = got.span(pid)
+        pid = data.draw(st.sampled_from(sorted(p for p, rows in want.buckets.items() if rows)))
+        span = want.span(pid)
         t = data.draw(st.integers(span[0], span[1]))
-        assert got.split_once(pid, t) == reference_split_once(want, pid, t)
-        assert _state(got) == _state(want)
+        assert got.split_at(pid, [t]) == list(reference_split_once(want, pid, t))
+        assert_same_state(got, want)

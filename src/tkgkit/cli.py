@@ -176,9 +176,9 @@ def cmd_transform(args) -> int:
         "transform": _section(args, "transform"),
         "output": {"dir": args.out},
     })
-    g = load_dataset(cfg.data_path, cfg.data_format)
+    g = load_dataset(cfg.dataset.path, cfg.dataset.format)
     result = apply_transform(g, cfg)
-    out = cfg.out_dir
+    out = cfg.output.dir
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(result.graph, out)
     save_lineage(result.graph, result.lineage, out / "lineage.tsv")
@@ -260,7 +260,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_segment_debug(args) -> int:
-    cfg = cpd_config(_section(args, "transform"))
+    cfg = cpd_config(parse_section("transform", _section(args, "transform")))
     try:
         signal = np.loadtxt(args.signal, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
@@ -329,12 +329,12 @@ def cmd_run(args) -> int:
             point[sec][key] = value
         cfg = build_config(point)
         if combo:
-            cfg.out_dir /= "_".join(f"{key}={value}" for _, key, value in combo)
+            cfg.output.dir /= "_".join(f"{key}={value}" for _, key, value in combo)
         runs.append(cfg)
     # every grid point is validated before the first one runs
     for cfg in runs:
         report = run_pipeline(cfg)
-        print(f"# {cfg.out_dir}")
+        print(f"# {cfg.output.dir}")
         print(report.format(), end="")
     return 0
 

@@ -9,10 +9,12 @@ parallel int8 array of shape (n,) holds each fact's split (0 train, 1
 valid, 2 test).  Stripping time leaves, per split, an int64 (n, 3) array of
 ``(s, p, o)`` rows.  A :class:`TemporalGraph` is treated as immutable after
 construction and holds no derived state, such as per-predicate indexes:
-every transformation builds a new graph.  Two array primitives serve the
+every transformation builds a new graph.  Three array primitives serve the
 other modules: ``expand_ranges`` lists each fact at each stamp it spans,
-and ``group_rows``, for the proximity signatures, splits rows into blocks
-by a key, keeping row order within a block.
+``distinct_keys``, for the leakage audit and the proximity signatures,
+sorts packed non-negative keys and drops repeats, and ``group_rows``, for
+the proximity signatures, splits rows into blocks by a key, keeping row
+order within a block.
 """
 from __future__ import annotations
 
@@ -134,6 +136,12 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     which = np.repeat(np.arange(len(counts)), counts)
     starts = np.cumsum(counts) - counts
     return which, lo[which] + np.arange(len(which)) - np.repeat(starts, counts)
+
+
+def distinct_keys(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` of keys >= 0 by one sort; numpy 2.4's hashing is ~25 x slower."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def group_rows(rows: np.ndarray, key: np.ndarray, values) -> list[np.ndarray]:
@@ -344,11 +352,8 @@ def save_dataset(g: TemporalGraph, out_dir: str | Path) -> None:
 
 def _write_lines(path: Path, *columns: np.ndarray) -> None:
     """Write one line per row of the label columns, fields tab-separated."""
-    lines = columns[0]
-    for col in columns[1:]:
-        lines = lines + "\t" + col
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join((lines + "\n").tolist()))
+        fh.write("".join("\t".join(row) + "\n" for row in zip(*columns)))
 
 
 def _write_table(path: Path, labels: tuple[str, ...]) -> None:

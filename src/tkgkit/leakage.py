@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SPLIT_NAMES, DataError
+from .graph import SPLIT_NAMES, DataError, distinct_keys
 
 FILTER_MODES = ("none", "intra", "inter", "both")
 
@@ -60,12 +60,6 @@ def _keys(*splits: np.ndarray) -> list[np.ndarray]:
 
 # keys are >= 0, so a -1 put before or after them matches none
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct keys, sorted."""
-    k = np.sort(keys)
-    return k[np.diff(k, prepend=-1) != 0]
-
-
 def _first_seen(keys: np.ndarray) -> np.ndarray:
     """Mask of each key's first occurrence: the least index in each run of
     equal sorted keys."""
@@ -94,7 +88,7 @@ def audit(train: np.ndarray, valid: np.ndarray, test: np.ndarray) -> DuplicateAu
     fractions are over the split's distinct size.
     """
     splits = [_rows(x) for x in (train, valid, test)]
-    distinct = list(map(_distinct, _keys(*splits)))
+    distinct = list(map(distinct_keys, _keys(*splits)))
     a_train, a_valid, a_test = map(_split_audit, map(len, distinct), map(len, splits))
     vit, tit = (int(_member(u, distinct[0]).sum()) for u in distinct[1:])
     return DuplicateAudit(
@@ -126,7 +120,7 @@ def apply_filter(
     if mode in ("intra", "both"):
         keep = list(map(_first_seen, keys))
     if mode in ("inter", "both"):
-        in_train = _distinct(keys[0])
+        in_train = distinct_keys(keys[0])
         for k, kp in zip(keys[1:], keep[1:]):
             kp &= ~_member(k, in_train)
     f_train, f_valid, f_test = (x[kp] for x, kp in zip(splits, keep))

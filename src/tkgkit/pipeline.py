@@ -2,7 +2,9 @@
 
 Configuration is an INI file with sections [dataset], [transform],
 [filter], [train], [eval] and [output]; any key can be overridden through
-environment variables named TKGKIT_<SECTION>_<KEY>.  A run writes every
+environment variables named TKGKIT_<SECTION>_<KEY>.  SCHEMA lists every
+key once, and a built config reads each setting under that key as
+``cfg.<section>.<key>``.  A run writes every
 artifact (transformed dataset, lineage, reports, checkpoint, metrics) into
 one output directory together with a manifest carrying the config hash,
 seed and package version, and is byte-reproducible for a fixed config.
@@ -18,6 +20,7 @@ import logging
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,15 +53,18 @@ from .transform import (
 
 logger = logging.getLogger(__name__)
 
-TRANSFORM_METHODS = (
-    "none",
-    "timestamp",
-    "split_time",
-    "split_count",
-    "split_cpd",
-    "merge",
-    "random",
-)
+# Each transform method and its call on a graph and a PipelineConfig.
+TRANSFORMS = {
+    "none": lambda g, cfg: identity(g),
+    "timestamp": lambda g, cfg: timestamp(g),
+    "split_time": lambda g, cfg: split_parameterized(g, "time", cfg.transform.grow),
+    "split_count": lambda g, cfg: split_parameterized(g, "count", cfg.transform.grow),
+    "split_cpd": lambda g, cfg: split_cpd(
+        g, score=cfg.transform.score, cfg=cfg.cpd, scope=cfg.transform.scope
+    ),
+    "merge": lambda g, cfg: merge(g, cfg.transform.shrink),
+    "random": lambda g, cfg: random_split(g, cfg.transform.grow, seed=cfg.transform.seed),
+}
 
 ENV_PREFIX = "TKGKIT_"
 
@@ -78,7 +84,7 @@ def _hits(text: str) -> tuple[int, ...]:
 SCHEMA: dict[str, dict[str, tuple]] = {
     "dataset": {"path": (Path, None), "format": (DATA_FORMATS, "valid_time")},
     "transform": {
-        "method": (TRANSFORM_METHODS, "none"),
+        "method": (tuple(TRANSFORMS), "none"),
         "grow": (parse_float, None),
         "shrink": (parse_float, None),
         "epsilon": (parse_float, None),
@@ -106,24 +112,17 @@ class ConfigError(Exception):
 
 @dataclass
 class PipelineConfig:
-    """A validated run; build_config fills every field from the schema."""
+    """A validated run: each section but [train] is a namespace of its
+    parse_section values, so a setting reads as ``cfg.<section>.<key>``."""
 
-    data_path: Path
-    data_format: str
-    transform_method: str
-    filter_mode: str
+    dataset: SimpleNamespace
+    transform: SimpleNamespace
+    filter: SimpleNamespace
     train: TrainConfig
-    out_dir: Path
-    grow: float | None
-    shrink: float | None
+    eval: SimpleNamespace
+    output: SimpleNamespace
     # the detection settings of split_cpd, None for every other method
     cpd: CpdConfig | None
-    score: str
-    scope: str
-    transform_seed: int
-    tie_rule: str
-    hits_ks: tuple[int, ...]
-    dump_ranks: bool
     raw: dict[str, dict[str, str]]
 
 
@@ -214,9 +213,8 @@ def train_config(values: dict[str, str]) -> TrainConfig:
     return _validated("train", TrainConfig(**parse_section("train", values)))
 
 
-def cpd_config(values: dict[str, str]) -> CpdConfig:
-    """Validated detection settings from raw [transform] values."""
-    tf = parse_section("transform", values)
+def cpd_config(tf: dict) -> CpdConfig:
+    """Validated detection settings from parsed [transform] values."""
     if tf["epsilon"] is None:
         raise ConfigError("[transform] split_cpd needs epsilon")
     cfg = CpdConfig(epsilon=tf["epsilon"], min_size=tf["min_size"], jump=tf["jump"],
@@ -233,15 +231,13 @@ def build_config(raw: dict[str, dict[str, str]]) -> PipelineConfig:
     for sec in raw:
         if sec not in SCHEMA:
             raise ConfigError(f"unknown config section [{sec}]")
-    ds, tf, flt, ev, out = (
-        parse_section(sec, raw.get(sec, {}))
-        for sec in ("dataset", "transform", "filter", "eval", "output")
-    )
+    parsed = {sec: parse_section(sec, raw.get(sec, {})) for sec in SCHEMA if sec != "train"}
+    ds, tf = parsed["dataset"], parsed["transform"]
     if ds["path"] is None:
         raise ConfigError("[dataset] path is required")
     if not ds["path"].is_dir():
         raise ConfigError(f"[dataset] path {ds['path']} is not a directory")
-    if out["dir"] is None:
+    if parsed["output"]["dir"] is None:
         raise ConfigError("[output] dir is required")
 
     method = tf["method"]
@@ -251,50 +247,22 @@ def build_config(raw: dict[str, dict[str, str]]) -> PipelineConfig:
         raise ConfigError("[transform] method merge needs shrink > 1 (inf allowed)")
     if tf["seed"] < 0:
         raise ConfigError("[transform] seed must be >= 0")
-    cpd = cpd_config(raw.get("transform", {})) if method == "split_cpd" else None
-
+    cpd = cpd_config(tf) if method == "split_cpd" else None
     return PipelineConfig(
-        data_path=ds["path"],
-        data_format=ds["format"],
-        transform_method=method,
-        filter_mode=flt["mode"],
+        **{sec: SimpleNamespace(**vals) for sec, vals in parsed.items()},
         train=train_config(raw.get("train", {})),
-        out_dir=out["dir"],
-        grow=tf["grow"],
-        shrink=tf["shrink"],
         cpd=cpd,
-        score=tf["score"],
-        scope=tf["scope"],
-        transform_seed=tf["seed"],
-        tie_rule=ev["tie_rule"],
-        hits_ks=ev["hits"],
-        dump_ranks=ev["dump_ranks"],
         raw=raw,
     )
 
 
 def apply_transform(g: TemporalGraph, cfg: PipelineConfig) -> TransformResult:
-    method = cfg.transform_method
-    if method == "none":
-        return identity(g)
-    if method == "timestamp":
-        return timestamp(g)
-    if method == "split_time":
-        return split_parameterized(g, "time", cfg.grow)
-    if method == "split_count":
-        return split_parameterized(g, "count", cfg.grow)
-    if method == "split_cpd":
-        return split_cpd(g, score=cfg.score, cfg=cfg.cpd, scope=cfg.scope)
-    if method == "merge":
-        return merge(g, cfg.shrink)
-    if method == "random":
-        return random_split(g, cfg.grow, seed=cfg.transform_seed)
-    raise ConfigError(f"unknown transform method {method!r}")
+    return TRANSFORMS[cfg.transform.method](g, cfg)
 
 
 def run_pipeline(cfg: PipelineConfig):
     """Execute all stages and write artifacts; returns the metric report."""
-    out = cfg.out_dir
+    out = cfg.output.dir
     out.mkdir(parents=True, exist_ok=True)
     # a manifest marks a complete run: drop a previous run's before this
     # run overwrites any of its artifacts
@@ -305,11 +273,11 @@ def run_pipeline(cfg: PipelineConfig):
         (out / name).write_text(text, encoding="utf-8")
         artifacts.append(name)
 
-    logger.info("loading %s (%s)", cfg.data_path, cfg.data_format)
-    g = load_dataset(cfg.data_path, cfg.data_format)
+    logger.info("loading %s (%s)", cfg.dataset.path, cfg.dataset.format)
+    g = load_dataset(cfg.dataset.path, cfg.dataset.format)
     write("stats.txt", format_stats(dataset_stats(g)))
 
-    logger.info("transform: %s", cfg.transform_method)
+    logger.info("transform: %s", cfg.transform.method)
     result = apply_transform(g, cfg)
     save_dataset(result.graph, out / "transformed")
     artifacts.append("transformed/")
@@ -322,9 +290,9 @@ def run_pipeline(cfg: PipelineConfig):
     write("audit.txt", format_audit(audit_report))
     write("audit.csv", audit_csv(audit_report))
 
-    logger.info("filter: %s", cfg.filter_mode)
+    logger.info("filter: %s", cfg.filter.mode)
     f_train, f_valid, f_test = apply_filter(
-        triples["train"], triples["valid"], triples["test"], cfg.filter_mode
+        triples["train"], triples["valid"], triples["test"], cfg.filter.mode
     )
     save_triples(
         {"train": f_train, "valid": f_valid, "test": f_test},
@@ -362,18 +330,18 @@ def run_pipeline(cfg: PipelineConfig):
     logger.info("evaluating %d test triples", len(f_test))
     known = np.concatenate((f_train, f_valid, f_test))
     report, ranks = evaluate(
-        model, f_test, known, tie_rule=cfg.tie_rule, ks=cfg.hits_ks
+        model, f_test, known, tie_rule=cfg.eval.tie_rule, ks=cfg.eval.hits
     )
     write("metrics.txt", report.format())
     write("metrics.csv", report.csv())
-    if cfg.dump_ranks:
+    if cfg.eval.dump_ranks:
         write("ranks.tsv", ranks_tsv(f_test, ranks))
 
     manifest = {
         "version": __version__,
         "config_hash": run_hash,
         "seed": cfg.train.seed,
-        "transform_seed": cfg.transform_seed,
+        "transform_seed": cfg.transform.seed,
         "artifacts": sorted(artifacts),
         "config": cfg.raw,
     }

@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import expand_ranges, group_rows
+from .graph import distinct_keys, expand_ranges, group_rows
 
 PROXIMITY_MEASURES = ("jaccard", "adar", "pref")
 SIGNATURE_SCOPES = ("predicate", "graph")
@@ -100,12 +100,6 @@ def _check_packable(*widths: int) -> None:
         raise ValueError("entity ids too large to pack into one int64")
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """``np.unique(keys)`` of keys >= 0 by one sort; numpy 2.4's hashing is ~25 x slower."""
-    keys = np.sort(keys)
-    return keys[np.diff(keys, prepend=-1) != 0]
-
-
 class StampNeighbors:
     """Each node's neighbors at each timestamp over the fact rows valid
     then, as ``NeighborIndex`` holds them, but in arrays: the neighbors of
@@ -121,7 +115,7 @@ class StampNeighbors:
         _check_packable(num_timestamps, width, width)
         # every edge from both ends, once each; a self-loop's two are one
         s, o = ends.T
-        pairs = _distinct(np.append((t * width + s) * width + o, (t * width + o) * width + s))
+        pairs = distinct_keys(np.append((t * width + s) * width + o, (t * width + o) * width + s))
         node = pairs // width
         runs = np.flatnonzero(np.diff(node, prepend=-1))
         # a last key above every lookup, whose run is empty, so a miss finds
@@ -209,7 +203,7 @@ def signature_series(
 
     # the (timestamp, column) cells some fact connects, once each
     which, t = expand_ranges(rows[:, 3], rows[:, 4])
-    t, j = np.divmod(_distinct(t * n_pairs + column[which]), n_pairs)
+    t, j = np.divmod(distinct_keys(t * n_pairs + column[which]), n_pairs)
     u, v = lo[j], hi[j]
 
     if slices is None:

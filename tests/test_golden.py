@@ -146,4 +146,4 @@ def test_artifacts_match_golden_digest(tmp_path, run):
     ))
     cfg = build_config(read_config_file(ini, environ={}))
     run_pipeline(cfg)
-    assert _tree_digest(cfg.out_dir) == GOLDEN[run]
+    assert _tree_digest(cfg.output.dir) == GOLDEN[run]

@@ -13,12 +13,16 @@ import pytest
 import tkgkit
 from tkgkit.cli import build_parser, main
 from tkgkit.pipeline import (
+    SCHEMA,
     ConfigError,
     build_config,
     config_hash,
+    parse_section,
     read_config_file,
     run_pipeline,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_ini(path: Path, data_dir: Path, out_dir: Path, **overrides) -> Path:
@@ -200,7 +204,7 @@ def test_merge_needs_shrink_inf_allowed(tiny_dataset, tmp_path):
         build_config(raw)
     raw["transform"]["shrink"] = "inf"
     cfg = build_config(raw)
-    assert math.isinf(cfg.shrink)
+    assert math.isinf(cfg.transform.shrink)
 
 
 def test_split_cpd_needs_epsilon(tiny_dataset, tmp_path):
@@ -216,11 +220,40 @@ def test_split_cpd_needs_epsilon(tiny_dataset, tmp_path):
 def test_build_config_happy(tiny_dataset, tmp_path):
     raw = base_raw(tiny_dataset, tmp_path)
     cfg = build_config(raw)
-    assert cfg.transform_method == "timestamp"
-    assert cfg.filter_mode == "both"
+    assert cfg.transform.method == "timestamp"
+    assert cfg.filter.mode == "both"
     assert cfg.train.epochs == 2
-    assert cfg.hits_ks == (1, 3, 10)
+    assert cfg.eval.hits == (1, 3, 10)
     assert cfg.raw is raw
+
+
+def test_every_setting_reads_back_under_its_key(tiny_dataset, tmp_path):
+    raw = base_raw(tiny_dataset, tmp_path)
+    raw["transform"].update(method="split_cpd", epsilon="2.0", grow="3", shrink="inf",
+                            gamma="0.5", seed="4")
+    raw["eval"].update(hits="2,5", dump_ranks="true")
+    cfg = build_config(raw)
+    for sec, table in SCHEMA.items():
+        parsed = parse_section(sec, raw[sec])
+        for key in table:
+            assert getattr(getattr(cfg, sec), key) == parsed[key], (sec, key)
+
+
+def test_readme_example_config_loads(tiny_dataset, tmp_path):
+    # values are literal, so a comment on a value's line would become part
+    # of the value; the example keeps each comment on its own line
+    block = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+    ini = tmp_path / "run.ini"
+    ini.write_text(block, encoding="utf-8")
+    raw = read_config_file(ini, environ={
+        "TKGKIT_DATASET_PATH": str(tiny_dataset),
+        "TKGKIT_OUTPUT_DIR": str(tmp_path / "out"),
+    })
+    cfg = build_config(raw)
+    assert (cfg.dataset.format, cfg.transform.method, cfg.transform.score) == (
+        "valid_time", "split_cpd", "pref")
+    assert (cfg.transform.scope, cfg.filter.mode, cfg.eval.tie_rule) == (
+        "predicate", "inter", "mean")
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +277,7 @@ def test_run_pipeline_artifacts(tiny_dataset, tmp_path):
     raw = base_raw(tiny_dataset, tmp_path)
     cfg = build_config(raw)
     report = run_pipeline(cfg)
-    out = cfg.out_dir
+    out = cfg.output.dir
     for name in EXPECTED_FILES:
         assert (out / name).is_file(), name
     for sub in ("transformed", "filtered", "model"):
@@ -265,9 +298,9 @@ def test_run_pipeline_byte_reproducible(tiny_dataset, tmp_path):
     raw = base_raw(tiny_dataset, tmp_path)
     cfg = build_config(raw)
     run_pipeline(cfg)
-    first = tree_digest(cfg.out_dir)
+    first = tree_digest(cfg.output.dir)
     run_pipeline(build_config(raw))
-    second = tree_digest(cfg.out_dir)
+    second = tree_digest(cfg.output.dir)
     assert first == second
 
 
@@ -276,7 +309,7 @@ def test_run_pipeline_dump_ranks(tiny_dataset, tmp_path):
     raw["eval"]["dump_ranks"] = "true"
     cfg = build_config(raw)
     run_pipeline(cfg)
-    ranks = (cfg.out_dir / "ranks.tsv").read_text().splitlines()
+    ranks = (cfg.output.dir / "ranks.tsv").read_text().splitlines()
     assert ranks[0] == "subject\tpredicate\tobject\tside\trank"
     assert len(ranks) > 1
 
@@ -286,7 +319,7 @@ def test_run_pipeline_loss_history_rows(tiny_dataset, tmp_path):
     raw["train"]["epochs"] = "4"
     cfg = build_config(raw)
     run_pipeline(cfg)
-    lines = (cfg.out_dir / "loss_history.csv").read_text().splitlines()
+    lines = (cfg.output.dir / "loss_history.csv").read_text().splitlines()
     assert lines[0] == "epoch,loss"
     assert len(lines) == 5
 
@@ -611,7 +644,7 @@ def test_config_file_values_are_literal(tiny_dataset, tmp_path):
     ini = write_ini(tmp_path / "c.ini", tiny_dataset, out)
     raw = read_config_file(ini, environ={})
     assert raw["output"]["dir"] == out
-    assert build_config(raw).out_dir == Path(out)
+    assert build_config(raw).output.dir == Path(out)
 
 
 def test_cli_env_override(tiny_dataset, tmp_path, monkeypatch, capsys):

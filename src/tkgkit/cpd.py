@@ -212,7 +212,9 @@ def bottom_up(
     # bounds[i] adds to the total (inf at the two ends, which never merge).
     # A merge changes only its two neighbours' entries.
     seg = [costs.cost(a, b) for a, b in zip(bounds, bounds[1:])]
-    total = sum(seg)
+    # added left to right: from Python 3.12 the builtin sum compensates, and
+    # a total one ulp off can stop the merges at another step
+    total = float(np.cumsum(seg)[-1])
     merged = [0.0] * len(bounds)
     gain = [math.inf] * len(bounds)
 

@@ -9,12 +9,10 @@ parallel int8 array of shape (n,) holds each fact's split (0 train, 1
 valid, 2 test).  Stripping time leaves, per split, an int64 (n, 3) array of
 ``(s, p, o)`` rows.  A :class:`TemporalGraph` is treated as immutable after
 construction and holds no derived state, such as per-predicate indexes:
-every transformation builds a new graph.  Three array primitives serve the
+every transformation builds a new graph.  Two array primitives serve the
 other modules: ``expand_ranges`` lists each fact at each stamp it spans,
-``distinct_keys``, for the leakage audit and the proximity signatures,
-sorts packed non-negative keys and drops repeats, and ``group_rows``, for
-the proximity signatures, splits rows into blocks by a key, keeping row
-order within a block.
+and ``distinct_keys``, for the leakage audit and the proximity signatures,
+sorts packed non-negative keys and drops repeats.
 """
 from __future__ import annotations
 
@@ -142,15 +140,6 @@ def distinct_keys(keys: np.ndarray) -> np.ndarray:
     """``np.unique(keys)`` of keys >= 0 by one sort; numpy 2.4's hashing is ~25 x slower."""
     keys = np.sort(keys)
     return keys[np.diff(keys, prepend=-1) != 0]
-
-
-def group_rows(rows: np.ndarray, key: np.ndarray, values) -> list[np.ndarray]:
-    """``rows`` split into one block per entry of the increasing ``values``
-    that ``key`` takes, each block in row order; no block for no values."""
-    if not len(values):
-        return []
-    order = np.argsort(key, kind="stable")
-    return np.split(rows[order], np.searchsorted(key[order], values[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,16 @@ Neighborhoods are taken over the undirected view of a graph slice: an edge
 series stacks, per timestamp, the proximity scores of the entity pairs a
 predicate connects at that timestamp, giving one row per timestamp and one
 column per pair the predicate ever connects.  Change points in that matrix
-are where the predicate's neighborhood structure shifts.  Facts are
-expanded to their stamps with ``graph.expand_ranges``.
+are where the predicate's neighborhood structure shifts.  Two primitives
+of ``graph`` do the array work: ``expand_ranges`` lists each fact at each
+stamp, and ``distinct_keys`` drops repeated packed (stamp, pair) keys.
 
 ``pref`` and ``jaccard`` read per-stamp neighbor arrays
 (:class:`StampNeighbors`): their scores are exact integer arithmetic and at
 most one division, so arrays give the same bits as sets, with no Python
 loop over stamps or cells.  ``adar`` alone reads one
 :class:`NeighborIndex` of Python sets per stamp.  Each stamp's edges keep
-fact order there (``graph.group_rows`` is stable), because the order edges
+fact order there (a stable sort groups them), because the order edges
 enter a neighborhood set fixes the order ``adamic_adar`` adds in, and an
 array sum in id order can differ in the last bit.
 """
@@ -24,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import distinct_keys, expand_ranges, group_rows
+from .graph import distinct_keys, expand_ranges
 
 PROXIMITY_MEASURES = ("jaccard", "adar", "pref")
 SIGNATURE_SCOPES = ("predicate", "graph")
@@ -164,8 +165,11 @@ def stamp_neighborhoods(
     if measure != "adar":
         return StampNeighbors(facts, num_timestamps)
     which, t = expand_ranges(facts[:, 3], facts[:, 4])
-    edges = group_rows(facts[:, [0, 2]][which], t, range(num_timestamps))
-    return [NeighborIndex(block.tolist()) for block in edges]
+    # a stable sort keeps each stamp's edges in fact order
+    by = np.argsort(t, kind="stable")
+    edges = facts[:, [0, 2]][which[by]]
+    ends = np.searchsorted(t[by], np.arange(num_timestamps + 1)).tolist()
+    return [NeighborIndex(edges[a:b].tolist()) for a, b in zip(ends, ends[1:])]
 
 
 def signature_series(

@@ -352,17 +352,16 @@ def split_parameterized(g: TemporalGraph, method: str, grow: float) -> Transform
     heap = [(-n, p) for p, n in enumerate(np.diff(mg.offsets).tolist())]
     heapq.heapify(heap)
     report = _base_report(f"split_{method}", {"grow": grow}, g)
+    # a popped id is cut or, with no split stamp, never pushed again, so
+    # every id in the heap is live
     while len(mg.live) < target:
-        while heap:
-            negc, pid = heapq.heappop(heap)
-            if pid in mg.live:
-                break
-        else:
+        if not heap:
             report.warnings.append(
                 f"no splittable predicate left at {len(mg.live)} predicates"
                 f" (target {target:g})"
             )
             break
+        pid = heapq.heappop(heap)[1]
         rows = mg.rows(pid)
         t = choose(rows)
         if t is None:
@@ -514,20 +513,6 @@ def random_split(g: TemporalGraph, grow: float, seed: int = 0) -> TransformResul
 # merging
 # ---------------------------------------------------------------------------
 
-class _MergeNode:
-    """A predicate in its source's chain of stamped and merged predicates,
-    in time order, with its fact count; alive while ``pid`` is live."""
-
-    __slots__ = ("pid", "src", "count", "prev", "next")
-
-    def __init__(self, pid: int, src: int, count: int):
-        self.pid = pid
-        self.src = src
-        self.count = count
-        self.prev: _MergeNode | None = None
-        self.next: _MergeNode | None = None
-
-
 def merge(g: TemporalGraph, shrink: float) -> TransformResult:
     """Timestamp the graph, then fuse adjacent stamped predicates.
 
@@ -536,6 +521,10 @@ def merge(g: TemporalGraph, shrink: float) -> TransformResult:
     stamp, then lower source id).  Stops once the predicate count drops to
     the timestamped count divided by ``shrink``; ``shrink=inf`` merges all
     the way back to one predicate per source.
+
+    The heap needs no tie counter: one source's live predicates have
+    distinct begins, so no two live pairs tie on (facts, begin, source),
+    and a stale entry that ties with a live one is skipped when it pops.
     """
     if shrink <= 1:
         raise ValueError("shrink must be > 1")
@@ -546,45 +535,38 @@ def merge(g: TemporalGraph, shrink: float) -> TransformResult:
     report = _base_report("merge", {"shrink": shrink}, g)
     report.notes.append(f"timestamped predicates: {m_ts}")
 
-    heap: list[tuple[int, int, int, int, _MergeNode, _MergeNode]] = []
-    seq = 0
-
-    def push(a: _MergeNode, b: _MergeNode) -> None:
-        nonlocal seq
-        heap.append((a.count + b.count, mg.lineage[a.pid].begin, a.src, seq, a, b))
-        seq += 1
-
-    prev: _MergeNode | None = None
-    for src, dp, count in stamped:
-        node = _MergeNode(dp, src, count)
-        if prev is not None and prev.src == src:
-            prev.next = node
-            node.prev = prev
-            push(prev, node)
-        prev = node
+    # fact count, and the live neighbours in the source's chain, per predicate
+    facts = {dp: n for _, dp, n in stamped}
+    before: dict[int, int] = {}
+    after: dict[int, int] = {}
+    heap = []
+    for (src, a, n), (next_src, b, m) in zip(stamped, stamped[1:]):
+        if src == next_src:
+            after[a], before[b] = b, a
+            heap.append((n + m, mg.lineage[a].begin, src, a, b))
     heapq.heapify(heap)
 
     tl = g.time_labels
     while len(mg.live) > target and heap:
-        *_, a, b = heapq.heappop(heap)
+        n, begin, src, a, b = heapq.heappop(heap)
         # both alive means still adjacent: merging either one kills it
-        if a.pid not in mg.live or b.pid not in mg.live:
+        if a not in mg.live or b not in mg.live:
             continue
-        first, last = mg.lineage[a.pid], mg.lineage[b.pid]
-        label = f"{first.source}~[{tl[first.begin]},{tl[last.end]}]"
-        dp = mg.new_predicate(label, LineageEntry(first.source, first.begin, last.end))
-        mg.live -= {a.pid, b.pid}
+        first, last = mg.lineage[a], mg.lineage[b]
+        label = f"{first.source}~[{tl[begin]},{tl[last.end]}]"
+        dp = mg.new_predicate(label, LineageEntry(first.source, begin, last.end))
+        mg.live -= {a, b}
         mg.live.add(dp)
-        node = _MergeNode(dp, a.src, a.count + b.count)
-        node.prev = a.prev
-        node.next = b.next
-        if node.prev is not None:
-            node.prev.next = node
-            push(node.prev, node)
-        if node.next is not None:
-            node.next.prev = node
-            push(node, node.next)
-        report.merge_trace.append(f"{mg.labels[a.pid]} + {mg.labels[b.pid]} -> {label}")
+        facts[dp] = n
+        if a in before:
+            p = before[dp] = before[a]
+            after[p] = dp
+            heapq.heappush(heap, (facts[p] + n, mg.lineage[p].begin, src, p, dp))
+        if b in after:
+            q = after[dp] = after[b]
+            before[q] = dp
+            heapq.heappush(heap, (n + facts[q], begin, src, dp, q))
+        report.merge_trace.append(f"{mg.labels[a]} + {mg.labels[b]} -> {label}")
     # the heap holds every pair of adjacent live predicates, so it runs out
     # only once each source is down to one
     if len(mg.live) > target:

@@ -273,6 +273,19 @@ def test_bottom_up_rejects_non_finite(signal, kwargs, hint):
         bottom_up(np.array(signal), **kwargs)
 
 
+def test_bottom_up_total_adds_left_to_right(monkeypatch):
+    # from Python 3.12 the builtin sum compensates as fsum does; on this
+    # signal the two sums of the initial segment costs differ by one ulp
+    monkeypatch.setattr(cpd, "sum", math.fsum, raising=False)
+    x = np.random.default_rng(4).normal(size=(60, 2))
+    costs = _GramCosts(x, 1.0)
+    want = 0.0
+    for a in range(0, 60, 3):
+        want += costs.cost(a, a + 3)
+    assert math.fsum(costs.cost(a, a + 3) for a in range(0, 60, 3)) != want
+    assert bottom_up(x, 0.0, jump=3, gamma=1.0).total_cost == want
+
+
 def test_cpd_config_validation():
     CpdConfig().validate()
     with pytest.raises(ValueError):
@@ -337,7 +350,9 @@ def reference_bottom_up(x, penalty, min_size=1, jump=1, gamma=None):
         (bounds[i], bounds[i + 1]): costs.cost(bounds[i], bounds[i + 1])
         for i in range(len(bounds) - 1)
     }
-    total = sum(seg_cost.values())
+    total = 0.0
+    for cost in seg_cost.values():  # left to right, as bottom_up adds
+        total += cost
     while len(bounds) > 2:
         best_gain = math.inf
         best_i = -1

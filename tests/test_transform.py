@@ -738,6 +738,56 @@ def test_merge_unroll_property(g):
     assert unroll(res.graph, res.lineage) == unroll(g)
 
 
+def reference_merge(g, shrink):
+    """merge by its definition, from ``timestamp(g)``: each step scans every
+    adjacent pair of live predicates of one source and merges the pair with
+    the fewest combined facts (ties: earlier begin, then lower source id).
+    Returns the merge trace, the notes, and each output predicate's label,
+    source, begin and end by output id."""
+    ts = timestamp(g)
+    tl = g.time_labels
+    source = {label: p for p, label in enumerate(g.predicate_labels)}
+    used = set(g.predicate_labels) | set(ts.graph.predicate_labels)
+    facts = np.bincount(ts.graph.facts[:, 1], minlength=ts.graph.num_predicates).tolist()
+    # (label, source, begin, end, facts) by id; a merged predicate takes the next id
+    live = {p: (ts.graph.predicate_labels[p], ent.source, ent.begin, ent.end, facts[p])
+            for p, ent in ts.lineage.items()}
+    stamped = len(live)
+    target = stamped / shrink
+    notes = [f"timestamped predicates: {stamped}"]
+    trace = []
+    while len(live) > target:
+        chain = sorted(live, key=lambda p: (source[live[p][1]], live[p][2]))
+        pairs = [((live[a][4] + live[b][4], live[a][2], source[live[a][1]]), a, b)
+                 for a, b in zip(chain, chain[1:]) if live[a][1] == live[b][1]]
+        if not pairs:
+            notes.append("fully merged: one predicate per source")
+            break
+        _, a, b = min(pairs)
+        (label_a, src, begin, _, n_a), (label_b, _, _, end, n_b) = live.pop(a), live.pop(b)
+        label = f"{src}~[{tl[begin]},{tl[end]}]"
+        while label in used:
+            label += "'"
+        used.add(label)
+        live[stamped + len(trace)] = (label, src, begin, end, n_a + n_b)
+        trace.append(f"{label_a} + {label_b} -> {label}")
+    return trace, notes, [live[p][:4] for p in sorted(live)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs())
+# stamps hold 4, 3, 1, 2 and 5 facts: after @2 + @3, the pair that merge
+# made, @1 + [2,3] (6 facts), goes before the older @0 + @1 (7)
+@example(g=build_graph([(0, 0, 1, t, t) for t in (0, 0, 0, 0, 1, 1, 1, 2, 3, 3, 4, 4, 4, 4, 4)],
+                       num_times=5))
+def test_merge_matches_reference(g):
+    for shrink in (1.5, 2.5, math.inf):
+        res = merge(g, shrink)
+        got = [(res.graph.predicate_labels[p], ent.source, ent.begin, ent.end)
+               for p, ent in sorted(res.lineage.items())]
+        assert (res.report.merge_trace, res.report.notes, got) == reference_merge(g, shrink)
+
+
 @settings(max_examples=40, deadline=None)
 @given(graphs(), st.integers(0, 3))
 def test_random_split_coverage_property(g, seed):

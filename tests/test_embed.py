@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,20 @@ def test_gradient_zero_delta_is_safe():
         assert np.isfinite(d_ent).all() and np.isfinite(d_pred).all()
 
 
+def test_score_leaves_model_unchanged():
+    rng = np.random.default_rng(2)
+    model = EmbeddingModel(rng.normal(size=(5, 4)), rng.normal(size=(3, 4)))
+    before = model.entity.tobytes(), model.predicate.tobytes()
+    # a scalar id's row is a view of the model
+    for s, p, o in ((0, 1, 2), (3, 0, 3)):
+        model.score(s, p, o)
+        _phi_delta(model.entity, model.predicate, s, p, o, "l1")
+    assert (model.entity.tobytes(), model.predicate.tobytes()) == before
+    # ids of different shapes broadcast
+    want = [model.score(0, 1, e) for e in range(5)]
+    assert model.score(0, 1, np.arange(5)).tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # gradients against the scatter they replace, bit for bit
 # ---------------------------------------------------------------------------
@@ -272,10 +287,20 @@ def test_gradients_match_scatter_reference_bytes(norm, weights, k):
         assert g.tobytes() == w.tobytes()
 
 
+def densify(grad, like):
+    """A gradient that batch_gradients returned, as a dense array shaped like ``like``."""
+    if not isinstance(grad, tuple):
+        return grad
+    rows, sums = grad
+    dense = np.zeros_like(like)
+    dense[rows] = sums
+    return dense
+
+
 def test_shared_workspace_leaks_no_stale_rows():
     # 40 entities and 30 predicates: a batch of one positive with one
-    # negative writes a few rows (compact path), one with 60 negatives
-    # lists more ids than there are rows and writes them all (dense path)
+    # negative returns a few rows (compact path), one with 60 negatives
+    # lists more ids than there are rows and returns them all (dense path)
     rng = np.random.default_rng(5)
     entity, predicate = rng.normal(size=(40, 6)), rng.normal(size=(30, 6))
     cfg = TrainConfig(dimension=6, detach_weights=False)
@@ -286,13 +311,37 @@ def test_shared_workspace_leaks_no_stale_rows():
         (np.array([[0, 3, 1]]), np.array([[2]]), np.array([[True]])),
         (np.array([[9, 4, 10]]), np.array([[11]]), np.array([[False]])),
     ]
-    work = GradientWorkspace(entity.shape, predicate.shape)
+    work = GradientWorkspace()
     for pos, neg, corrupt in calls:
         got = batch_gradients(entity, predicate, pos, neg, corrupt, cfg, work=work)
         want = batch_gradients(entity, predicate, pos, neg, corrupt, cfg)
         assert got[0] == want[0]
         for g, w in zip(got[1:], want[1:]):
+            g = densify(g, w)
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_train_holds_no_dense_gradient():
+    # 20,000 entities at d = 16, one epoch in three batches of 4,000
+    # positives with one negative each
+    n_ent, n_pred, dim, batch = 20_000, 10, 16, 4_000
+    rng = np.random.default_rng(0)
+    triples = np.stack([rng.integers(0, n_ent, 3 * batch), rng.integers(0, n_pred, 3 * batch),
+                        rng.integers(0, n_ent, 3 * batch)], axis=1)
+    cfg = TrainConfig(dimension=dim, epochs=1, batch_size=batch, negative_samples=batch,
+                      learning_rate=0.01)
+    tracemalloc.start()
+    try:
+        train(triples, n_ent, n_pred, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the parameters and both Adam moments, plus 15 (batch, d) arrays: the
+    # batch's gathers and differences, a band of contributions and its cell
+    # indices, the touched rows' sums and Adam's scratch.  A dense gradient
+    # alone is 5 of them, and full-width contributions and cell indices 8
+    model = 3 * (n_ent + n_pred) * dim * 8
+    assert peak < model + 15 * batch * dim * 8
 
 
 def reference_train(triples, num_entities, num_predicates, cfg, history):
@@ -448,6 +497,44 @@ def test_adam_blocks_match_whole_array_bytes():
             assert got.tobytes() == ref.tobytes()
     for got, ref in zip(opt.m + opt.v, m + v):
         assert got.tobytes() == ref.tobytes()
+
+
+def test_adam_row_pairs_match_dense_bytes():
+    rng = np.random.default_rng(13)
+    cols = 7
+    per_block = ADAM_BLOCK // cols
+    # two full row blocks plus a partial one, and a three-row matrix
+    shapes = [(2 * per_block + 9, cols), (3, cols)]
+    params = [rng.normal(size=s) for s in shapes]
+    dense_params = [p.copy() for p in params]
+    pair_opt, dense_opt = Adam(params, 0.01), Adam(dense_params, 0.01)
+    # the smallest subnormals on rows no step touches: a decay that rounded
+    # -5e-324 to -0.0 would keep it there, where the dense form's +0.0 makes +0.0
+    tiny = np.nextafter(0.0, 1.0)
+    for opt in (pair_opt, dense_opt):
+        opt.m[0][per_block + 1, :2] = -tiny, tiny
+    # rows 0 and 2 * per_block + 3 only in the first step, so later steps
+    # only decay them; rows per_block + 1 and 2 never
+    first = np.array([0, 3, per_block - 1, per_block, 2 * per_block + 3, 2 * per_block + 8])
+    later = np.array([3, 5, per_block - 1, per_block, per_block + 2, 2 * per_block, 2 * per_block + 8])
+    for t in range(6):
+        rows = [first if t == 0 else later, np.array([1]) if t % 2 else np.array([], dtype=np.intp)]
+        grads = [(r, rng.normal(size=(len(r), cols)) * 10.0 ** rng.integers(-6, 3))
+                 for r in rows]
+        # a touched row whose sum is exactly 0.0
+        grads[0][1][1] = 0.0
+        dense = [np.zeros(s) for s in shapes]
+        for d, (r, sums) in zip(dense, grads):
+            d[r] = sums
+        before = [sums.copy() for _, sums in grads]
+        pair_opt.step(grads)
+        dense_opt.step(dense)
+        for (_, sums), b in zip(grads, before):
+            assert sums.tobytes() == b.tobytes()
+        for got, want in zip(params + pair_opt.m + pair_opt.v,
+                             dense_params + dense_opt.m + dense_opt.v):
+            assert got.tobytes() == want.tobytes()
+    assert pair_opt.m[0][per_block + 1, 0] == -tiny
 
 
 def test_adam_first_step_size():

@@ -12,6 +12,7 @@ stop when the next merge would push total cost past the penalty threshold.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -56,8 +57,10 @@ def median_heuristic_gamma(signal: np.ndarray) -> float:
     """1 / median pairwise squared distance, from at most ``MEDIAN_PAIRS`` pairs.
 
     Pairs are taken in a fixed order by striding the full (i < j) pair list.
-    Falls back to 1.0 when the median distance is zero (constant signal) or
-    so small that its inverse overflows, or there are fewer than two samples.
+    The median is ``np.median``'s, taken by partition.  Falls back to 1.0 when
+    it is zero (constant signal), NaN (a NaN distance, as ``inf - inf`` gives),
+    infinite or so small that its inverse overflows, or there are fewer than
+    two samples.
     """
     x = np.asarray(signal, dtype=np.float64)
     n = x.shape[0]
@@ -78,8 +81,13 @@ def median_heuristic_gamma(signal: np.ndarray) -> float:
         diff = x[j[a : a + step]]
         diff -= x[i[a : a + step]]
         all_d[a : a + step] = np.einsum("ij,ij->i", diff, diff)
-    med = float(np.median(all_d))
-    if med <= 0.0 or not math.isfinite(med) or not math.isfinite(1.0 / med):
+    # np.median's steps without its lazy import of numpy.ma: partition at the
+    # middle and at the end, where a NaN sorts, and average the middle
+    k = all_d.size // 2
+    odd = all_d.size % 2
+    part = np.partition(all_d, [k, -1] if odd else [k - 1, k, -1])
+    med = float(part[k] if odd else np.mean(part[k - 1 : k + 1]))
+    if math.isnan(part[-1]) or not 0.0 < med < math.inf or not math.isfinite(1.0 / med):
         return 1.0
     return 1.0 / med
 
@@ -127,33 +135,49 @@ class Segmentation:
 
 
 class _GramCosts:
-    """Segment costs from a precomputed Gram matrix via 2D prefix sums."""
+    """Segment costs from a precomputed Gram matrix via 2D prefix sums.
+
+    The kernel is written straight into the prefix table and summed there in
+    place, with the same per-element operations as the textbook expression.
+    """
 
     def __init__(self, signal: np.ndarray, gamma: float):
         x = np.asarray(signal, dtype=np.float64)
+        n = x.shape[0]
+        self._prefix = np.zeros((n + 1, n + 1))
+        gram = self._prefix[1:, 1:]
         # overflow shows as a non-finite total below, raised as one error
         with np.errstate(over="ignore", invalid="ignore"):
             sq = np.einsum("ij,ij->i", x, x)
-            d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-            np.maximum(d2, 0.0, out=d2)
-            gram = np.exp(-gamma * d2)
-        n = x.shape[0]
-        self._prefix = np.zeros((n + 1, n + 1))
-        self._prefix[1:, 1:] = gram.cumsum(axis=0).cumsum(axis=1)
+            cross = x @ x.T
+            cross *= 2.0
+            np.add(sq[:, None], sq[None, :], out=gram)
+            gram -= cross
+            np.maximum(gram, 0.0, out=gram)
+            gram *= -gamma
+            np.exp(gram, out=gram)
+        np.cumsum(gram, axis=0, out=gram)
+        np.cumsum(gram, axis=1, out=gram)
         # kernel values are >= 0, so a finite grand total means every prefix
         # sum, cost and merge gain is finite too
         if not math.isfinite(self._prefix[n, n]):
             raise ValueError("kernel matrix is not finite: signal values too large")
 
     def block_sum(self, a: int, b: int) -> float:
-        p = self._prefix
-        return float(p[b, b] - 2 * p[b, a] + p[a, a])
+        item = self._prefix.item
+        return item(b, b) - 2 * item(b, a) + item(a, a)
 
     def cost(self, a: int, b: int) -> float:
         length = b - a
         if length <= 0:
             raise ValueError(f"empty segment [{a}, {b})")
         return length - self.block_sum(a, b) / length
+
+    def span_costs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``cost(a[i], b[i])`` for every i at once, bit for bit."""
+        p = self._prefix
+        length = (b - a).astype(np.float64)
+        return length - (p[b, b] - 2 * p[b, a] + p[a, a]) / length
 
 
 def bottom_up(
@@ -168,9 +192,10 @@ def bottom_up(
     The initial grid places candidate breakpoints at multiples of ``jump``,
     keeping every segment at least ``min_size`` long.  Adjacent segments are
     merged smallest-gain-first (gain = merged cost minus the two parts'
-    costs; ties broken on the smaller left boundary) until accepting the next
-    merge would make the total segmentation cost exceed ``penalty``.  A NaN
-    or infinite signal or ``gamma``, or a NaN ``penalty``, is a ValueError.
+    costs), taken from a heap in which ties go to the smaller boundary,
+    until accepting the next merge would make the total segmentation cost
+    exceed ``penalty``.  A NaN or infinite signal or ``gamma``, or a NaN
+    ``penalty``, is a ValueError.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim == 1:
@@ -207,34 +232,42 @@ def bottom_up(
             bounds.append(k)
     bounds.append(n)
 
-    # seg[j] is the cost of [bounds[j], bounds[j + 1]); merged[i] and gain[i]
-    # are the cost of [bounds[i - 1], bounds[i + 1]) and what dropping
-    # bounds[i] adds to the total (inf at the two ends, which never merge).
-    # A merge changes only its two neighbours' entries.
-    seg = [costs.cost(a, b) for a, b in zip(bounds, bounds[1:])]
+    ends = np.array(bounds)
+    seg_costs = costs.span_costs(ends[:-1], ends[1:])
     # added left to right: from Python 3.12 the builtin sum compensates, and
     # a total one ulp off can stop the merges at another step
-    total = float(np.cumsum(seg)[-1])
-    merged = [0.0] * len(bounds)
-    gain = [math.inf] * len(bounds)
+    total = float(np.cumsum(seg_costs)[-1])
+    merged_costs = costs.span_costs(ends[:-2], ends[2:])
+    gains = merged_costs - seg_costs[:-1] - seg_costs[1:]
 
-    def refresh(i: int) -> None:
-        if 0 < i < len(bounds) - 1:
-            merged[i] = costs.cost(bounds[i - 1], bounds[i + 1])
-            gain[i] = merged[i] - seg[i - 1] - seg[i]
-
-    for i in range(1, len(bounds) - 1):
-        refresh(i)
-    while len(bounds) > 2:
-        # min() keeps the first of equal gains: ties go to the smaller boundary
-        best_gain = min(gain)
+    # keyed by boundary: seg[a] is the cost of the segment that starts at a;
+    # merged[k] and gain[k] are the cost of the segment that dropping interior
+    # boundary k makes and what that adds to the total.  A merge changes only
+    # its two neighbours' entries and pushes them again; an entry whose gain
+    # is no longer gain[k] is stale.  The heap orders (gain, boundary), so
+    # ties go to the smaller boundary.
+    seg = dict(zip(bounds, seg_costs.tolist()))
+    merged = dict(zip(bounds[1:-1], merged_costs.tolist()))
+    gain = dict(zip(bounds[1:-1], gains.tolist()))
+    prev = dict(zip(bounds[1:], bounds))
+    nxt = dict(zip(bounds, bounds[1:]))
+    heap = list(zip(gains.tolist(), bounds[1:-1]))
+    heapq.heapify(heap)
+    while heap:
+        best_gain, k = heapq.heappop(heap)
+        if gain.get(k) != best_gain:
+            continue
         if total + best_gain > penalty:
             break
-        i = gain.index(best_gain)
-        seg[i - 1] = merged[i]
-        del bounds[i], seg[i], merged[i], gain[i]
+        left, right = prev.pop(k), nxt.pop(k)
+        seg[left] = merged.pop(k)
+        del seg[k], gain[k]
+        nxt[left], prev[right] = right, left
         total += best_gain
-        refresh(i - 1)
-        refresh(i)
+        for j in (left, right):
+            if j in gain:
+                merged[j] = costs.cost(prev[j], nxt[j])
+                gain[j] = merged[j] - seg[prev[j]] - seg[j]
+                heapq.heappush(heap, (gain[j], j))
 
-    return Segmentation(breakpoints=bounds[1:], num_samples=n, total_cost=total, gamma=g)
+    return Segmentation(breakpoints=list(prev), num_samples=n, total_cost=total, gamma=g)

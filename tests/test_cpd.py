@@ -151,10 +151,23 @@ def reference_median_heuristic_gamma(signal, max_pairs=10000):
 @example(x=np.array([[0.0], [2.0]]), max_pairs=1, chunk=1)
 @example(x=np.full((9, 3), 4.0), max_pairs=7, chunk=5)
 @example(x=np.array([[1e200], [-1e200], [1e200]]), max_pairs=10000, chunk=1)
+# inf - inf distances are NaN, so np.median is NaN and gamma falls back to 1.0,
+# also where the distances around the middle are finite
+@example(x=np.array([[np.inf], [np.inf], [0.0]]), max_pairs=10000, chunk=cpd._CHUNK_ELEMENTS)
+@example(
+    x=np.array([[np.inf], [np.inf]] + [[float(v)] for v in range(10)]),
+    max_pairs=10000,
+    chunk=cpd._CHUNK_ELEMENTS,
+)
+@example(
+    x=np.array([[-np.inf, 0.0], [-np.inf, 1.0]] + [[float(v), 0.0] for v in range(9)]),
+    max_pairs=7,
+    chunk=5,
+)
 def test_median_heuristic_matches_reference(x, max_pairs, chunk):
     # a small chunk splits the sampled pairs into several chunks at any width
     patch = unittest.mock.patch.multiple(cpd, _CHUNK_ELEMENTS=chunk, MEDIAN_PAIRS=max_pairs)
-    with patch, np.errstate(over="ignore"):
+    with patch, np.errstate(invalid="ignore", over="ignore"):
         got = median_heuristic_gamma(x)
         want = reference_median_heuristic_gamma(x, max_pairs=max_pairs)
     assert got == want
@@ -167,6 +180,54 @@ def test_median_heuristic_matches_reference_wide(shape, monkeypatch):
     for max_pairs in (10000, 97):
         monkeypatch.setattr(cpd, "MEDIAN_PAIRS", max_pairs)
         assert median_heuristic_gamma(x) == reference_median_heuristic_gamma(x, max_pairs)
+
+
+def reference_gram_prefix(x, gamma):
+    """_GramCosts' prefix table as first written: the kernel through
+    full-size temporaries, then both cumulative sums copied into the table."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", x, x)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+        np.maximum(d2, 0.0, out=d2)
+        gram = np.exp(-gamma * d2)
+    n = x.shape[0]
+    prefix = np.zeros((n + 1, n + 1))
+    prefix[1:, 1:] = gram.cumsum(axis=0).cumsum(axis=1)
+    if not math.isfinite(prefix[n, n]):
+        raise ValueError("kernel matrix is not finite: signal values too large")
+    return prefix
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 30), st.integers(1, 5)),
+        # ties and exact zeros
+        elements=st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-3, 3)),
+        fill=st.nothing(),
+    ),
+    zero_rows=st.lists(st.integers(0, 29), max_size=10),
+    gamma=st.sampled_from([None, 1e-3, 1.0, 1000.0]),
+)
+@example(x=np.array([[2.0, -1.0]]), zero_rows=[], gamma=None)
+@example(x=np.array([[0.0], [1e200]]), zero_rows=[], gamma=1e-3)
+@example(x=np.array([[0.0], [1e200]]), zero_rows=[], gamma=1.0)
+@example(x=np.array([[0.0], [1e200]]), zero_rows=[], gamma=1000.0)
+def test_gram_prefix_matches_reference(x, zero_rows, gamma):
+    x = x.copy()
+    x[[r % len(x) for r in zero_rows]] = 0.0
+    if gamma is None:
+        with np.errstate(over="ignore"):
+            gamma = median_heuristic_gamma(x)
+    try:
+        want = reference_gram_prefix(x, gamma)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            _GramCosts(x, gamma)
+    else:
+        assert _GramCosts(x, gamma)._prefix.tobytes() == want.tobytes()
 
 
 def test_segment_cost_matches_naive():
@@ -412,3 +473,21 @@ def test_bottom_up_matches_reference_on_ties(x, penalty, gamma, min_size, jump):
     # few distinct values: many merges have equal gains, exactly so at
     # gamma = 1000, where every kernel value is 0 or 1
     assert_same_as_reference(x, penalty, min_size, jump, gamma)
+
+
+def test_bottom_up_matches_reference_on_hub_signal():
+    # 365 x 8, three distinct rows in runs: the signature of an
+    # icews14-cpd-adar hub predicate, whose triangle of actors changes twice.
+    # Hundreds of merges inside the runs tie at a gain of 0 and leave stale
+    # heap entries behind
+    rows = np.zeros((3, 8))
+    rows[0, [5, 6, 7]] = rows[1, [2, 3, 6]] = rows[2, [0, 1, 4]] = 1.0
+    x = normalize_rows(rows[np.repeat([0, 1, 2], [97, 98, 170])])
+    for penalty in (25.0, 0.5):
+        for min_size in (1, 2):
+            for jump in (1, 2):
+                assert_same_as_reference(x, penalty, min_size, jump)
+    # at gamma = 1000 every kernel value is 0 or 1 and every cost exact: the
+    # grid cell [96, 98) across the first change ties between its two
+    # neighbours of 96 samples, and ties going to the smaller boundary keep 98
+    assert_same_as_reference(x, 25.0, 1, 2, gamma=1000.0)

@@ -231,7 +231,9 @@ def _intern(per_split: list[list[list[str]]]) -> tuple[np.ndarray, tuple, tuple]
     ids = np.column_stack((
         _ids(entity_id, subjects), _ids(predicate_id, predicates), _ids(entity_id, objects)
     ))
-    return ids, tuple(entity_id), tuple(predicate_id)
+    # the labels are fields: copied apart (none holds a tab), they do not
+    # keep the other fields' memory resident once that is freed
+    return ids, *(tuple("\t".join(x).split("\t")) for x in (entity_id, predicate_id))
 
 
 def _ids(table: dict, labels) -> np.ndarray:
@@ -339,16 +341,14 @@ def save_dataset(g: TemporalGraph, out_dir: str | Path) -> None:
     _write_table(root / "timestamps.dict", g.time_labels)
 
 
-def _write_lines(path: Path, *columns: np.ndarray) -> None:
+def _write_lines(path: Path, *columns) -> None:
     """Write one line per row of the label columns, fields tab-separated."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join("\t".join(row) + "\n" for row in zip(*columns)))
+    text = "\n".join(map("\t".join, zip(*columns)))
+    path.write_text(text + "\n" if len(columns[0]) else "", encoding="utf-8")
 
 
 def _write_table(path: Path, labels: tuple[str, ...]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, label in enumerate(labels):
-            fh.write(f"{i}\t{label}\n")
+    _write_lines(path, list(map(str, range(len(labels)))), labels)
 
 
 def save_triples(

@@ -9,18 +9,15 @@ are where the predicate's neighborhood structure shifts.  Two primitives
 of ``graph`` do the array work: ``expand_ranges`` lists each fact at each
 stamp, and ``distinct_keys`` drops repeated packed (stamp, pair) keys.
 
-``pref`` and ``jaccard`` read per-stamp neighbor arrays
-(:class:`StampNeighbors`): their scores are exact integer arithmetic and at
-most one division, so arrays give the same bits as sets, with no Python
-loop over stamps or cells.  ``adar`` alone reads one
-:class:`NeighborIndex` of Python sets per stamp.  Each stamp's edges keep
-fact order there (a stable sort groups them), because the order edges
-enter a neighborhood set fixes the order ``adamic_adar`` adds in, and an
-array sum in id order can differ in the last bit.
+Every measure reads one structure, the per-stamp neighbor arrays of
+:class:`StampNeighbors`, and gives the set-based scorers' bits.  The
+order :func:`adamic_adar` adds in matters only from three terms on: fewer
+are summed from the arrays, more on that stamp's :class:`NeighborIndex`.
 """
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -67,19 +64,6 @@ def adamic_adar(index: NeighborIndex, u: int, v: int) -> float:
     return total
 
 
-def can_share_neighbors(edges: Iterable[tuple[int, int]]) -> bool:
-    """Whether the endpoints of some edge have a common neighbor.
-
-    True when the undirected edge set holds a triangle or a self-loop, which
-    puts a node in its own neighborhood.  When False, no edge's endpoints
-    share a neighbor in any subgraph of ``edges`` either, and every measure
-    in ``ZERO_UNLESS_SHARED`` scores each such pair 0.
-    """
-    edges = set(edges)
-    index = NeighborIndex(edges)
-    return any(not index.neighbors(s).isdisjoint(index.neighbors(o)) for s, o in edges)
-
-
 class SignatureSeries:
     """Per-timestamp proximity scores for the pairs a predicate connects.
 
@@ -120,12 +104,14 @@ class StampNeighbors:
         node = pairs // width
         runs = np.flatnonzero(np.diff(node, prepend=-1))
         # a last key above every lookup, whose run is empty, so a miss finds
-        # a key; the neighbor keys end in one too, for common's lookups
+        # a key; the neighbor keys end in one too, for shared's lookups
         self._keys = np.append(node[runs], np.iinfo(np.int64).max)
         self._starts = np.append(runs, [len(pairs), len(pairs)])
         self._pairs = np.append(pairs, np.iinfo(np.int64).max)
         self._width = width
         self._num_timestamps = num_timestamps
+        self._facts = facts
+        self._indexes: dict[int, NeighborIndex] = {}
 
     def __len__(self) -> int:
         return self._num_timestamps
@@ -142,50 +128,69 @@ class StampNeighbors:
         """The degree of each node ``v[i]`` at timestamp ``t[i]``."""
         return self._runs(t, v)[1]
 
-    def common(self, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """How many neighbors nodes ``u[i]`` and ``v[i]`` share at stamp ``t[i]``."""
+    def shared(self, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The neighbors that nodes ``u[i]`` and ``v[i]`` share at stamp
+        ``t[i]``: each one's ``i`` and id, by ``i`` and then by id."""
         (su, du), (sv, dv) = self._runs(t, u), self._runs(t, v)
         # each neighbor of the lower-degree end, looked up among the other's
         swap = dv < du
         start, other = np.where(swap, sv, su), np.where(swap, u, v)
         cell, at = expand_ranges(start, start + np.minimum(du, dv) - 1)
         w = self._width
-        key = (t[cell] * w + other[cell]) * w + self._pairs[at] % w
+        z = self._pairs[at] % w
+        key = (t[cell] * w + other[cell]) * w + z
         found = self._pairs[np.searchsorted(self._pairs, key)] == key
-        return np.bincount(cell[found], minlength=len(t))
+        return cell[found], z[found]
 
+    def common(self, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """How many neighbors nodes ``u[i]`` and ``v[i]`` share at stamp ``t[i]``."""
+        return np.bincount(self.shared(t, u, v)[0], minlength=len(t))
 
-def stamp_neighborhoods(
-    facts: np.ndarray, num_timestamps: int, measure: str
-) -> StampNeighbors | list[NeighborIndex]:
-    """What ``signature_series`` reads at each timestamp to score
-    ``measure`` over ``facts``: a :class:`StampNeighbors`, or for ``adar``,
-    whose float sum follows set order, one NeighborIndex per timestamp built
-    from the (s, o) edges valid then, in fact order."""
-    if measure != "adar":
-        return StampNeighbors(facts, num_timestamps)
-    which, t = expand_ranges(facts[:, 3], facts[:, 4])
-    # a stable sort keeps each stamp's edges in fact order
-    by = np.argsort(t, kind="stable")
-    edges = facts[:, [0, 2]][which[by]]
-    ends = np.searchsorted(t[by], np.arange(num_timestamps + 1)).tolist()
-    return [NeighborIndex(edges[a:b].tolist()) for a, b in zip(ends, ends[1:])]
+    @cached_property
+    def _stamp_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each stamp's (s, o) edges in fact order, which a stable sort keeps, and their starts."""
+        which, t = expand_ranges(self._facts[:, 3], self._facts[:, 4])
+        by = np.argsort(t, kind="stable")
+        return self._facts[:, [0, 2]][which[by]], np.searchsorted(t[by], np.arange(len(self) + 1))
+
+    def index(self, t: int) -> NeighborIndex:
+        """Stamp ``t``'s NeighborIndex, built once, from its edges in fact order."""
+        if t not in self._indexes:
+            edges, start = self._stamp_edges
+            self._indexes[t] = NeighborIndex(edges[start[t]:start[t + 1]].tolist())
+        return self._indexes[t]
+
+    def adar(self, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``adamic_adar`` of each pair ``u[i]``, ``v[i]`` at stamp ``t[i]``,
+        to the bit: a bincount adds one or two terms in id order, which is
+        set order's sum; three or more are ``adamic_adar``'s on ``index``."""
+        cell, z = self.shared(t, u, v)
+        deg = self.degree(t[cell], z)
+        cell, deg = cell[deg > 1], deg[deg > 1]
+        # 1/ln(d) by degree d, as adamic_adar computes it
+        top = int(deg.max(initial=1))
+        inverse_log = np.array([0.0, 0.0] + [1.0 / math.log(d) for d in range(2, top + 1)])
+        score = np.bincount(cell, weights=inverse_log[deg], minlength=len(t))
+        many = np.flatnonzero(np.bincount(cell, minlength=len(t)) > 2)
+        for i, k, a, b in zip(many.tolist(), t[many].tolist(), u[many].tolist(), v[many].tolist()):
+            score[i] = adamic_adar(self.index(k), a, b)
+        return score
 
 
 def signature_series(
     rows: np.ndarray,
     num_timestamps: int,
     measure: str = "pref",
-    slices: StampNeighbors | list[NeighborIndex] | None = None,
+    slices: StampNeighbors | None = None,
 ) -> SignatureSeries:
     """Build the proximity signature of one predicate across all timestamps.
 
     ``rows`` are the predicate's own fact rows ``(s, p, o, b, e)``, in fact
-    order.  ``slices`` holds the neighborhoods of each timestamp, as
-    ``stamp_neighborhoods(facts, num_timestamps, measure)`` builds them; the
-    graph scope passes those of every fact, which callers scoring many
-    predicates build once.  Without ``slices`` the rows' own edges define
-    the neighborhoods (the predicate scope).  Scores are written only for
+    order.  ``slices`` holds the neighborhoods of each timestamp, the
+    :class:`StampNeighbors` of some facts; the graph scope passes those of
+    every fact, which callers scoring many predicates build once.  Without
+    ``slices`` the rows' own edges define the neighborhoods (the predicate
+    scope).  Scores are written only for
     pairs connected at the row's timestamp; other cells stay zero.
     """
     if measure not in PROXIMITY_MEASURES:
@@ -211,11 +216,10 @@ def signature_series(
     u, v = lo[j], hi[j]
 
     if slices is None:
-        slices = stamp_neighborhoods(rows, num_timestamps, measure)
+        slices = StampNeighbors(rows, num_timestamps)
     matrix = np.zeros((num_timestamps, n_pairs), dtype=np.float64)
     if measure == "adar":
-        matrix[t, j] = [adamic_adar(slices[k], a, b)
-                        for k, a, b in zip(t.tolist(), u.tolist(), v.tolist())]
+        matrix[t, j] = slices.adar(t, u, v)
     elif measure == "pref":
         # an int64 product, cast once to float64: deg(u) * deg(v) in floats
         matrix[t, j] = slices.degree(t, u) * slices.degree(t, v)

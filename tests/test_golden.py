@@ -41,6 +41,10 @@ RUNS = {
         {"method": "split_cpd", "epsilon": "0.5", "score": "jaccard", "scope": "graph"},
         "inter", "valid_time",
     ),
+    "split_cpd_adar": (
+        {"method": "split_cpd", "epsilon": "0.5", "score": "adar", "scope": "graph"},
+        "inter", "valid_time",
+    ),
     "merge": ({"method": "merge", "shrink": "3"}, "inter", "valid_time"),
     "random": ({"method": "random", "grow": "2", "seed": "3"}, "both", "valid_time"),
     "event": (
@@ -56,6 +60,7 @@ GOLDEN = {
     "split_count": "4e8a3526ce8cc840e79eb2c43b6734e8e9592e8720934fdcc0e1a904b86f01a8",
     "split_cpd": "df2808b6c9b2a73530b392ca0c299e15e46f1f1e7a496d2b47533f3719e3fa6e",
     "split_cpd_jaccard": "5b043211020c4c42c634dba9bc93e0888d8cbe06eb7de3e2a3b0a45746ef17f4",
+    "split_cpd_adar": "d83d23dcd5c3bf26d6335491403bbb350d0608b2ace99a19e38f48eabb1b285e",
     "merge": "fb883fdb0f27b2dad24855d59f0d020f47d38aca85b528103db5ee94b6099392",
     "random": "905c20e1c563213c0c898da05c1136d640b23d5caf2ae2798a8eff66c2950a8e",
     "event": "4fd63405da4372ff5724e11322f89af09f199a621b5b721b541cc7145b74d78b",

@@ -9,14 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tkgkit import NeighborIndex, adamic_adar, signature_series
+from tkgkit import CpdConfig, NeighborIndex, adamic_adar, signature_series, split_cpd, transform
 from tkgkit.proximity import (
     PROXIMITY_MEASURES,
     SIGNATURE_SCOPES,
     ZERO_UNLESS_SHARED,
     StampNeighbors,
-    can_share_neighbors,
-    stamp_neighborhoods,
 )
 
 from conftest import SET_MEASURES, build_graph, reference_signature
@@ -50,7 +48,7 @@ def _scores(edges, pairs, measure):
     are those of ``edges``."""
     facts = np.array([(s, 0, o, 0, 0) for s, o in edges])
     rows = np.array([(u, 0, v, 0, 0) for u, v in pairs])
-    slices = stamp_neighborhoods(facts, 1, measure)
+    slices = StampNeighbors(facts, 1)
     return signature_series(rows, 1, measure=measure, slices=slices).matrix[0].tolist()
 
 
@@ -132,8 +130,7 @@ def _rows_of(g, pid):
 def _signature(g, pid, measure="pref", scope="predicate"):
     """signature_series of predicate ``pid`` of ``g``, as split_cpd calls it
     for ``scope``."""
-    slices = (stamp_neighborhoods(g.facts, g.num_timestamps, measure) if scope == "graph"
-              else None)
+    slices = StampNeighbors(g.facts, g.num_timestamps) if scope == "graph" else None
     return signature_series(_rows_of(g, pid), g.num_timestamps, measure=measure, slices=slices)
 
 
@@ -181,12 +178,8 @@ def test_signature_rejects_bad_args():
     rows, n_t = _rows_of(g, 0), g.num_timestamps
     with pytest.raises(ValueError, match="unknown proximity measure 'simrank'"):
         signature_series(rows, n_t, measure="simrank")
-    slices = stamp_neighborhoods(g.facts, n_t, "adar")
-    for wrong in (slices[:3], slices + slices[:1], []):
-        with pytest.raises(ValueError, match="slices"):
-            signature_series(rows, n_t, measure="adar", slices=wrong)
     for wrong_t in (3, 5):
-        for measure in ("pref", "jaccard"):
+        for measure in PROXIMITY_MEASURES:
             with pytest.raises(ValueError, match="slices"):
                 signature_series(rows, n_t, measure=measure,
                                  slices=StampNeighbors(g.facts, wrong_t))
@@ -236,7 +229,7 @@ def test_signature_bytes_match_reference(rows):
     facts = [(s, p, o, b, min(b + k, 7)) for s, p, o, b, k in rows]
     g = build_graph(facts, num_entities=41, num_predicates=3, num_times=8)
     for measure in PROXIMITY_MEASURES:
-        shared = stamp_neighborhoods(g.facts, g.num_timestamps, measure)
+        shared = StampNeighbors(g.facts, g.num_timestamps)
         for pid in range(g.num_predicates):
             for scope in SIGNATURE_SCOPES:
                 want = reference_signature(g, pid, measure, scope).tobytes()
@@ -250,20 +243,21 @@ def test_signature_bytes_match_reference(rows):
 @settings(max_examples=60, deadline=None)
 @given(rows=quintuples)
 def test_neighbor_slices_keep_fact_order(rows):
-    """Each stamp's neighbour sets are filled edge by edge in fact order, so
-    their iteration order, on which the Adamic-Adar sum depends, is that of
-    the per-fact loop; stamps with no facts, also past the last one in use,
-    get an empty index."""
+    """Each stamp's neighbour sets, which adar reads for a sum of three or
+    more terms, are filled edge by edge in fact order, so their iteration
+    order, on which the Adamic-Adar sum depends, is that of the per-fact
+    loop; stamps with no facts, also past the last one in use, get an empty
+    index."""
     facts = np.array([(s, p, o, b, min(b + k, 7)) for s, p, o, b, k in rows])
     n_t = 10
     edges = [[] for _ in range(n_t)]
     for s, _, o, b, e in facts.tolist():
         for t in range(b, e + 1):
             edges[t].append((s, o))
-    slices = stamp_neighborhoods(facts, n_t, "adar")
+    slices = StampNeighbors(facts, n_t)
     assert len(slices) == n_t
-    for t, index in enumerate(slices):
-        want = NeighborIndex(edges[t])
+    for t in range(n_t):
+        index, want = slices.index(t), NeighborIndex(edges[t])
         for v in range(41):
             assert list(index.neighbors(v)) == list(want.neighbors(v)), (t, v)
     assert not any(edges[8:])  # stamps 8 and 9 come after every fact
@@ -291,6 +285,18 @@ def test_stamp_neighbors_match_neighbor_index(rows):
                                 for a, b in zip(u.tolist(), v.tolist())], t
 
 
+def test_adar_adds_three_terms_in_set_order():
+    """Pair (6, 7) shares 8, 5 and 7, whose terms 1/ln 2, 1/ln 2 and 1/ln 4
+    sum to a different last bit in set order (8, 5, 7) than in id order."""
+    edges = [(7, 8), (7, 6), (7, 7), (6, 5), (5, 7), (4, 4), (8, 6)]
+    rows = np.array([(s, 0, o, 0, 0) for s, o in edges])
+    want = adamic_adar(NeighborIndex(edges), 6, 7)
+    sig = signature_series(rows, 1, measure="adar")
+    assert sig.matrix[0, sig.pairs.index((6, 7))] == want
+    got = StampNeighbors(rows, 1).adar(np.zeros(1, dtype=np.int64), np.array([6]), np.array([7]))
+    assert got.tolist() == [want]
+
+
 def _edges_of(g, pid):
     return [(s, o) for s, _, o, _, _ in _rows_of(g, pid).tolist()]
 
@@ -300,25 +306,49 @@ def _edges_of(g, pid):
 # a triangle whose edges hold at different stamps only
 @example(rows=[(0, 0, 8, 0, 0), (8, 0, 16, 2, 0), (16, 0, 0, 4, 0)])
 def test_no_shared_neighbors_means_zero_signature(rows):
-    """split_cpd skips a predicate that can_share_neighbors rejects: its
-    Adamic-Adar and Jaccard signatures must be all zero."""
+    """At predicate scope, split_cpd scores exactly the predicates some of
+    whose edges' ends share a neighbor among its edges of all stamps; the
+    Adamic-Adar and Jaccard signatures of the others must be all zero."""
     facts = [(s, p, o, b, min(b + k, 7)) for s, p, o, b, k in rows]
     g = build_graph(facts, num_entities=41, num_predicates=3, num_times=8)
+    shares = []
     for pid in range(g.num_predicates):
-        if can_share_neighbors(_edges_of(g, pid)):
+        index = NeighborIndex(_edges_of(g, pid))
+        if any(index.neighbors(s) & index.neighbors(o) for s, o in _edges_of(g, pid)):
+            shares.append(pid)
             continue
         for measure in ZERO_UNLESS_SHARED:
             sig = _signature(g, pid, measure=measure)
             assert not sig.matrix.any(), (measure, pid)
+    for measure in ZERO_UNLESS_SHARED:
+        assert _scored(g, measure) == shares, measure
+
+
+def _scored(g, measure):
+    """The predicates split_cpd builds a signature of at predicate scope."""
+    scored = []
+
+    def record(rows, *args, **kwargs):
+        scored.append(int(rows[0, 1]))
+        return signature_series(rows, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transform, "signature_series", record)
+        split_cpd(g, score=measure, cfg=CpdConfig(epsilon=1.0))
+    return scored
 
 
 def test_can_share_neighbors_cases():
-    assert not can_share_neighbors([])
-    assert not can_share_neighbors([(0, 1), (1, 2), (2, 3), (3, 0)])  # 4-cycle
-    assert can_share_neighbors([(0, 1), (2, 1), (0, 2)])
-    # one self-loop: NeighborIndex puts 1 in N(1), so 1 is a common neighbor
-    # of the pair (0, 1) and the skip must be off
-    assert can_share_neighbors([(0, 1), (1, 1)])
+    """Predicate 0 has no edge, 1 is a 4-cycle, 2 a triangle on the 4-cycle's
+    nodes, and 3 holds one self-loop: NeighborIndex puts 1 in N(1), so 1 is
+    a common neighbor of the pair (0, 1) and the skip must be off."""
+    edges = {1: [(0, 1), (1, 2), (2, 3), (3, 0)], 2: [(0, 1), (2, 1), (0, 2)],
+             3: [(0, 1), (1, 1)]}
+    facts = [(s, p, o, 0, 1) for p, pairs in edges.items() for s, o in pairs]
+    for measure in ZERO_UNLESS_SHARED:
+        assert _scored(build_graph(facts, num_predicates=4), measure) == [2, 3]
+        assert _scored(build_graph([], num_entities=1, num_predicates=2, num_times=2),
+                       measure) == []
     g = build_graph([(0, 0, 1, 0, 0), (1, 0, 1, 0, 0)], num_times=1)
     assert _signature(g, 0, measure="jaccard").matrix.tolist() == [[0.5, 1.0]]
     assert _signature(g, 0, measure="adar").matrix[0, 0] == 1 / math.log(2)

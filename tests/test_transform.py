@@ -23,7 +23,7 @@ from tkgkit import (
 )
 from tkgkit import proximity, transform
 from tkgkit.cpd import bottom_up, normalize_rows
-from tkgkit.proximity import PROXIMITY_MEASURES, SIGNATURE_SCOPES
+from tkgkit.proximity import PROXIMITY_MEASURES, SIGNATURE_SCOPES, ZERO_UNLESS_SHARED
 from tkgkit.transform import LineageEntry, _base_report, _finish, _MutableTKG
 
 from conftest import build_graph, reference_signature, unroll
@@ -316,17 +316,24 @@ def test_split_cpd_rejects_unknown_score_with_no_predicates():
 
 
 def test_split_cpd_graph_pref_builds_no_neighbor_sets(monkeypatch):
-    """pref and jaccard read neighbor arrays: no per-stamp set index.  Only
-    adar and, at predicate scope, can_share_neighbors build one."""
+    """Every measure, and the predicate scope's skip, reads neighbor arrays:
+    no per-stamp set index is built while no pair has three or more shared
+    neighbors of degree above one."""
     def refuse(*args, **kwargs):
         raise AssertionError("NeighborIndex built")
 
     monkeypatch.setattr(proximity, "NeighborIndex", refuse)
-    # pair (0, 1) shares 2 during [0, 4], pair (2, 3) holds during [5, 9]
-    g = build_graph([(0, 0, 1, 0, 4), (2, 0, 3, 5, 9), (0, 1, 2, 0, 9), (1, 1, 2, 0, 9)])
-    for score, scope in (("pref", "graph"), ("pref", "predicate"), ("jaccard", "graph")):
-        res = split_cpd(g, score=score, cfg=CpdConfig(epsilon=0.01), scope=scope)
-        assert ("r0", "5") in res.report.split_points, (score, scope)
+    # pair (0, 1) shares 2 during [0, 4], pair (2, 3) holds during [5, 9];
+    # on their own edges r0 and r1 share no neighbor, and are skipped
+    skipped = build_graph([(0, 0, 1, 0, 4), (2, 0, 3, 5, 9), (0, 1, 2, 0, 9), (1, 1, 2, 0, 9)])
+    # r0 closes a triangle during [0, 4], then holds pair (2, 3)
+    triangle = build_graph([(0, 0, 1, 0, 4), (0, 0, 2, 0, 4), (1, 0, 2, 0, 4), (2, 0, 3, 5, 9)])
+    for score in PROXIMITY_MEASURES:
+        for scope in SIGNATURE_SCOPES:
+            for g in (skipped, triangle):
+                res = split_cpd(g, score=score, cfg=CpdConfig(epsilon=0.01), scope=scope)
+                skip = g is skipped and scope == "predicate" and score in ZERO_UNLESS_SHARED
+                assert (("r0", "5") in res.report.split_points) != skip, (score, scope)
 
 
 @pytest.mark.parametrize("min_size, jump", [(7, 1), (1, 10), (4, 7), (6, 6)])

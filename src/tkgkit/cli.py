@@ -1,10 +1,10 @@
 """Command line entry points.
 
-Subcommands wrap the library stages one-to-one (load-stats, transform,
-audit, filter, train, eval, segment-debug) and `run` drives the whole
-config-driven pipeline, optionally sweeping parameter grids into one output
-directory per grid point.  Exit codes: 0 ok, 2 config error, 3 data error,
-4 numeric failure.
+`run` drives the whole config-driven pipeline, optionally sweeping
+parameter grids into one output directory per grid point.  `transform`,
+`filter`, `train` and `eval` each call one stage of it and write the same
+bytes; load-stats, audit and segment-debug print what they compute.  Exit
+codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
 
@@ -12,38 +12,37 @@ import argparse
 import itertools
 import logging
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .cpd import bottom_up, normalize_rows
-from .embed import NumericError, export_embeddings, load_model, save_model, train
-from .eval import evaluate, ranks_tsv
+from .embed import NumericError, export_embeddings, load_model
 from .graph import (
     DataError,
     dataset_stats,
     format_stats,
     load_dataset,
     load_triples,
-    save_dataset,
-    save_triples,
     strip_temporal,
 )
-from .leakage import apply_filter, audit, audit_csv, format_audit
+from .leakage import audit, audit_csv, format_audit
 from .pipeline import (
     SCHEMA,
     ConfigError,
-    apply_transform,
     build_config,
     cpd_config,
+    evaluate_stage,
+    filter_stage,
+    load_stage,
     parse_section,
     read_config_file,
     run_pipeline,
     train_config,
+    train_stage,
+    transform_stage,
 )
-from .transform import save_lineage
 
 log = logging.getLogger("tkgkit")
 
@@ -176,18 +175,12 @@ def cmd_transform(args) -> int:
         "transform": _section(args, "transform"),
         "output": {"dir": args.out},
     })
-    g = load_dataset(cfg.dataset.path, cfg.dataset.format)
-    result = apply_transform(g, cfg)
-    out = cfg.output.dir
-    out.mkdir(parents=True, exist_ok=True)
-    save_dataset(result.graph, out)
-    save_lineage(result.graph, result.lineage, out / "lineage.tsv")
-    (out / "transform_report.txt").write_text(result.report.format(), encoding="utf-8")
+    report = transform_stage(load_stage(cfg), cfg, cfg.output.dir, cfg.output.dir).report
     print(
-        f"predicates {result.report.predicates_before} -> {result.report.predicates_after}, "
-        f"facts {result.report.facts_before} -> {result.report.facts_after}"
+        f"predicates {report.predicates_before} -> {report.predicates_after}, "
+        f"facts {report.facts_before} -> {report.facts_after}"
     )
-    for w in result.report.warnings:
+    for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0
 
@@ -203,23 +196,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    g = load_dataset(args.data, args.format)
-    triples = strip_temporal(g)
-    f_train, f_valid, f_test = apply_filter(
-        triples["train"], triples["valid"], triples["test"], args.mode
-    )
-    save_triples(
-        {"train": f_train, "valid": f_valid, "test": f_test},
-        g.entity_labels,
-        g.predicate_labels,
-        args.out,
-    )
-    for name, before, after in (
-        ("train", triples["train"], f_train),
-        ("valid", triples["valid"], f_valid),
-        ("test", triples["test"], f_test),
-    ):
-        print(f"{name}: {len(before)} -> {len(after)}")
+    triples, filtered = filter_stage(load_dataset(args.data, args.format), args.mode, args.out)
+    for name, rows in triples.items():
+        print(f"{name}: {len(rows)} -> {len(filtered[name])}")
     return 0
 
 
@@ -227,10 +206,8 @@ def cmd_train(args) -> int:
     cfg = train_config(_section(args, "train"))
     triples, entity_labels, predicate_labels = load_triples(args.triples)
     history: list[float] = []
-    model = train(
-        triples["train"], len(entity_labels), len(predicate_labels), cfg, history=history
-    )
-    save_model(model, args.out, extra_meta={"train_config": asdict(cfg)})
+    model = train_stage(triples, len(entity_labels), len(predicate_labels), cfg, args.out,
+                        history=history)
     if args.export:
         export_embeddings(model, entity_labels, predicate_labels, args.out)
     if history:
@@ -247,15 +224,8 @@ def cmd_eval(args) -> int:
             f"model has {model.num_entities} entities and {model.num_predicates} predicates,"
             f" dataset {len(entity_labels)} and {len(predicate_labels)}"
         )
-    known = np.concatenate((triples["train"], triples["valid"], triples["test"]))
-    report, ranks = evaluate(
-        model, triples["test"], known, tie_rule=ev["tie_rule"], ks=ev["hits"]
-    )
+    report = evaluate_stage(model, triples, ev["tie_rule"], ev["hits"], args.csv, args.ranks_out)
     print(report.format(), end="")
-    if args.ranks_out:
-        Path(args.ranks_out).write_text(ranks_tsv(triples["test"], ranks), encoding="utf-8")
-    if args.csv:
-        Path(args.csv).write_text(report.csv(), encoding="utf-8")
     return 0
 
 

@@ -216,18 +216,30 @@ def _read_columns(path: Path, arity: int, what: str) -> list[list[str]]:
     return cols
 
 
-def _intern(per_split: list[list[list[str]]]) -> tuple[np.ndarray, tuple, tuple]:
+def _read_table(path: Path) -> dict[str, int]:
+    """A ``.dict`` table read as the split files are: label -> id."""
+    numbers, names = _read_columns(path, 2, "labels")
+    named = dict(zip(names, count()))
+    if numbers != list(map(str, range(len(numbers)))) or len(named) < len(names):
+        raise DataError(f"{path}: ids must run 0, 1, ... in order,"
+                        " with one distinct label each")
+    return named
+
+
+def _intern(per_split: list[list[list[str]]], tables=()) -> tuple[np.ndarray, tuple, tuple]:
     """An int64 (n, 3) array of subject, predicate and object ids over all
-    splits, and the entity and predicate labels, numbered in first-seen
-    order (subject before object)."""
+    splits, and the entity and predicate labels: those of the two tables
+    given, if any, then the rest numbered in first-seen order (subject
+    before object)."""
     subjects, predicates, objects = (
         list(chain.from_iterable(cols[k] for cols in per_split)) for k in range(3)
     )
     entities: list[str | None] = [None] * (2 * len(subjects))
     entities[0::2] = subjects
     entities[1::2] = objects
-    entity_id = dict(zip(dict.fromkeys(entities), count()))
-    predicate_id = dict(zip(dict.fromkeys(predicates), count()))
+    entity_id, predicate_id = [_read_table(table) for table in tables] or [{}, {}]
+    for named, seen in ((entity_id, entities), (predicate_id, predicates)):
+        named.update(zip([x for x in dict.fromkeys(seen) if x not in named], count(len(named))))
     ids = np.column_stack((
         _ids(entity_id, subjects), _ids(predicate_id, predicates), _ids(entity_id, objects)
     ))
@@ -266,54 +278,65 @@ def load_dataset(path: str | Path, fmt: str = "valid_time") -> TemporalGraph:
     missing end to the last, and facts whose end precedes their begin are
     removed (a split left empty by that raises DataError).  Event facts
     become rows with b = e = h; their stamps must be all integers or all
-    not.
+    not.  A directory that also holds the three tables ``save_dataset``
+    writes takes its ids from them, as ``load_triples`` does; a stamp
+    missing from ``timestamps.dict`` raises DataError.
     """
     if fmt not in DATA_FORMATS:
         raise ValueError(f"unknown dataset format {fmt!r}")
     root = Path(path)
     arity = 5 if fmt == "valid_time" else 4
     per_split = [_read_columns(root / f"{name}.txt", arity, "facts") for name in SPLIT_NAMES]
+    tables = [root / name for name in ("entities.dict", "predicates.dict", "timestamps.dict")]
+    saved = all(map(Path.is_file, tables))
 
-    if fmt == "valid_time":
+    if saved:
+        begin_id = end_id = low = high = _read_table(tables[2])
+        stamps = set().union(*(cols[k] for cols in per_split for k in range(3, arity)))
+        if not stamps <= begin_id.keys():
+            raise DataError(f"{tables[2]} lacks stamp {min(stamps - begin_id.keys())!r}")
+        time_labels = tuple(begin_id)
+    elif fmt == "valid_time":
         stamps = set().union(*(cols[k] for cols in per_split for k in (3, 4)))
         year = {tok: _parse_year(tok) for tok in stamps}
         # a missing begin sorts before every year and a missing end after
         low = {tok: -math.inf if y is None else y for tok, y in year.items()}
         high = {tok: math.inf if y is None else y for tok, y in year.items()}
-        n_invalid = 0
+    else:
+        tokens = dict.fromkeys(chain.from_iterable(cols[3] for cols in per_split))
+        time_labels = _event_time_labels(root, tokens)
+        begin_id = end_id = dict(zip(time_labels, count()))
+    n_invalid = 0
+    if fmt == "valid_time":
         for i, cols in enumerate(per_split):
             keep = list(map(le, map(low.__getitem__, cols[3]), map(high.__getitem__, cols[4])))
             if not all(keep):
                 n_invalid += keep.count(False)
                 per_split[i] = [list(compress(col, keep)) for col in cols]
+    if fmt == "valid_time" and not saved:
         if n_invalid:
             stamps = set().union(*(cols[k] for cols in per_split for k in (3, 4)))
         years = {year[tok] for tok in stamps} - {None}
         if not years:
             raise DataError(f"{root}: no parseable timestamps in any split")
-        if n_invalid:
-            logger.info("%s: removed %d facts with end before begin", root, n_invalid)
-            for name, cols in zip(SPLIT_NAMES, per_split):
-                if not cols[0]:
-                    raise DataError(
-                        f"{root / name}.txt contains no facts once those with end"
-                        " before begin are removed"
-                    )
         ordered = sorted(years)
         time_id = dict(zip(ordered, count()))
         first, last = 0, len(ordered) - 1
         begin_id = {tok: first if year[tok] is None else time_id[year[tok]] for tok in stamps}
         end_id = {tok: last if year[tok] is None else time_id[year[tok]] for tok in stamps}
-        begins = _ids(begin_id, chain.from_iterable(cols[3] for cols in per_split))
-        ends = _ids(end_id, chain.from_iterable(cols[4] for cols in per_split))
         time_labels = tuple(map(str, ordered))
-    else:
-        tokens = dict.fromkeys(chain.from_iterable(cols[3] for cols in per_split))
-        time_labels = _event_time_labels(root, tokens)
-        time_id = dict(zip(time_labels, count()))
-        begins = ends = _ids(time_id, chain.from_iterable(cols[3] for cols in per_split))
+    if n_invalid:
+        logger.info("%s: removed %d facts with end before begin", root, n_invalid)
+        for name, cols in zip(SPLIT_NAMES, per_split):
+            if not cols[0]:
+                raise DataError(
+                    f"{root / name}.txt contains no facts once those with end"
+                    " before begin are removed"
+                )
 
-    ids, entity_labels, predicate_labels = _intern(per_split)
+    begins = _ids(begin_id, chain.from_iterable(cols[3] for cols in per_split))
+    ends = _ids(end_id, chain.from_iterable(cols[arity - 1] for cols in per_split))
+    ids, entity_labels, predicate_labels = _intern(per_split, tables[:2] if saved else ())
     return TemporalGraph(
         facts=np.column_stack((ids, begins, ends)),
         splits=np.repeat(np.arange(3, dtype=np.int8), [len(cols[0]) for cols in per_split]),
@@ -383,19 +406,8 @@ def load_triples(
     """
     root = Path(path)
     per_split = [_read_columns(root / f"{name}.txt", 3, "triples") for name in SPLIT_NAMES]
-    ids, *labels = _intern(per_split)
     tables = [root / "entities.dict", root / "predicates.dict"]
-    if all(map(Path.is_file, tables)):
-        for k, (table, columns) in enumerate(zip(tables, ([0, 2], [1]))):
-            numbers, names = _read_columns(table, 2, "labels")
-            named = dict(zip(names, count()))
-            if numbers != list(map(str, range(len(numbers)))) or len(named) < len(names):
-                raise DataError(f"{table}: ids must run 0, 1, ... in order,"
-                                " with one distinct label each")
-            # first-seen ids to the table's; labels it lacks come after its own
-            named.update(zip([x for x in labels[k] if x not in named], count(len(named))))
-            ids[:, columns] = _ids(named, labels[k])[ids[:, columns]]
-            labels[k] = tuple(named)
+    ids, *labels = _intern(per_split, tables if all(map(Path.is_file, tables)) else ())
     ends = np.cumsum([len(cols[0]) for cols in per_split])
     out = dict(zip(SPLIT_NAMES, np.split(ids, ends[:-1])))
     return out, *labels

@@ -4,10 +4,14 @@ Configuration is an INI file with sections [dataset], [transform],
 [filter], [train], [eval] and [output]; any key can be overridden through
 environment variables named TKGKIT_<SECTION>_<KEY>.  SCHEMA lists every
 key once, and a built config reads each setting under that key as
-``cfg.<section>.<key>``.  A run writes every
-artifact (transformed dataset, lineage, reports, checkpoint, metrics) into
-one output directory together with a manifest carrying the config hash,
-seed and package version, and is byte-reproducible for a fixed config.
+``cfg.<section>.<key>``.  ``run_pipeline`` is five stages in order, each of
+which computes its step and writes that step's artifacts into the
+directories it is given: ``load_stage``, ``transform_stage`` (dataset,
+lineage, report), ``filter_stage`` (triples), ``train_stage`` (model) and
+``evaluate_stage`` (metrics CSV, ranks).  The CLI subcommands call the
+same stages.  Around them a run writes its own stats, audit, loss history,
+metrics and a manifest carrying the config hash, seed and package version,
+all into one output directory; it is byte-reproducible for a fixed config.
 The manifest is written last and removed when a run starts, so a directory
 holds one only after a complete run.
 """
@@ -260,82 +264,94 @@ def apply_transform(g: TemporalGraph, cfg: PipelineConfig) -> TransformResult:
     return TRANSFORMS[cfg.transform.method](g, cfg)
 
 
+def load_stage(cfg: PipelineConfig) -> TemporalGraph:
+    logger.info("loading %s (%s)", cfg.dataset.path, cfg.dataset.format)
+    return load_dataset(cfg.dataset.path, cfg.dataset.format)
+
+
+def transform_stage(g: TemporalGraph, cfg: PipelineConfig, data_dir: Path,
+                    out: Path) -> TransformResult:
+    """Save the transformed dataset to ``data_dir``, and its lineage and
+    report to ``out``, which must exist or be ``data_dir``."""
+    logger.info("transform: %s", cfg.transform.method)
+    result = apply_transform(g, cfg)
+    save_dataset(result.graph, data_dir)
+    save_lineage(result.graph, result.lineage, out / "lineage.tsv")
+    (out / "transform_report.txt").write_text(result.report.format(), encoding="utf-8")
+    return result
+
+
+def filter_stage(g: TemporalGraph, mode: str, out: str | Path):
+    """The stripped and the filtered triples by split; the filtered are
+    saved to ``out``."""
+    logger.info("filter: %s", mode)
+    triples = strip_temporal(g)
+    filtered = dict(zip(triples, apply_filter(
+        triples["train"], triples["valid"], triples["test"], mode
+    )))
+    save_triples(filtered, g.entity_labels, g.predicate_labels, out)
+    return triples, filtered
+
+
+def train_stage(triples: dict[str, np.ndarray], num_entities: int, num_predicates: int,
+                cfg: TrainConfig, out: str | Path, meta: dict | None = None, history=None):
+    """Train on ``triples["train"]``; save the model to ``out``, with ``cfg``
+    and ``meta`` in its meta file."""
+    logger.info("training %d triples", len(triples["train"]))
+    model = train(triples["train"], num_entities, num_predicates, cfg, history=history)
+    save_model(model, out, extra_meta={"train_config": asdict(cfg), **(meta or {})})
+    return model
+
+
+def evaluate_stage(model, triples: dict[str, np.ndarray], tie_rule: str,
+                   hits: tuple[int, ...], csv: str | Path | None = None, ranks=None):
+    """Rank ``triples["test"]`` filtered by all three splits; write the
+    metrics as CSV and the per-query ranks to the paths given."""
+    logger.info("evaluating %d test triples", len(triples["test"]))
+    known = np.concatenate((triples["train"], triples["valid"], triples["test"]))
+    report, query_ranks = evaluate(model, triples["test"], known, tie_rule=tie_rule, ks=hits)
+    if csv:
+        Path(csv).write_text(report.csv(), encoding="utf-8")
+    if ranks:
+        Path(ranks).write_text(ranks_tsv(triples["test"], query_ranks), encoding="utf-8")
+    return report
+
+
 def run_pipeline(cfg: PipelineConfig):
-    """Execute all stages and write artifacts; returns the metric report."""
+    """Run the stages in order, writing the run's own files around them;
+    returns the metric report."""
     out = cfg.output.dir
     out.mkdir(parents=True, exist_ok=True)
     # a manifest marks a complete run: drop a previous run's before this
     # run overwrites any of its artifacts
     (out / "manifest.json").unlink(missing_ok=True)
-    artifacts: list[str] = []
+    ranks = out / "ranks.tsv" if cfg.eval.dump_ranks else None
+    # the stages' artifacts; write() adds the run's own
+    artifacts = ["transformed/", "lineage.tsv", "transform_report.txt", "filtered/", "model/",
+                 "metrics.csv", *([ranks.name] if ranks else [])]
 
     def write(name: str, text: str) -> None:
         (out / name).write_text(text, encoding="utf-8")
         artifacts.append(name)
 
-    logger.info("loading %s (%s)", cfg.dataset.path, cfg.dataset.format)
-    g = load_dataset(cfg.dataset.path, cfg.dataset.format)
+    g = load_stage(cfg)
     write("stats.txt", format_stats(dataset_stats(g)))
-
-    logger.info("transform: %s", cfg.transform.method)
-    result = apply_transform(g, cfg)
-    save_dataset(result.graph, out / "transformed")
-    artifacts.append("transformed/")
-    save_lineage(result.graph, result.lineage, out / "lineage.tsv")
-    artifacts.append("lineage.tsv")
-    write("transform_report.txt", result.report.format())
-
-    triples = strip_temporal(result.graph)
+    g = transform_stage(g, cfg, out / "transformed", out).graph
+    triples, filtered = filter_stage(g, cfg.filter.mode, out / "filtered")
     audit_report = audit(triples["train"], triples["valid"], triples["test"])
     write("audit.txt", format_audit(audit_report))
     write("audit.csv", audit_csv(audit_report))
-
-    logger.info("filter: %s", cfg.filter.mode)
-    f_train, f_valid, f_test = apply_filter(
-        triples["train"], triples["valid"], triples["test"], cfg.filter.mode
-    )
-    save_triples(
-        {"train": f_train, "valid": f_valid, "test": f_test},
-        result.graph.entity_labels,
-        result.graph.predicate_labels,
-        out / "filtered",
-    )
-    artifacts.append("filtered/")
-
-    logger.info("training %d triples", len(f_train))
     history: list[float] = []
-    model = train(
-        f_train,
-        result.graph.num_entities,
-        result.graph.num_predicates,
-        cfg.train,
-        history=history,
-    )
     run_hash = config_hash(cfg.raw)
-    save_model(
-        model,
-        out / "model",
-        extra_meta={
-            "train_config": asdict(cfg.train),
-            "config_hash": run_hash,
-            "version": __version__,
-        },
-    )
-    artifacts.append("model/")
+    model = train_stage(filtered, g.num_entities, g.num_predicates, cfg.train, out / "model",
+                        {"config_hash": run_hash, "version": __version__}, history)
     write(
         "loss_history.csv",
         "epoch,loss\n" + "".join(f"{i},{x:.10g}\n" for i, x in enumerate(history)),
     )
-
-    logger.info("evaluating %d test triples", len(f_test))
-    known = np.concatenate((f_train, f_valid, f_test))
-    report, ranks = evaluate(
-        model, f_test, known, tie_rule=cfg.eval.tie_rule, ks=cfg.eval.hits
-    )
+    report = evaluate_stage(model, filtered, cfg.eval.tie_rule, cfg.eval.hits,
+                            out / "metrics.csv", ranks)
     write("metrics.txt", report.format())
-    write("metrics.csv", report.csv())
-    if cfg.eval.dump_ranks:
-        write("ranks.tsv", ranks_tsv(f_test, ranks))
 
     manifest = {
         "version": __version__,

@@ -31,6 +31,7 @@ from tkgkit.graph import (
 )
 
 from tkgkit.cli import main
+from tkgkit.transform import split_parameterized, timestamp
 
 from conftest import build_graph, write_split_files
 
@@ -285,17 +286,33 @@ def test_strip_temporal_keeps_duplicates():
 
 
 def test_save_load_dataset_roundtrip(tiny_graph, tmp_path):
-    out = tmp_path / "saved"
-    save_dataset(tiny_graph, out)
-    for name in SPLIT_NAMES:
-        assert (out / f"{name}.txt").is_file()
-    assert (out / "entities.dict").is_file()
-    g2 = load_dataset(out)
-    assert g2.facts.tolist() == tiny_graph.facts.tolist()
-    assert g2.splits.tolist() == tiny_graph.splits.tolist()
-    assert g2.entity_labels == tiny_graph.entity_labels
-    assert g2.predicate_labels == tiny_graph.predicate_labels
-    assert g2.time_labels == tiny_graph.time_labels
+    # a saved dataset reloads with the ids of its tables: split_time's
+    # predicates are not numbered in first-seen order, and timestamp's ISO
+    # event stamps are no years
+    events = write_split_files(tmp_path / "events", {
+        "train": [("a", "r", "b", "2014-01-05"), ("b", "q", "c", "2014-01-03"),
+                  ("c", "r", "a", "2014-02-01")],
+        "valid": [("a", "q", "c", "2014-01-05")],
+        "test": [("b", "r", "a", "2014-01-03")],
+    })
+    for k, g in enumerate((
+        tiny_graph,
+        split_parameterized(tiny_graph, "time", 2).graph,
+        timestamp(load_dataset(events, "event")).graph,
+    )):
+        out = tmp_path / f"saved{k}"
+        save_dataset(g, out)
+        for name in SPLIT_NAMES:
+            assert (out / f"{name}.txt").is_file()
+        assert (out / "entities.dict").is_file()
+        g2 = load_dataset(out)
+        # facts come back grouped by split, in order within each
+        order = np.argsort(g.splits, kind="stable")
+        assert g2.facts.tolist() == g.facts[order].tolist()
+        assert g2.splits.tolist() == g.splits[order].tolist()
+        assert g2.entity_labels == g.entity_labels
+        assert g2.predicate_labels == g.predicate_labels
+        assert g2.time_labels == g.time_labels
 
 
 def test_save_load_triples_roundtrip(tiny_graph, tmp_path):
@@ -310,7 +327,7 @@ def test_save_load_triples_roundtrip(tiny_graph, tmp_path):
         assert loaded[name].tolist() == want
 
 
-def test_load_triples_takes_ids_from_tables(tmp_path):
+def test_load_triples_takes_ids_from_tables(tiny_graph, tmp_path):
     out = tmp_path / "static"
     triples = {name: np.array([[0, 0, 1]]) for name in SPLIT_NAMES}
     save_triples(triples, ("b", "a"), ("r",), out)
@@ -328,6 +345,16 @@ def test_load_triples_takes_ids_from_tables(tmp_path):
     # without both tables, labels are numbered in first-seen order
     (out / "predicates.dict").unlink()
     assert load_triples(out)[1] == ("b", "a")
+    # load_dataset reads its timestamps.dict by the same rules, and a stamp
+    # the table lacks (2009 here) is an error too
+    saved = tmp_path / "saved"
+    save_dataset(tiny_graph, saved)
+    years = [f"{k}\t{2000 + k}\n" for k in range(10)]
+    for bad in (years[1::-1] + years[2:], ["0\t2000\n", "1\t2000\n"], years[:1] + years[2:],
+                [x.replace("\t", " ") for x in years], [], years[:9]):
+        (saved / "timestamps.dict").write_text("".join(bad))
+        with pytest.raises(DataError, match="timestamps.dict"):
+            load_dataset(saved)
 
 
 def test_format_stats(tiny_graph):

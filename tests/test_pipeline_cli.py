@@ -50,6 +50,23 @@ def write_ini(path: Path, data_dir: Path, out_dir: Path, **overrides) -> Path:
     return path
 
 
+def seeded_dataset(root: Path, *sizes: int) -> Path:
+    """Valid-time split files of the given train/valid/test sizes, drawn
+    with seed 0 over 30 entities, 3 predicates and 2000-2012."""
+    import numpy as np
+
+    from conftest import write_split_files
+
+    rng = np.random.default_rng(0)
+    rows = {"train": [], "valid": [], "test": []}
+    for name, n in zip(rows, sizes):
+        for _ in range(n):
+            s, o = rng.choice(30, 2, replace=False)
+            b, p, d = rng.integers(2000, 2010), rng.integers(3), rng.integers(4)
+            rows[name].append((f"e{s}", f"r{p}", f"e{o}", b, b + d))
+    return write_split_files(root, rows)
+
+
 def tree_digest(root: Path) -> dict[str, str]:
     return {
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -394,10 +411,6 @@ def test_cli_eval_model_mismatch(tiny_dataset, tmp_path, capsys):
 
 
 def test_cli_eval_ranks_a_run_with_its_ids(tiny_dataset, tmp_path):
-    import numpy as np
-
-    from conftest import write_split_files
-
     # split_time reorders facts, so first-seen order is not the run's ids
     out = tmp_path / "tiny_run"
     ini = write_ini(tmp_path / "tiny.ini", tiny_dataset, out,
@@ -406,15 +419,8 @@ def test_cli_eval_ranks_a_run_with_its_ids(tiny_dataset, tmp_path):
     assert tkgkit.load_triples(out / "filtered")[1] == ("a", "b", "c")
 
     # 30 entities and 3 predicates: eval reproduces the run's metrics
-    rng = np.random.default_rng(0)
-    rows = {"train": [], "valid": [], "test": []}
-    for name, n in (("train", 120), ("valid", 10), ("test", 20)):
-        for _ in range(n):
-            s, o = rng.choice(30, 2, replace=False)
-            b, p, d = rng.integers(2000, 2010), rng.integers(3), rng.integers(4)
-            rows[name].append((f"e{s}", f"r{p}", f"e{o}", b, b + d))
     out = tmp_path / "run"
-    ini = write_ini(tmp_path / "run.ini", write_split_files(tmp_path / "data", rows), out,
+    ini = write_ini(tmp_path / "run.ini", seeded_dataset(tmp_path / "data", 120, 10, 20), out,
                     transform__method="split_time", transform__grow=3)
     assert main(["run", "--config", str(ini)]) == 0
     csv = tmp_path / "metrics.csv"
@@ -430,6 +436,37 @@ def test_cli_eval_ranks_a_run_with_its_ids(tiny_dataset, tmp_path):
     with open(out / "filtered" / "test.txt", "a") as fh:
         fh.write("e0\tunseen\te1\n")
     assert main(args) == 3
+
+
+def test_cli_stage_chain_reproduces_run(tmp_path):
+    # each subcommand runs one stage of `run`: given the run's settings,
+    # transform -> filter -> train -> eval writes the run's bytes
+    data = seeded_dataset(tmp_path / "data", 300, 30, 50)
+    run = tmp_path / "run"
+    ini = write_ini(tmp_path / "run.ini", data, run,
+                    transform__method="split_time", transform__grow=2)
+    assert main(["run", "--config", str(ini)]) == 0
+    transformed, filtered, model = (tmp_path / name for name in ("t", "f", "m"))
+    assert main(["transform", "--data", str(data), "--method", "split_time", "--grow", "2",
+                 "--out", str(transformed)]) == 0
+    assert main(["filter", "--data", str(transformed), "--mode", "both",
+                 "--out", str(filtered)]) == 0
+    assert main(["train", "--triples", str(filtered), "--out", str(model), "--epochs", "2",
+                 "--dimension", "8", "--batch-size", "4", "--negative-samples", "2"]) == 0
+    assert main(["eval", "--triples", str(filtered), "--model", str(model),
+                 "--csv", str(tmp_path / "metrics.csv")]) == 0
+    pairs = {
+        **{run / "transformed" / p.name: p for p in transformed.glob("*.*")
+           if p.name not in ("lineage.tsv", "transform_report.txt")},
+        run / "lineage.tsv": transformed / "lineage.tsv",
+        run / "transform_report.txt": transformed / "transform_report.txt",
+        **{run / "filtered" / p.name: p for p in filtered.iterdir()},
+        **{run / "model" / p.name: p for p in model.glob("*.npy")},
+        run / "metrics.csv": tmp_path / "metrics.csv",
+    }
+    assert len(pairs) == 16
+    for ran, chained in pairs.items():
+        assert ran.read_bytes() == chained.read_bytes(), ran.relative_to(run)
 
 
 def test_cli_eval_non_finite_model(tiny_dataset, tmp_path):

@@ -27,7 +27,7 @@ from .leakage import DuplicateAudit, apply_filter, audit
 from .pipeline import ConfigError, PipelineConfig, build_config, read_config_file, run_pipeline
 from .proximity import NeighborIndex, SignatureSeries, adamic_adar, signature_series
 from .transform import (
-    LineageEntry,
+    Lineage,
     TransformReport,
     TransformResult,
     identity,

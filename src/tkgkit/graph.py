@@ -279,16 +279,17 @@ def load_dataset(path: str | Path, fmt: str = "valid_time") -> TemporalGraph:
     removed (a split left empty by that raises DataError).  Event facts
     become rows with b = e = h; their stamps must be all integers or all
     not.  A directory that also holds the three tables ``save_dataset``
-    writes takes its ids from them, as ``load_triples`` does; a stamp
-    missing from ``timestamps.dict`` raises DataError.
+    writes is in its 5-column layout, whatever ``fmt`` says, and takes its
+    ids from them, as ``load_triples`` does; a stamp missing from
+    ``timestamps.dict`` raises DataError.
     """
     if fmt not in DATA_FORMATS:
         raise ValueError(f"unknown dataset format {fmt!r}")
     root = Path(path)
-    arity = 5 if fmt == "valid_time" else 4
-    per_split = [_read_columns(root / f"{name}.txt", arity, "facts") for name in SPLIT_NAMES]
     tables = [root / name for name in ("entities.dict", "predicates.dict", "timestamps.dict")]
     saved = all(map(Path.is_file, tables))
+    arity = 5 if saved or fmt == "valid_time" else 4
+    per_split = [_read_columns(root / f"{name}.txt", arity, "facts") for name in SPLIT_NAMES]
 
     if saved:
         begin_id = end_id = low = high = _read_table(tables[2])
@@ -307,7 +308,7 @@ def load_dataset(path: str | Path, fmt: str = "valid_time") -> TemporalGraph:
         time_labels = _event_time_labels(root, tokens)
         begin_id = end_id = dict(zip(time_labels, count()))
     n_invalid = 0
-    if fmt == "valid_time":
+    if arity == 5:
         for i, cols in enumerate(per_split):
             keep = list(map(le, map(low.__getitem__, cols[3]), map(high.__getitem__, cols[4])))
             if not all(keep):

@@ -1,9 +1,11 @@
 """Graph transformations that move temporal scope into the predicate set.
 
 Each transformation consumes a :class:`~tkgkit.graph.TemporalGraph` and
-produces a new graph over the same entities and timestamps, a lineage that
-maps every derived predicate back to its source plus a validity interval,
-and a report of what happened.  Available rewrites:
+produces a new graph over the same entities and timestamps, a lineage of
+int64 arrays indexed by output predicate id (``source``, its predicate's id
+in the input graph; ``begin`` and ``end``, its validity interval in time
+ids, inclusive; ``stamp``, its one stamp or -1), and a report of what
+happened.  Available rewrites:
 
 * ``timestamp``: one derived predicate per observed (predicate, timestamp).
 * ``split_parameterized``: repeatedly halve the most frequent predicate at a
@@ -21,6 +23,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,19 +44,18 @@ SPLIT_METHODS = ("time", "count")
 _B, _E = 3, 4
 
 
-@dataclass(frozen=True)
-class LineageEntry:
-    """Provenance of one derived predicate.
+class Lineage(NamedTuple):
+    """The lineage arrays, and the input graph's predicate labels by id."""
 
-    ``source`` is the original predicate's label, ``begin``/``end`` the
-    validity interval (time ids, inclusive), ``stamp`` the single timestamp
-    for timestamp-derived predicates.
-    """
+    source: np.ndarray
+    begin: np.ndarray
+    end: np.ndarray
+    stamp: np.ndarray
+    source_labels: tuple[str, ...]
 
-    source: str
-    begin: int
-    end: int
-    stamp: int | None = None
+
+def _lineage(records: list[tuple[int, int, int, int]], g: TemporalGraph) -> Lineage:
+    return Lineage(*np.array(records, dtype=np.int64).reshape(-1, 4).T, g.predicate_labels)
 
 
 @dataclass
@@ -110,39 +112,35 @@ class TransformReport:
 @dataclass
 class TransformResult:
     graph: TemporalGraph
-    lineage: dict[int, LineageEntry]
+    # output predicate p's source, begin, end and stamp are index p of
+    # lineage.source, .begin, .end and .stamp
+    lineage: Lineage
     report: TransformReport
-
-
-def _root_lineage(g: TemporalGraph) -> dict[int, LineageEntry]:
-    """Every predicate of ``g`` as its own source over the whole timeline."""
-    last = g.num_timestamps - 1
-    return {p: LineageEntry(label, 0, last) for p, label in enumerate(g.predicate_labels)}
 
 
 class _MutableTKG:
     """Working copy of a graph while a transformation runs.
 
-    One record per predicate id: its label in ``labels``, its provenance in
-    ``lineage``, and ``live`` holds the ids that reach the output.  No
-    predicate holds rows: its rows are its source's ``base`` rows that meet
-    its lineage interval, clipped to it, in base order.  The base holds the
-    input rows by source in fact order or, once timestamped, one row per
-    fact and stamp by source, stamp and fact.  So a cut or a merge only adds
-    ids, labels and lineage, and ``finalize`` places every row.  Sources are
-    carried as labels, so a child cut again still names the input predicate
-    it came from.  ``split_points`` records every cut ``split_at`` makes.
+    One record per predicate id: its label in ``labels``, its (source,
+    begin, end, stamp) ints in ``lineage``, and ``live`` holds the ids that
+    reach the output.  No predicate holds rows: its rows are its source's
+    ``base`` rows that meet its lineage interval, clipped to it, in base
+    order.  The base holds the input rows by source in fact order or, once
+    timestamped, one row per fact and stamp by source, stamp and fact.  So
+    a cut or a merge only adds ids, labels and lineage, and ``finalize``
+    places every row.  A source is an input predicate id, also for a child
+    cut again.  ``split_points`` records every cut ``split_at`` makes.
     """
 
     def __init__(self, g: TemporalGraph):
         self.g = g
         self.labels: list[str] = list(g.predicate_labels)
         self._used: set[str] = set(self.labels)
-        self._source = {label: p for p, label in enumerate(self.labels)}  # labels are distinct
-        self.lineage = _root_lineage(g)
+        last = g.num_timestamps - 1
+        self.lineage = [(p, 0, last, -1) for p in range(g.num_predicates)]
         self.live: set[int] = set(range(g.num_predicates))
         self.split_points: list[tuple[str, str]] = []
-        self._ordinal: dict[str, int] = defaultdict(int)
+        self._ordinal: dict[int, int] = defaultdict(int)
         rows = np.column_stack((g.facts, g.splits))
         self.set_base(rows[np.argsort(rows[:, 1], kind="stable")])
 
@@ -153,22 +151,20 @@ class _MutableTKG:
 
     def rows(self, pid: int) -> np.ndarray:
         """``pid``'s rows, as ``finalize`` would place them."""
-        ent = self.lineage[pid]
-        src = self._source[ent.source]
+        src, begin, end, _ = self.lineage[pid]
         rows = self.base[self.offsets[src]:self.offsets[src + 1]]
-        rows = rows[(rows[:, _B] <= ent.end) & (rows[:, _E] >= ent.begin)]
-        np.maximum(rows[:, _B], ent.begin, out=rows[:, _B])
-        np.minimum(rows[:, _E], ent.end, out=rows[:, _E])
+        rows = rows[(rows[:, _B] <= end) & (rows[:, _E] >= begin)]
+        np.maximum(rows[:, _B], begin, out=rows[:, _B])
+        np.minimum(rows[:, _E], end, out=rows[:, _E])
         return rows
 
-    def new_predicate(self, label: str, entry: LineageEntry) -> int:
+    def new_predicate(self, label: str, record: tuple[int, int, int, int]) -> int:
         while label in self._used:
             label += "'"
-        pid = len(self.labels)
         self.labels.append(label)
         self._used.add(label)
-        self.lineage[pid] = entry
-        return pid
+        self.lineage.append(record)
+        return len(self.lineage) - 1
 
     def split_at(self, pid: int, cuts: list[int]) -> list[int]:
         """Replace ``pid`` by children cut at one or more increasing stamps.
@@ -180,26 +176,25 @@ class _MutableTKG:
         next cut replaces, which never goes live but keeps its label taken.
         Returns the children in time order.
         """
-        ent = self.lineage[pid]
-        src, lo, hi = ent.source, ent.begin, ent.end
-        tl = self.g.time_labels
+        src, lo, hi, _ = self.lineage[pid]
+        name, tl = self.g.predicate_labels[src], self.g.time_labels
         cut = pid
         children = []
         for t in cuts:
             self.split_points.append((self.labels[cut], tl[t]))
             n = self._ordinal[src]
             self._ordinal[src] = n + 2
-            left = f"{src}#{n + 1}[{tl[lo]},{tl[t]}]"
-            right = f"{src}#{n + 2}[{tl[t]},{tl[hi]}]"
-            children.append(self.new_predicate(left, LineageEntry(src, lo, t)))
-            cut = self.new_predicate(right, LineageEntry(src, t, hi))
+            left = f"{name}#{n + 1}[{tl[lo]},{tl[t]}]"
+            right = f"{name}#{n + 2}[{tl[t]},{tl[hi]}]"
+            children.append(self.new_predicate(left, (src, lo, t, -1)))
+            cut = self.new_predicate(right, (src, t, hi, -1))
             lo = t
         children.append(cut)
         self.live.remove(pid)
         self.live.update(children)
         return children
 
-    def finalize(self) -> tuple[TemporalGraph, dict[int, LineageEntry]]:
+    def finalize(self) -> tuple[TemporalGraph, Lineage]:
         """Compact live predicates into a fresh graph plus its lineage.
 
         Sorted by source, begin and end, one source's live intervals also
@@ -209,11 +204,9 @@ class _MutableTKG:
         begins at or before its end.
         """
         order = sorted(self.live)
-        ents = [self.lineage[pid] for pid in order]
+        lineage = _lineage([self.lineage[pid] for pid in order], self.g)
         n_t = self.g.num_timestamps
-        src, begin, end = np.array(
-            [(self._source[ent.source] * n_t, ent.begin, ent.end) for ent in ents], dtype=np.int64
-        ).reshape(-1, 3).T
+        src, begin, end = lineage.source * n_t, lineage.begin, lineage.end
         by = np.lexsort((end, src + begin))
         key = self.base[:, 1] * n_t
         # each base row at each interval it meets, then by output id
@@ -229,7 +222,7 @@ class _MutableTKG:
         np.minimum(rows[:, _E], end[new], out=rows[:, _E])
         graph = TemporalGraph(rows[:, :5], rows[:, 5], self.g.entity_labels,
                               tuple(self.labels[pid] for pid in order), self.g.time_labels)
-        return graph, dict(enumerate(ents))
+        return graph, lineage
 
 
 def _base_report(method: str, params: dict, g: TemporalGraph) -> TransformReport:
@@ -253,7 +246,9 @@ def _finish(mg: _MutableTKG, report: TransformReport) -> TransformResult:
 
 def identity(g: TemporalGraph) -> TransformResult:
     """No-op transformation; facts and predicates pass through unchanged."""
-    return TransformResult(graph=g, lineage=_root_lineage(g), report=_base_report("none", {}, g))
+    last = g.num_timestamps - 1
+    lineage = _lineage([(p, 0, last, -1) for p in range(g.num_predicates)], g)
+    return TransformResult(graph=g, lineage=lineage, report=_base_report("none", {}, g))
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +273,8 @@ def _timestamp_into(mg: _MutableTKG) -> list[tuple[int, int, int]]:
     pids = [0] * len(first)
     # stamped ids in order of first use, fact by fact and then in time
     for i in np.argsort(by[first]).tolist():
-        label, k = g.predicate_labels[src[i]], stamp[i]
-        pids[i] = mg.new_predicate(f"{label}@{g.time_labels[k]}", LineageEntry(label, k, k, k))
+        p, k = src[i], stamp[i]
+        pids[i] = mg.new_predicate(f"{g.predicate_labels[p]}@{g.time_labels[k]}", (p, k, k, k))
     mg.live = set(pids)
     return list(zip(src, pids, np.diff(first, append=len(key)).tolist()))
 
@@ -543,7 +538,7 @@ def merge(g: TemporalGraph, shrink: float) -> TransformResult:
     for (src, a, n), (next_src, b, m) in zip(stamped, stamped[1:]):
         if src == next_src:
             after[a], before[b] = b, a
-            heap.append((n + m, mg.lineage[a].begin, src, a, b))
+            heap.append((n + m, mg.lineage[a][1], src, a, b))
     heapq.heapify(heap)
 
     tl = g.time_labels
@@ -552,16 +547,16 @@ def merge(g: TemporalGraph, shrink: float) -> TransformResult:
         # both alive means still adjacent: merging either one kills it
         if a not in mg.live or b not in mg.live:
             continue
-        first, last = mg.lineage[a], mg.lineage[b]
-        label = f"{first.source}~[{tl[begin]},{tl[last.end]}]"
-        dp = mg.new_predicate(label, LineageEntry(first.source, begin, last.end))
+        end = mg.lineage[b][2]
+        label = f"{g.predicate_labels[src]}~[{tl[begin]},{tl[end]}]"
+        dp = mg.new_predicate(label, (src, begin, end, -1))
         mg.live -= {a, b}
         mg.live.add(dp)
         facts[dp] = n
         if a in before:
             p = before[dp] = before[a]
             after[p] = dp
-            heapq.heappush(heap, (facts[p] + n, mg.lineage[p].begin, src, p, dp))
+            heapq.heappush(heap, (facts[p] + n, mg.lineage[p][1], src, p, dp))
         if b in after:
             q = after[dp] = after[b]
             before[q] = dp
@@ -578,14 +573,12 @@ def merge(g: TemporalGraph, shrink: float) -> TransformResult:
 # lineage persistence
 # ---------------------------------------------------------------------------
 
-def save_lineage(
-    g: TemporalGraph, lineage: dict[int, LineageEntry], path: str | Path
-) -> None:
-    """Write the lineage sidecar: derived, source, begin, end[, stamp]."""
-    tl = g.time_labels
+def save_lineage(g: TemporalGraph, lineage: Lineage, path: str | Path) -> None:
+    """Write the lineage sidecar of ``g``, the output graph: derived,
+    source, begin, end[, stamp]."""
+    tl, sources = g.time_labels, lineage.source_labels
     text = "\n".join(
-        "\t".join((g.predicate_labels[pid], ent.source, tl[ent.begin], tl[ent.end])
-                  + (() if ent.stamp is None else (tl[ent.stamp],)))
-        for pid, ent in sorted(lineage.items())
+        "\t".join((label, sources[src], tl[b], tl[e]) + (() if t < 0 else (tl[t],)))
+        for label, src, b, e, t in zip(g.predicate_labels, *(a.tolist() for a in lineage[:4]))
     )
     Path(path).write_text(text + "\n" if text else "", encoding="utf-8")

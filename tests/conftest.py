@@ -86,7 +86,7 @@ def unroll(g: TemporalGraph, lineage=None):
 
     out: Counter = Counter()
     for (s, p, o, b, e), sp in zip(g.facts.tolist(), g.splits.tolist()):
-        src = lineage[p].source if lineage is not None else g.predicate_labels[p]
+        src = g.predicate_labels[p] if lineage is None else lineage.source_labels[lineage.source[p]]
         for t in range(b, e + 1):
             out[(s, src, o, t, sp)] += 1
     return out

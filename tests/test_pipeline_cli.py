@@ -50,9 +50,10 @@ def write_ini(path: Path, data_dir: Path, out_dir: Path, **overrides) -> Path:
     return path
 
 
-def seeded_dataset(root: Path, *sizes: int) -> Path:
-    """Valid-time split files of the given train/valid/test sizes, drawn
-    with seed 0 over 30 entities, 3 predicates and 2000-2012."""
+def seeded_dataset(root: Path, *sizes: int, events: bool = False) -> Path:
+    """Split files of the given train/valid/test sizes, drawn with seed 0
+    over 30 entities and 3 predicates: valid-time facts over 2000-2012 or,
+    with ``events``, event facts on 40 ISO dates in 2014."""
     import numpy as np
 
     from conftest import write_split_files
@@ -63,7 +64,8 @@ def seeded_dataset(root: Path, *sizes: int) -> Path:
         for _ in range(n):
             s, o = rng.choice(30, 2, replace=False)
             b, p, d = rng.integers(2000, 2010), rng.integers(3), rng.integers(4)
-            rows[name].append((f"e{s}", f"r{p}", f"e{o}", b, b + d))
+            stamps = (f"2014-{b - 1999:02d}-{10 + d}",) if events else (b, b + d)
+            rows[name].append((f"e{s}", f"r{p}", f"e{o}", *stamps))
     return write_split_files(root, rows)
 
 
@@ -438,18 +440,20 @@ def test_cli_eval_ranks_a_run_with_its_ids(tiny_dataset, tmp_path):
     assert main(args) == 3
 
 
-def test_cli_stage_chain_reproduces_run(tmp_path):
+@pytest.mark.parametrize("fmt", ["valid_time", "event"])
+def test_cli_stage_chain_reproduces_run(tmp_path, fmt):
     # each subcommand runs one stage of `run`: given the run's settings,
-    # transform -> filter -> train -> eval writes the run's bytes
-    data = seeded_dataset(tmp_path / "data", 300, 30, 50)
+    # transform -> filter -> train -> eval writes the run's bytes; a saved
+    # dataset reads back in its own layout, whatever --format says
+    data = seeded_dataset(tmp_path / "data", 300, 30, 50, events=fmt == "event")
     run = tmp_path / "run"
-    ini = write_ini(tmp_path / "run.ini", data, run,
+    ini = write_ini(tmp_path / "run.ini", data, run, dataset__format=fmt,
                     transform__method="split_time", transform__grow=2)
     assert main(["run", "--config", str(ini)]) == 0
     transformed, filtered, model = (tmp_path / name for name in ("t", "f", "m"))
-    assert main(["transform", "--data", str(data), "--method", "split_time", "--grow", "2",
-                 "--out", str(transformed)]) == 0
-    assert main(["filter", "--data", str(transformed), "--mode", "both",
+    assert main(["transform", "--data", str(data), "--format", fmt, "--method", "split_time",
+                 "--grow", "2", "--out", str(transformed)]) == 0
+    assert main(["filter", "--data", str(transformed), "--format", fmt, "--mode", "both",
                  "--out", str(filtered)]) == 0
     assert main(["train", "--triples", str(filtered), "--out", str(model), "--epochs", "2",
                  "--dimension", "8", "--batch-size", "4", "--negative-samples", "2"]) == 0

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from tkgkit import (
     CpdConfig,
+    Lineage,
     TemporalGraph,
     identity,
     merge,
@@ -24,13 +25,26 @@ from tkgkit import (
 from tkgkit import proximity, transform
 from tkgkit.cpd import bottom_up, normalize_rows
 from tkgkit.proximity import PROXIMITY_MEASURES, SIGNATURE_SCOPES, ZERO_UNLESS_SHARED
-from tkgkit.transform import LineageEntry, _base_report, _finish, _MutableTKG
+from tkgkit.transform import _base_report, _finish, _MutableTKG
 
 from conftest import build_graph, reference_signature, unroll
 
 
 def coverage(g, lineage=None):
     return set(unroll(g, lineage))
+
+
+# one output predicate's provenance: its source's label, its interval, and
+# its stamp or None
+Entry = namedtuple("Entry", "source begin end stamp", defaults=(None,))
+
+
+def entries(lineage):
+    """The lineage arrays as one Entry per output predicate id."""
+    return {
+        p: Entry(lineage.source_labels[src], b, e, None if t < 0 else t)
+        for p, (src, b, e, t) in enumerate(zip(*(a.tolist() for a in lineage[:4])))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +56,7 @@ def test_identity_passthrough(tiny_graph):
     assert res.graph is tiny_graph
     assert res.report.method == "none"
     last = tiny_graph.num_timestamps - 1
-    for p, ent in res.lineage.items():
+    for p, ent in entries(res.lineage).items():
         assert ent.source == tiny_graph.predicate_labels[p]
         assert (ent.begin, ent.end, ent.stamp) == (0, last, None)
 
@@ -67,7 +81,7 @@ def test_timestamp_labels_and_lineage(tiny_graph):
     }
     assert set(res.graph.predicate_labels) == want_labels
     assert res.graph.num_predicates == len(observed)
-    for pid, ent in res.lineage.items():
+    for pid, ent in entries(res.lineage).items():
         assert ent.begin == ent.end == ent.stamp
         label = res.graph.predicate_labels[pid]
         assert label == f"{ent.source}@{res.graph.time_labels[ent.stamp]}"
@@ -132,8 +146,9 @@ def test_split_once_partitions_facts():
         (1, 0, 1, 2, 4, 0),  # spanning fact, right half
         (1, 2, 3, 3, 4, 2),
     ]
-    assert res.lineage[0].begin == 0 and res.lineage[0].end == 2
-    assert res.lineage[1].begin == 2 and res.lineage[1].end == 4
+    lineage = entries(res.lineage)
+    assert lineage[0].begin == 0 and lineage[0].end == 2
+    assert lineage[1].begin == 2 and lineage[1].end == 4
     assert coverage(out, res.lineage) == coverage(g)
 
 
@@ -154,10 +169,10 @@ def test_split_once_chained_lineage():
     # the first cut gives children 1 and 2; cut the right one again
     res = cut(g, (0, 4), (2, 7))
     assert res.graph.num_predicates == 3
-    for ent in res.lineage.values():
+    for ent in entries(res.lineage).values():
         assert ent.source == "r0"  # the input predicate, not the intermediate
     # intervals tile the source span, overlapping only at split points
-    ivs = sorted((ent.begin, ent.end) for ent in res.lineage.values())
+    ivs = sorted((ent.begin, ent.end) for ent in entries(res.lineage).values())
     assert ivs == [(0, 4), (4, 7), (7, 9)]
     assert coverage(res.graph, res.lineage) == coverage(g)
 
@@ -374,18 +389,18 @@ class Buckets:
         self.g = g
         self.labels = list(g.predicate_labels)
         last = g.num_timestamps - 1
-        self.lineage = {p: LineageEntry(label, 0, last) for p, label in enumerate(self.labels)}
+        self.lineage = [(p, 0, last, -1) for p in range(g.num_predicates)]
         self.buckets = {p: [] for p in range(g.num_predicates)}
         for (s, p, o, b, e), sp in zip(g.facts.tolist(), g.splits.tolist()):
             self.buckets[p].append((s, p, o, b, e, sp))
         self.split_points = []
         self._ordinal = defaultdict(int)
 
-    def new_predicate(self, label, entry):
+    def new_predicate(self, label, record):
         while label in self.labels:
             label += "'"
         self.labels.append(label)
-        self.lineage[len(self.labels) - 1] = entry
+        self.lineage.append(record)
         return len(self.labels) - 1
 
     def span(self, pid):
@@ -403,19 +418,20 @@ class Buckets:
             predicate_labels=tuple(self.labels[pid] for pid in order),
             time_labels=self.g.time_labels,
         )
-        return graph, {new: self.lineage[pid] for new, pid in enumerate(order)}
+        records = np.array([self.lineage[pid] for pid in order], dtype=np.int64).reshape(-1, 4)
+        return graph, Lineage(*records.T, self.g.predicate_labels)
 
 
 def reference_split_once(mg, pid, t):
     """One cut as first written, on a Buckets store: one pass over the rows.
     Returns the two children."""
-    src, lo, hi = mg.lineage[pid].source, mg.lineage[pid].begin, mg.lineage[pid].end
-    tl = mg.g.time_labels
+    src, lo, hi, _ = mg.lineage[pid]
+    name, tl = mg.g.predicate_labels[src], mg.g.time_labels
     mg.split_points.append((mg.labels[pid], tl[t]))
     n = mg._ordinal[src]
     mg._ordinal[src] = n + 2
-    r1 = mg.new_predicate(f"{src}#{n + 1}[{tl[lo]},{tl[t]}]", LineageEntry(src, lo, t))
-    r2 = mg.new_predicate(f"{src}#{n + 2}[{tl[t]},{tl[hi]}]", LineageEntry(src, t, hi))
+    r1 = mg.new_predicate(f"{name}#{n + 1}[{tl[lo]},{tl[t]}]", (src, lo, t, -1))
+    r2 = mg.new_predicate(f"{name}#{n + 2}[{tl[t]},{tl[hi]}]", (src, t, hi, -1))
     left, right = [], []
     for s, p, o, b, e, sp in mg.buckets.pop(pid):
         if b <= t <= e:
@@ -440,7 +456,9 @@ def assert_same_state(got, want):
     assert got.live == set(want.buckets)
     for pid, rows in want.buckets.items():
         assert got.rows(pid).tolist() == [list(r) for r in rows]
-    assert got.finalize() == want.finalize()
+    (graph, lineage), (want_graph, want_lineage) = got.finalize(), want.finalize()
+    assert graph == want_graph
+    assert entries(lineage) == entries(want_lineage)
 
 
 def reference_split_cpd(g, score, cfg, scope):
@@ -486,7 +504,7 @@ def assert_same_split(g, score, cfg, scope):
     assert got.graph.facts.tolist() == want.graph.facts.tolist()
     assert got.graph.splits.tolist() == want.graph.splits.tolist()
     assert got.graph.predicate_labels == want.graph.predicate_labels
-    assert got.lineage == want.lineage
+    assert entries(got.lineage) == entries(want.lineage)
     assert got.report.format() == want.report.format()
     return got
 
@@ -515,7 +533,7 @@ def test_split_cpd_cut_labels_collide():
     assert res.graph.predicate_labels == (
         "a#2[3,8]", "a#3[3,6]", "a#1[0,3]", "a#3[3,6]'", "a#4[6,8]"
     )
-    assert [(e.begin, e.end) for e in res.lineage.values()] == [
+    assert [(e.begin, e.end) for e in entries(res.lineage).values()] == [
         (0, 8), (0, 8), (0, 3), (3, 6), (6, 8)
     ]
 
@@ -567,7 +585,7 @@ def test_split_cpd_matches_reference(rows, score, scope, epsilon, min_size):
 def test_merge_full_restores_source_count(tiny_graph):
     res = merge(tiny_graph, shrink=math.inf)
     assert res.graph.num_predicates == tiny_graph.num_predicates
-    srcs = {ent.source for ent in res.lineage.values()}
+    srcs = {ent.source for ent in entries(res.lineage).values()}
     assert srcs == set(tiny_graph.predicate_labels)
     assert any("fully merged" in n for n in res.report.notes)
     assert unroll(res.graph, res.lineage) == unroll(tiny_graph)
@@ -604,7 +622,7 @@ def test_merge_stop_threshold():
 def test_merge_lineage_intervals():
     g = build_graph([(0, 0, 1, 0, 3)], num_times=4)
     res = merge(g, shrink=math.inf)
-    ent = res.lineage[0]
+    ent = entries(res.lineage)[0]
     assert (ent.source, ent.begin, ent.end, ent.stamp) == ("r0", 0, 3, None)
     assert res.graph.predicate_labels == ("r0~[0,3]",)
 
@@ -678,7 +696,7 @@ def read_lineage(g, path):
     lineage = {}
     for line in path.read_text(encoding="utf-8").split("\n")[:-1]:
         derived, source, *stamps = line.split("\t")
-        lineage[pid[derived]] = LineageEntry(source, *(tid[t] for t in stamps))
+        lineage[pid[derived]] = Entry(source, *(tid[t] for t in stamps))
     return lineage
 
 
@@ -686,7 +704,7 @@ def test_lineage_roundtrip(tmp_path, tiny_graph):
     res = timestamp(tiny_graph)
     path = tmp_path / "lineage.tsv"
     save_lineage(res.graph, res.lineage, path)
-    assert read_lineage(res.graph, path) == res.lineage
+    assert read_lineage(res.graph, path) == entries(res.lineage)
     first = path.read_text().splitlines()[0].split("\t")
     assert len(first) == 5  # stamped predicates carry the stamp column
 
@@ -695,7 +713,7 @@ def test_lineage_roundtrip_without_stamp(tmp_path, tiny_graph):
     res = split_parameterized(tiny_graph, "time", grow=2)
     path = tmp_path / "lineage.tsv"
     save_lineage(res.graph, res.lineage, path)
-    assert read_lineage(res.graph, path) == res.lineage
+    assert read_lineage(res.graph, path) == entries(res.lineage)
     first = path.read_text().splitlines()[0].split("\t")
     assert len(first) == 4
 
@@ -758,7 +776,7 @@ def reference_merge(g, shrink):
     facts = np.bincount(ts.graph.facts[:, 1], minlength=ts.graph.num_predicates).tolist()
     # (label, source, begin, end, facts) by id; a merged predicate takes the next id
     live = {p: (ts.graph.predicate_labels[p], ent.source, ent.begin, ent.end, facts[p])
-            for p, ent in ts.lineage.items()}
+            for p, ent in entries(ts.lineage).items()}
     stamped = len(live)
     target = stamped / shrink
     notes = [f"timestamped predicates: {stamped}"]
@@ -791,7 +809,7 @@ def test_merge_matches_reference(g):
     for shrink in (1.5, 2.5, math.inf):
         res = merge(g, shrink)
         got = [(res.graph.predicate_labels[p], ent.source, ent.begin, ent.end)
-               for p, ent in sorted(res.lineage.items())]
+               for p, ent in sorted(entries(res.lineage).items())]
         assert (res.report.merge_trace, res.report.notes, got) == reference_merge(g, shrink)
 
 
@@ -829,7 +847,7 @@ def test_empty_graph_transforms_to_empty_graph(method):
     res = LINEAGE_TRANSFORMS[method](g)
     assert res.graph.facts.shape == (0, 5)
     assert res.graph.predicate_labels == ()
-    assert res.lineage == {}
+    assert entries(res.lineage) == {}
     assert (res.report.predicates_after, res.report.facts_after) == (0, 0)
 
 
@@ -842,8 +860,10 @@ def assert_lineage_holds_facts(g, res, per_stamp):
     interval, and each predicate's rows by the row rule: its source's facts
     in ``g`` that meet its interval, clipped to it, in fact order; with
     ``per_stamp``, one row per stamp, in stamp order and then fact order."""
-    lineage = res.lineage
-    assert sorted(lineage) == list(range(res.graph.num_predicates))
+    n = res.graph.num_predicates
+    assert [(a.dtype, a.shape) for a in res.lineage[:4]] == [(np.int64, (n,))] * 4
+    assert res.lineage.source_labels == g.predicate_labels
+    lineage = entries(res.lineage)
     for ent in lineage.values():
         if ent.stamp is not None:
             assert ent.begin == ent.stamp == ent.end

@@ -25,7 +25,7 @@ from .graph import (
 )
 from .leakage import DuplicateAudit, apply_filter, audit
 from .pipeline import ConfigError, PipelineConfig, build_config, read_config_file, run_pipeline
-from .proximity import NeighborIndex, SignatureSeries, adamic_adar, signature_series
+from .proximity import SignatureSeries, signature_series
 from .transform import (
     Lineage,
     TransformReport,

@@ -10,15 +10,12 @@ of ``graph`` do the array work: ``expand_ranges`` lists each fact at each
 stamp, and ``distinct_keys`` drops repeated packed (stamp, pair) keys.
 
 Every measure reads one structure, the per-stamp neighbor arrays of
-:class:`StampNeighbors`, and gives the set-based scorers' bits.  The
-order :func:`adamic_adar` adds in matters only from three terms on: fewer
-are summed from the arrays, more on that stamp's :class:`NeighborIndex`.
+:class:`StampNeighbors`.  Adamic-Adar adds a pair's terms in increasing
+neighbor id, so a score does not depend on the order of the fact rows.
 """
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -28,40 +25,6 @@ PROXIMITY_MEASURES = ("jaccard", "adar", "pref")
 SIGNATURE_SCOPES = ("predicate", "graph")
 # the measures that score 0 a pair whose ends share no neighbor
 ZERO_UNLESS_SHARED = ("jaccard", "adar")
-
-
-class NeighborIndex:
-    """Undirected adjacency over a set of (s, o) edges.
-
-    Self-loops contribute the node to its own neighborhood once; parallel
-    edges collapse (neighborhoods are sets).
-    """
-
-    def __init__(self, edges: Iterable[tuple[int, int]]):
-        adj: dict[int, set[int]] = {}
-        for s, o in edges:
-            adj.setdefault(s, set()).add(o)
-            adj.setdefault(o, set()).add(s)
-        self._adj = adj
-
-    def neighbors(self, v: int) -> set[int]:
-        return self._adj.get(v, set())
-
-    def degree(self, v: int) -> int:
-        return len(self._adj.get(v, ()))
-
-
-def adamic_adar(index: NeighborIndex, u: int, v: int) -> float:
-    """Sum of 1/ln(deg(z)) over common neighbors z with degree > 1.
-
-    Degree-one common neighbors would divide by ln(1) = 0 and are skipped.
-    """
-    total = 0.0
-    for z in index.neighbors(u) & index.neighbors(v):
-        dz = index.degree(z)
-        if dz > 1:
-            total += 1.0 / math.log(dz)
-    return total
 
 
 class SignatureSeries:
@@ -86,11 +49,11 @@ def _check_packable(*widths: int) -> None:
 
 
 class StampNeighbors:
-    """Each node's neighbors at each timestamp over the fact rows valid
-    then, as ``NeighborIndex`` holds them, but in arrays: the neighbors of
-    node ``v`` at stamp ``t`` are one run of the sorted keys ``(t * width +
-    v) * width + neighbor``, found from the run starts of the (stamp, node)
-    entries with an edge.  ``len()`` is the number of timestamps.
+    """Each node's distinct neighbors at each timestamp over the fact rows
+    valid then, in arrays: the neighbors of node ``v`` at stamp ``t`` are one
+    run of the sorted keys ``(t * width + v) * width + neighbor``, found from
+    the run starts of the (stamp, node) entries with an edge.  A self-loop
+    makes a node its own neighbor.  ``len()`` is the number of timestamps.
     """
 
     def __init__(self, facts: np.ndarray, num_timestamps: int):
@@ -110,8 +73,6 @@ class StampNeighbors:
         self._pairs = np.append(pairs, np.iinfo(np.int64).max)
         self._width = width
         self._num_timestamps = num_timestamps
-        self._facts = facts
-        self._indexes: dict[int, NeighborIndex] = {}
 
     def __len__(self) -> int:
         return self._num_timestamps
@@ -146,35 +107,17 @@ class StampNeighbors:
         """How many neighbors nodes ``u[i]`` and ``v[i]`` share at stamp ``t[i]``."""
         return np.bincount(self.shared(t, u, v)[0], minlength=len(t))
 
-    @cached_property
-    def _stamp_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each stamp's (s, o) edges in fact order, which a stable sort keeps, and their starts."""
-        which, t = expand_ranges(self._facts[:, 3], self._facts[:, 4])
-        by = np.argsort(t, kind="stable")
-        return self._facts[:, [0, 2]][which[by]], np.searchsorted(t[by], np.arange(len(self) + 1))
-
-    def index(self, t: int) -> NeighborIndex:
-        """Stamp ``t``'s NeighborIndex, built once, from its edges in fact order."""
-        if t not in self._indexes:
-            edges, start = self._stamp_edges
-            self._indexes[t] = NeighborIndex(edges[start[t]:start[t + 1]].tolist())
-        return self._indexes[t]
-
     def adar(self, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``adamic_adar`` of each pair ``u[i]``, ``v[i]`` at stamp ``t[i]``,
-        to the bit: a bincount adds one or two terms in id order, which is
-        set order's sum; three or more are ``adamic_adar``'s on ``index``."""
+        """The Adamic-Adar score of each pair ``u[i]``, ``v[i]`` at stamp
+        ``t[i]``: the sum of 1/ln(degree) over their shared neighbors of
+        degree above one (ln 1 = 0), added in increasing neighbor id."""
         cell, z = self.shared(t, u, v)
         deg = self.degree(t[cell], z)
         cell, deg = cell[deg > 1], deg[deg > 1]
-        # 1/ln(d) by degree d, as adamic_adar computes it
         top = int(deg.max(initial=1))
         inverse_log = np.array([0.0, 0.0] + [1.0 / math.log(d) for d in range(2, top + 1)])
-        score = np.bincount(cell, weights=inverse_log[deg], minlength=len(t))
-        many = np.flatnonzero(np.bincount(cell, minlength=len(t)) > 2)
-        for i, k, a, b in zip(many.tolist(), t[many].tolist(), u[many].tolist(), v[many].tolist()):
-            score[i] = adamic_adar(self.index(k), a, b)
-        return score
+        # shared lists each cell's terms by id, and bincount adds them in turn
+        return np.bincount(cell, weights=inverse_log[deg], minlength=len(t))
 
 
 def signature_series(

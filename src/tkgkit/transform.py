@@ -439,8 +439,7 @@ def split_cpd(
                                f" leave no grid point inside {g.num_timestamps} timestamps")
         return _finish(mg, report)
 
-    # built once here, not cached on g: ~1 MB at 0.1 x Wikidata12k, and adar
-    # adds sets only at a stamp where a pair has three or more terms
+    # built once here, not cached on g: ~1 MB at 0.1 x Wikidata12k
     slices = StampNeighbors(g.facts, g.num_timestamps) if scope == "graph" else None
     scored = range(g.num_predicates)
     if scope == "predicate" and score in ZERO_UNLESS_SHARED:

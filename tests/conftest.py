@@ -6,11 +6,12 @@ from __future__ import annotations
 import math
 import os
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 import pytest
 
-from tkgkit import NeighborIndex, TemporalGraph, load_dataset
+from tkgkit import TemporalGraph, load_dataset
 
 DATASET_NAMES = ("wikidata12k", "yago11k", "icews14")
 
@@ -94,7 +95,31 @@ def unroll(g: TemporalGraph, lineage=None):
 
 # The set-based proximity scorers, as tkgkit first scored every measure:
 # the references score on per-stamp NeighborIndex sets with these, so none
-# of them calls the array code or the adamic_adar it checks.
+# of them calls the array code they check.  adamic_adar adds its terms in
+# increasing neighbour id, as the arrays do, not in set iteration order,
+# which depends on the order the edges were added.
+
+
+class NeighborIndex:
+    """Undirected adjacency over a set of (s, o) edges.
+
+    Self-loops contribute the node to its own neighborhood once; parallel
+    edges collapse (neighborhoods are sets).
+    """
+
+    def __init__(self, edges: Iterable[tuple[int, int]]):
+        adj: dict[int, set[int]] = {}
+        for s, o in edges:
+            adj.setdefault(s, set()).add(o)
+            adj.setdefault(o, set()).add(s)
+        self._adj = adj
+
+    def neighbors(self, v: int) -> set[int]:
+        return self._adj.get(v, set())
+
+    def degree(self, v: int) -> int:
+        return len(self._adj.get(v, ()))
+
 
 def jaccard(index: NeighborIndex, u: int, v: int) -> float:
     """|N(u) & N(v)| / |N(u) | N(v)|, zero when the union is empty."""
@@ -111,7 +136,7 @@ def adamic_adar(index: NeighborIndex, u: int, v: int) -> float:
     Degree-one common neighbors would divide by ln(1) = 0 and are skipped.
     """
     total = 0.0
-    for z in index.neighbors(u) & index.neighbors(v):
+    for z in sorted(index.neighbors(u) & index.neighbors(v)):
         dz = index.degree(z)
         if dz > 1:
             total += 1.0 / math.log(dz)

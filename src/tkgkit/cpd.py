@@ -194,8 +194,8 @@ def bottom_up(
     merged smallest-gain-first (gain = merged cost minus the two parts'
     costs), taken from a heap in which ties go to the smaller boundary,
     until accepting the next merge would make the total segmentation cost
-    exceed ``penalty``.  A NaN or infinite signal or ``gamma``, or a NaN
-    ``penalty``, is a ValueError.
+    exceed ``penalty``.  A NaN or infinite signal, a ``gamma`` that is not
+    finite and > 0, or a NaN ``penalty`` is a ValueError.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim == 1:
@@ -211,8 +211,8 @@ def bottom_up(
         raise ValueError(f"penalty must be >= 0, got {penalty}")
     if not np.isfinite(x).all():
         raise ValueError("signal has non-finite values")
-    if gamma is not None and not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
+    if gamma is not None and not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
 
     g = gamma if gamma is not None else median_heuristic_gamma(x)
     costs = _GramCosts(x, g)

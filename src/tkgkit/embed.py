@@ -326,9 +326,8 @@ class GradientWorkspace:
     """Buffers that :func:`batch_gradients` reuses from one call to the next.
 
     They hold a band of columns of the batch's contributions, the band's
-    cell indices, and the gradient sums the last call returned, a row per
-    id the batch touches.  Each grows to the largest batch, so training
-    holds no (N, d) gradient unless a batch lists N ids or more.
+    cell indices and the gradient sums the last call returned, each grown
+    to the largest batch.  They save allocations and change no result.
     """
 
     def __init__(self):
@@ -368,12 +367,11 @@ def batch_gradients(
     gradient includes the softmax term from the weights' dependence on the
     negative scores; otherwise the weights are constants.
 
-    Without ``work``, both gradients are fresh dense arrays.  With it, a
-    gradient whose batch lists fewer ids than its matrix has rows is the
+    A gradient whose batch lists fewer ids than its matrix has rows is the
     pair ``(rows, sums)``: the increasing distinct ids the batch touches
     and their gradient rows, every other row's gradient being zero (the
-    form :meth:`Adam.step` takes); a larger batch's is dense.  Either way
-    it belongs to the workspace, and the next call with it overwrites it.
+    form :meth:`Adam.step` takes); a larger batch's is dense.  Either form
+    lives in ``work``, a fresh workspace if None, until the next call with it.
 
     Each row sums its contributions (s, o, s_neg, o_neg rows, in batch
     order) a band of columns at a time, with one bincount over flat cell
@@ -381,9 +379,7 @@ def batch_gradients(
     the same additions, in the same order, as ``np.add.at`` on a zeroed
     matrix, so the result is bit-identical.
     """
-    compact = work is not None
-    if work is None:
-        work = GradientWorkspace()
+    work = work or GradientWorkspace()
     B = pos.shape[0]
     s, p, o = pos[:, 0], pos[:, 1], pos[:, 2]
     phi_pos, delta_pos = _phi_delta(entity, predicate, s, p, o, cfg.norm)
@@ -417,7 +413,7 @@ def batch_gradients(
     ):
         # a batch that could touch every row sums densely, which skips the sort
         touched = None
-        if compact and len(ids) < n:
+        if len(ids) < n:
             touched, ids = np.unique(ids, return_inverse=True)
             n = len(touched)
         # the cell of band column c in sum row i is c * n + i

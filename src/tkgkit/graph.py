@@ -184,7 +184,7 @@ def _read_columns(path: Path, arity: int, what: str) -> list[list[str]]:
     """
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     # read_text turns "\r\n" and "\r" into "\n"; split there only, since
     # str.splitlines also breaks at U+2028, \x1c and other label characters

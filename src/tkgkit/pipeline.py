@@ -108,6 +108,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "output": {"dir": (Path, None)},
 }
+# each section's keys that have a default, with it as written in a config file
+DEFAULTS = {sec: {key: default for key, (_, default) in table.items() if default is not None}
+            for sec, table in SCHEMA.items()}
 
 
 class ConfigError(Exception):
@@ -148,12 +151,9 @@ def read_config_file(path: str | Path, environ=None) -> dict[str, dict[str, str]
         raise ConfigError(f"config file {path} not found")
     try:
         cp.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    raw = {
-        sec: {key: default for key, (_, default) in table.items() if default is not None}
-        for sec, table in SCHEMA.items()
-    }
+    raw = {sec: dict(values) for sec, values in DEFAULTS.items()}
     for sec in cp.sections():
         if sec not in SCHEMA:
             raise ConfigError(f"unknown config section [{sec}]")
@@ -229,13 +229,16 @@ def cpd_config(tf: dict) -> CpdConfig:
 def build_config(raw: dict[str, dict[str, str]]) -> PipelineConfig:
     """Validate the raw key-value config into a typed PipelineConfig.
 
-    Every check happens here, before any data is touched.  Sections and keys
-    missing from ``raw`` take the schema's defaults.
+    Every check happens here, before any data is touched.  Each key missing
+    from ``raw`` that has a default is filled into it, so the kept config
+    records every setting however it was built.
     """
     for sec in raw:
         if sec not in SCHEMA:
             raise ConfigError(f"unknown config section [{sec}]")
-    parsed = {sec: parse_section(sec, raw.get(sec, {})) for sec in SCHEMA if sec != "train"}
+    for sec, defaults in DEFAULTS.items():
+        raw[sec] = defaults | raw.get(sec, {})
+    parsed = {sec: parse_section(sec, raw[sec]) for sec in SCHEMA if sec != "train"}
     ds, tf = parsed["dataset"], parsed["transform"]
     if ds["path"] is None:
         raise ConfigError("[dataset] path is required")
@@ -254,7 +257,7 @@ def build_config(raw: dict[str, dict[str, str]]) -> PipelineConfig:
     cpd = cpd_config(tf) if method == "split_cpd" else None
     return PipelineConfig(
         **{sec: SimpleNamespace(**vals) for sec, vals in parsed.items()},
-        train=train_config(raw.get("train", {})),
+        train=train_config(raw["train"]),
         cpd=cpd,
         raw=raw,
     )

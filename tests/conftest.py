@@ -181,6 +181,16 @@ def reference_signature(g, predicate, measure, scope):
     return matrix
 
 
+def densify(grad, like):
+    """A gradient that batch_gradients returned, as a dense array shaped like ``like``."""
+    if not isinstance(grad, tuple):
+        return grad
+    rows, sums = grad
+    dense = np.zeros_like(like)
+    dense[rows] = sums
+    return dense
+
+
 @pytest.fixture
 def tiny_rows() -> dict[str, list[tuple]]:
     return {

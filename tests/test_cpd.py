@@ -314,6 +314,12 @@ def test_bottom_up_input_validation():
         bottom_up(np.zeros(5), penalty=1.0, min_size=0)
     with pytest.raises(ValueError):
         bottom_up(np.zeros(5), penalty=1.0, jump=0)
+    # a bandwidth CpdConfig refuses; a valid one cuts these steps at 10
+    steps = np.repeat([0.0, 1.0], 10)
+    assert bottom_up(steps, penalty=0.5, gamma=1.0).breakpoints == [10, 20]
+    for gamma in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            bottom_up(steps, penalty=0.5, gamma=gamma)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import densify
 from tkgkit import (
     DataError,
     EmbeddingModel,
@@ -287,20 +290,49 @@ def test_gradients_match_scatter_reference_bytes(norm, weights, k):
         assert g.tobytes() == w.tobytes()
 
 
-def densify(grad, like):
-    """A gradient that batch_gradients returned, as a dense array shaped like ``like``."""
-    if not isinstance(grad, tuple):
-        return grad
-    rows, sums = grad
-    dense = np.zeros_like(like)
-    dense[rows] = sums
-    return dense
+# reused by every example, so each batch meets buffers a batch of another shape left
+SHARED_WORK = GradientWorkspace()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_ent=st.integers(2, 40),
+    n_pred=st.integers(1, 40),
+    B=st.integers(1, 5),
+    K=st.integers(1, 4),
+    dim=st.integers(1, 6),
+    norm=st.sampled_from(["l1", "l2"]),
+    weights=st.sampled_from(["detached", "attached", "uniform"]),
+)
+def test_gradient_form_depends_on_the_batch_alone(seed, n_ent, n_pred, B, K, dim, norm, weights):
+    # a batch lists 2 (B + BK) ids for each matrix, 4 to 50: fewer or more
+    # than 2 to 40 entities, and than the predicates' rows plus the spare
+    # row their o and o_neg contributions go to
+    entity, predicate, pos, neg, corrupt = make_batch(
+        np.random.default_rng(seed), n_ent=n_ent, n_pred=n_pred, B=B, K=K, dim=dim)
+    cfg = TrainConfig(dimension=dim, norm=norm, margin=1.5, temperature=0.7,
+                      adversarial=weights != "uniform", detach_weights=weights == "detached")
+    listed = 2 * (B + B * K)
+    s_neg, o_neg = _neg_ids(pos, neg, corrupt)
+    touched = (np.unique(np.concatenate((pos[:, 0], pos[:, 2], s_neg.ravel(), o_neg.ravel()))),
+               np.unique(pos[:, 1]))
+    want = scatter_reference_gradients(entity, predicate, pos, neg, corrupt, cfg)
+    for work in (None, GradientWorkspace(), SHARED_WORK):
+        got = batch_gradients(entity, predicate, pos, neg, corrupt, cfg, work=work)
+        assert got[0] == want[0]
+        for g, w, rows, pair in zip(got[1:], want[1:], touched,
+                                    (listed < n_ent, listed < n_pred + 1)):
+            assert isinstance(g, tuple) == pair
+            if pair:
+                assert g[0].tolist() == rows.tolist()
+            assert densify(g, w).tobytes() == w.tobytes()
 
 
 def test_shared_workspace_leaks_no_stale_rows():
     # 40 entities and 30 predicates: a batch of one positive with one
-    # negative returns a few rows (compact path), one with 60 negatives
-    # lists more ids than there are rows and returns them all (dense path)
+    # negative returns a few rows (the pair), one with 60 negatives lists
+    # more ids than there are rows and returns them all (a dense array)
     rng = np.random.default_rng(5)
     entity, predicate = rng.normal(size=(40, 6)), rng.normal(size=(30, 6))
     cfg = TrainConfig(dimension=6, detach_weights=False)
@@ -314,7 +346,7 @@ def test_shared_workspace_leaks_no_stale_rows():
     work = GradientWorkspace()
     for pos, neg, corrupt in calls:
         got = batch_gradients(entity, predicate, pos, neg, corrupt, cfg, work=work)
-        want = batch_gradients(entity, predicate, pos, neg, corrupt, cfg)
+        want = scatter_reference_gradients(entity, predicate, pos, neg, corrupt, cfg)
         assert got[0] == want[0]
         for g, w in zip(got[1:], want[1:]):
             g = densify(g, w)

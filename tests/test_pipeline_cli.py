@@ -246,6 +246,22 @@ def test_build_config_happy(tiny_dataset, tmp_path):
     assert cfg.raw is raw
 
 
+def test_config_from_a_dict_records_the_defaults(tiny_dataset, tmp_path):
+    # the settings write_ini writes, given as a dict with no defaults
+    raw = {
+        "dataset": {"path": str(tiny_dataset)},
+        "transform": {"method": "timestamp"},
+        "filter": {"mode": "both"},
+        "train": {"epochs": "2", "dimension": "8", "batch_size": "4",
+                  "negative_samples": "2"},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    from_ini = build_config(base_raw(tiny_dataset, tmp_path)).raw
+    recorded = build_config(raw).raw
+    assert recorded == from_ini
+    assert config_hash(recorded) == config_hash(from_ini)
+
+
 def test_every_setting_reads_back_under_its_key(tiny_dataset, tmp_path):
     raw = base_raw(tiny_dataset, tmp_path)
     raw["transform"].update(method="split_cpd", epsilon="2.0", grow="3", shrink="inf",
@@ -351,6 +367,18 @@ def test_cli_load_stats(tiny_dataset, capsys):
     assert main(["load-stats", "--data", str(tiny_dataset)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].split() == ["entities", "3"]
+
+
+@pytest.mark.parametrize("name", ["train.txt", "entities.dict"])
+def test_cli_load_stats_non_utf8_exits_3(tiny_dataset, tmp_path, capsys, name):
+    # a Latin-1 label; entities.dict is read from a dataset save_dataset wrote
+    root = tmp_path / "saved"
+    tkgkit.save_dataset(tkgkit.load_dataset(tiny_dataset), root)
+    path = root / name
+    path.write_bytes(path.read_bytes().replace(b"a", b"Jos\xe9", 1))
+    assert main(["load-stats", "--data", str(root)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err
 
 
 def test_cli_transform_writes_outputs(tiny_dataset, tmp_path, capsys):
@@ -556,6 +584,14 @@ def test_cli_run_exit_codes(tiny_dataset, tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
     bad = write_ini(tmp_path / "bad.ini", tmp_path / "nope", tmp_path / "out2")
     assert main(["run", "--config", str(bad)]) == 2
+
+
+def test_cli_run_non_utf8_config_exits_2(tiny_dataset, tmp_path, capsys):
+    ini = write_ini(tmp_path / "c.ini", tiny_dataset, tmp_path / "out")
+    ini.write_bytes(ini.read_bytes() + b"# \xff\n")
+    assert main(["run", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(ini) in err
 
 
 def test_cli_run_data_error(tmp_path):

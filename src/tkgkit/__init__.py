@@ -10,7 +10,7 @@ link-prediction protocol.
 
 __version__ = "0.1.0"
 
-from .cpd import CpdConfig, Segmentation, bottom_up, median_heuristic_gamma, normalize_rows, rbf_kernel
+from .cpd import Segmentation, bottom_up, median_heuristic_gamma, normalize_rows, rbf_kernel
 from .embed import EmbeddingModel, NumericError, TrainConfig, load_model, save_model, train
 from .eval import MetricReport, evaluate, metrics, rank_queries
 from .graph import (

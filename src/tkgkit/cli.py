@@ -32,7 +32,7 @@ from .pipeline import (
     SCHEMA,
     ConfigError,
     build_config,
-    cpd_config,
+    check_cpd,
     evaluate_stage,
     filter_stage,
     load_stage,
@@ -230,7 +230,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_segment_debug(args) -> int:
-    cfg = cpd_config(parse_section("transform", _section(args, "transform")))
+    tf = parse_section("transform", _section(args, "transform"))
+    check_cpd(tf)
     try:
         signal = np.loadtxt(args.signal, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
@@ -243,7 +244,7 @@ def cmd_segment_debug(args) -> int:
         signal = normalize_rows(signal)
     try:
         seg = bottom_up(
-            signal, cfg.epsilon, min_size=cfg.min_size, jump=cfg.jump, gamma=cfg.gamma
+            signal, tf["epsilon"], min_size=tf["min_size"], jump=tf["jump"], gamma=tf["gamma"]
         )
     except ValueError as exc:
         # input and settings are checked above, so what is left is overflow

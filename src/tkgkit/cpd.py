@@ -92,27 +92,23 @@ def median_heuristic_gamma(signal: np.ndarray) -> float:
     return 1.0 / med
 
 
-@dataclass
-class CpdConfig:
-    """Detection knobs: stop threshold, grid geometry, optional bandwidth.
+def _check_grid(min_size: int, jump: int, gamma: float | None) -> None:
+    """The grid and bandwidth rules; ``gamma=None`` is the median heuristic."""
+    if min_size < 1:
+        raise ValueError("min_size must be >= 1")
+    if jump < 1:
+        raise ValueError("jump must be >= 1")
+    if gamma is not None and not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
 
-    ``gamma=None`` selects the per-signal median heuristic.
-    """
 
-    epsilon: float = 10.0
-    min_size: int = 1
-    jump: int = 1
-    gamma: float | None = None
-
-    def validate(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.min_size < 1:
-            raise ValueError("min_size must be >= 1")
-        if self.jump < 1:
-            raise ValueError("jump must be >= 1")
-        if self.gamma is not None and not 0 < self.gamma < math.inf:
-            raise ValueError("gamma must be finite and > 0 when given")
+def check_settings(epsilon: float, min_size: int, jump: int, gamma: float | None) -> None:
+    """Detection settings as ``split_cpd`` and ``[transform]`` take them: the
+    stop threshold ``epsilon`` must be > 0, not NaN, and the grid and
+    bandwidth follow ``bottom_up``'s rules.  A bad one is a ValueError."""
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    _check_grid(min_size, jump, gamma)
 
 
 @dataclass
@@ -203,16 +199,11 @@ def bottom_up(
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty signal")
-    if min_size < 1:
-        raise ValueError("min_size must be >= 1")
-    if jump < 1:
-        raise ValueError("jump must be >= 1")
+    _check_grid(min_size, jump, gamma)
     if not penalty >= 0:
         raise ValueError(f"penalty must be >= 0, got {penalty}")
     if not np.isfinite(x).all():
         raise ValueError("signal has non-finite values")
-    if gamma is not None and not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
 
     g = gamma if gamma is not None else median_heuristic_gamma(x)
     costs = _GramCosts(x, g)

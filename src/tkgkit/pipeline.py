@@ -29,7 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .cpd import CpdConfig
+from .cpd import check_settings
 from .embed import TRAIN_KEYS, TrainConfig, parse_bool, parse_float, save_model, train
 from .eval import DEFAULT_HITS, TIE_RULES, evaluate, ranks_tsv
 from .graph import (
@@ -64,7 +64,8 @@ TRANSFORMS = {
     "split_time": lambda g, cfg: split_parameterized(g, "time", cfg.transform.grow),
     "split_count": lambda g, cfg: split_parameterized(g, "count", cfg.transform.grow),
     "split_cpd": lambda g, cfg: split_cpd(
-        g, score=cfg.transform.score, cfg=cfg.cpd, scope=cfg.transform.scope
+        g, cfg.transform.score, epsilon=cfg.transform.epsilon, min_size=cfg.transform.min_size,
+        jump=cfg.transform.jump, gamma=cfg.transform.gamma, scope=cfg.transform.scope,
     ),
     "merge": lambda g, cfg: merge(g, cfg.transform.shrink),
     "random": lambda g, cfg: random_split(g, cfg.transform.grow, seed=cfg.transform.seed),
@@ -93,8 +94,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "shrink": (parse_float, None),
         "epsilon": (parse_float, None),
         "score": (PROXIMITY_MEASURES, "pref"),
-        "min_size": (int, str(CpdConfig.min_size)),
-        "jump": (int, str(CpdConfig.jump)),
+        "min_size": (int, str(split_cpd.__kwdefaults__["min_size"])),
+        "jump": (int, str(split_cpd.__kwdefaults__["jump"])),
         "gamma": (parse_float, None),
         "scope": (SIGNATURE_SCOPES, "predicate"),
         "seed": (int, "0"),
@@ -128,8 +129,6 @@ class PipelineConfig:
     train: TrainConfig
     eval: SimpleNamespace
     output: SimpleNamespace
-    # the detection settings of split_cpd, None for every other method
-    cpd: CpdConfig | None
     raw: dict[str, dict[str, str]]
 
 
@@ -204,26 +203,26 @@ def parse_section(section: str, values: dict[str, str]) -> dict:
     return out
 
 
-def _validated(section: str, cfg):
+def _validated(section: str, check, *args) -> None:
     try:
-        cfg.validate()
+        check(*args)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
-    return cfg
 
 
 def train_config(values: dict[str, str]) -> TrainConfig:
     """Validated TrainConfig from raw [train] values."""
-    return _validated("train", TrainConfig(**parse_section("train", values)))
+    cfg = TrainConfig(**parse_section("train", values))
+    _validated("train", cfg.validate)
+    return cfg
 
 
-def cpd_config(tf: dict) -> CpdConfig:
-    """Validated detection settings from parsed [transform] values."""
+def check_cpd(tf: dict) -> None:
+    """ConfigError unless parsed [transform] values hold detection settings
+    that split_cpd takes."""
     if tf["epsilon"] is None:
         raise ConfigError("[transform] split_cpd needs epsilon")
-    cfg = CpdConfig(epsilon=tf["epsilon"], min_size=tf["min_size"], jump=tf["jump"],
-                    gamma=tf["gamma"])
-    return _validated("transform", cfg)
+    _validated("transform", check_settings, tf["epsilon"], tf["min_size"], tf["jump"], tf["gamma"])
 
 
 def build_config(raw: dict[str, dict[str, str]]) -> PipelineConfig:
@@ -254,11 +253,11 @@ def build_config(raw: dict[str, dict[str, str]]) -> PipelineConfig:
         raise ConfigError("[transform] method merge needs shrink > 1 (inf allowed)")
     if tf["seed"] < 0:
         raise ConfigError("[transform] seed must be >= 0")
-    cpd = cpd_config(tf) if method == "split_cpd" else None
+    if method == "split_cpd":
+        check_cpd(tf)
     return PipelineConfig(
         **{sec: SimpleNamespace(**vals) for sec, vals in parsed.items()},
         train=train_config(raw["train"]),
-        cpd=cpd,
         raw=raw,
     )
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cpd import CpdConfig, bottom_up, normalize_rows
+from .cpd import bottom_up, check_settings, normalize_rows
 from .graph import TemporalGraph, distinct_keys, expand_ranges
 from .proximity import (
     PROXIMITY_MEASURES,
@@ -338,7 +338,7 @@ def split_parameterized(g: TemporalGraph, method: str, grow: float) -> Transform
     """
     if method not in SPLIT_METHODS:
         raise ValueError(f"unknown split method {method!r}; expected one of {SPLIT_METHODS}")
-    if grow <= 1:
+    if not grow > 1:
         raise ValueError("grow must be > 1")
     choose = _midpoint_split if method == "time" else _balanced_split
     mg = _MutableTKG(g)
@@ -392,7 +392,11 @@ def _cpd_cuts(rows: np.ndarray, points: list[int]) -> tuple[list[int], int]:
 def split_cpd(
     g: TemporalGraph,
     score: str = "pref",
-    cfg: CpdConfig | None = None,
+    *,
+    epsilon: float = 10.0,
+    min_size: int = 1,
+    jump: int = 1,
+    gamma: float | None = None,
     scope: str = "predicate",
 ) -> TransformResult:
     """Split each predicate at the change points of its proximity signature.
@@ -400,10 +404,12 @@ def split_cpd(
     Per predicate: build the signature series, whose neighborhoods at each
     timestamp come from the predicate's own facts valid then (``scope =
     "predicate"``) or from every fact valid then (``"graph"``),
-    row-normalize, run bottom-up detection, then apply the interior
-    breakpoints left to right (each one lands in the rightmost child
-    produced so far).  Breakpoints falling outside the current child's
-    active span are skipped and counted.
+    row-normalize, run bottom-up detection with stop threshold ``epsilon``,
+    grid ``min_size`` and ``jump`` and RBF bandwidth ``gamma`` (None: the
+    median heuristic per signal), then apply the interior breakpoints left
+    to right (each one lands in the rightmost child produced so far).
+    Breakpoints falling outside the current child's active span are skipped
+    and counted.
 
     A constant signature leaves its predicate whole.  When ``min_size`` and
     ``jump`` leave no grid point to cut at, no signature is built and the
@@ -416,17 +422,16 @@ def split_cpd(
         raise ValueError(f"unknown proximity measure {score!r}")
     if scope not in SIGNATURE_SCOPES:
         raise ValueError(f"unknown signature scope {scope!r}")
-    cfg = cfg or CpdConfig()
-    cfg.validate()
+    check_settings(epsilon, min_size, jump, gamma)
     mg = _MutableTKG(g)
     report = _base_report(
         "split_cpd",
         {
             "score": score,
-            "epsilon": cfg.epsilon,
-            "min_size": cfg.min_size,
-            "jump": cfg.jump,
-            "gamma": "median" if cfg.gamma is None else cfg.gamma,
+            "epsilon": epsilon,
+            "min_size": min_size,
+            "jump": jump,
+            "gamma": "median" if gamma is None else gamma,
             "scope": scope,
         },
         g,
@@ -434,8 +439,8 @@ def split_cpd(
 
     # bottom_up's first grid point, the least multiple of jump >= min_size,
     # must leave min_size stamps after it
-    if -(-cfg.min_size // cfg.jump) * cfg.jump > g.num_timestamps - cfg.min_size:
-        report.warnings.append(f"no cut possible: min_size {cfg.min_size} and jump {cfg.jump}"
+    if -(-min_size // jump) * jump > g.num_timestamps - min_size:
+        report.warnings.append(f"no cut possible: min_size {min_size} and jump {jump}"
                                f" leave no grid point inside {g.num_timestamps} timestamps")
         return _finish(mg, report)
 
@@ -455,7 +460,7 @@ def split_cpd(
         if series.matrix.size == 0 or bool(np.all(series.matrix == series.matrix[0])):
             continue
         x = normalize_rows(series.matrix)
-        seg = bottom_up(x, cfg.epsilon, min_size=cfg.min_size, jump=cfg.jump, gamma=cfg.gamma)
+        seg = bottom_up(x, epsilon, min_size=min_size, jump=jump, gamma=gamma)
         cuts, skipped = _cpd_cuts(rows, seg.change_points)
         report.skipped_points += skipped
         if not cuts:
@@ -475,7 +480,7 @@ def random_split(g: TemporalGraph, grow: float, seed: int = 0) -> TransformResul
     active span.  Draws hitting a single-timestamp span are rejected; 100
     consecutive rejections stop the transformation with a warning.
     """
-    if grow <= 1:
+    if not grow > 1:
         raise ValueError("grow must be > 1")
     if seed < 0:  # random.Random seeds with abs(seed): -3 would draw as 3 does
         raise ValueError("seed must be >= 0")
@@ -520,7 +525,7 @@ def merge(g: TemporalGraph, shrink: float) -> TransformResult:
     distinct begins, so no two live pairs tie on (facts, begin, source),
     and a stale entry that ties with a live one is skipped when it pops.
     """
-    if shrink <= 1:
+    if not shrink > 1:
         raise ValueError("shrink must be > 1")
     mg = _MutableTKG(g)
     stamped = _timestamp_into(mg)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import DATASET_NAMES, build_graph, densify, require_dataset
-from tkgkit.cpd import CpdConfig, bottom_up
+from tkgkit.cpd import bottom_up
 from tkgkit.embed import (
     EmbeddingModel,
     TrainConfig,
@@ -151,7 +151,7 @@ def test_c4_cpd_and_merge_sizes_within_band():
     for name in DATASET_NAMES:
         g = load_benchmark(name)
         score, eps, want = REFERENCE_CPD_PREDS[name]
-        res = split_cpd(g, score=score, cfg=CpdConfig(epsilon=eps))
+        res = split_cpd(g, score=score, epsilon=eps)
         got = res.graph.num_predicates
         assert 0.5 * want <= got <= 1.5 * want, f"{name} cpd: {got} vs {want}"
 

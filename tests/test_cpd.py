@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tkgkit import (
-    CpdConfig,
     bottom_up,
     median_heuristic_gamma,
     normalize_rows,
     rbf_kernel,
 )
 from tkgkit import cpd
-from tkgkit.cpd import _GramCosts
+from tkgkit.cpd import _GramCosts, check_settings
 
 
 def segment_cost(signal, a: int, b: int, gamma: float) -> float:
@@ -314,7 +313,7 @@ def test_bottom_up_input_validation():
         bottom_up(np.zeros(5), penalty=1.0, min_size=0)
     with pytest.raises(ValueError):
         bottom_up(np.zeros(5), penalty=1.0, jump=0)
-    # a bandwidth CpdConfig refuses; a valid one cuts these steps at 10
+    # a bandwidth the detection settings refuse; a valid one cuts these steps at 10
     steps = np.repeat([0.0, 1.0], 10)
     assert bottom_up(steps, penalty=0.5, gamma=1.0).breakpoints == [10, 20]
     for gamma in (-1.0, 0.0):
@@ -360,18 +359,19 @@ def test_bottom_up_total_adds_left_to_right(monkeypatch):
 
 
 def test_cpd_config_validation():
-    CpdConfig().validate()
-    with pytest.raises(ValueError):
-        CpdConfig(epsilon=0.0).validate()
-    with pytest.raises(ValueError):
-        CpdConfig(min_size=0).validate()
-    with pytest.raises(ValueError):
-        CpdConfig(jump=0).validate()
-    with pytest.raises(ValueError):
-        CpdConfig(gamma=-1.0).validate()
-    for bad in (math.nan, math.inf):
+    ok = {"epsilon": 10.0, "min_size": 1, "jump": 1, "gamma": None}
+    check_settings(**ok)
+    check_settings(**ok | {"gamma": 1e-300})
+    for bad in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="epsilon must be > 0"):
+            check_settings(**ok | {"epsilon": bad})
+    with pytest.raises(ValueError, match="min_size must be >= 1"):
+        check_settings(**ok | {"min_size": 0})
+    with pytest.raises(ValueError, match="jump must be >= 1"):
+        check_settings(**ok | {"jump": 0})
+    for bad in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma must be finite"):
-            CpdConfig(gamma=bad).validate()
+            check_settings(**ok | {"gamma": bad})
 
 
 @settings(max_examples=30, deadline=None)

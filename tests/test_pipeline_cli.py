@@ -233,7 +233,28 @@ def test_split_cpd_needs_epsilon(tiny_dataset, tmp_path):
         build_config(raw)
     raw["transform"]["epsilon"] = "2.0"
     cfg = build_config(raw)
-    assert cfg.cpd.epsilon == 2.0
+    assert cfg.transform.epsilon == 2.0
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", math.nan), ("min_size", 0), ("jump", 0),
+     ("gamma", 0.0), ("gamma", -1.0), ("gamma", math.inf)],
+)
+def test_cpd_settings_refused_alike(tiny_dataset, tmp_path, key, value):
+    """split_cpd refuses a bad detection setting with the message that
+    build_config gives under [transform]; a config file cannot hold NaN."""
+    with pytest.raises(ValueError) as exc:
+        tkgkit.split_cpd(tkgkit.load_dataset(tiny_dataset), **{"epsilon": 1.0, key: value})
+    assert re.match(rf"{key} must be (>|finite)", str(exc.value))
+    if math.isnan(value):
+        return
+    settings = {"transform__method": "split_cpd", "transform__epsilon": "1",
+                f"transform__{key}": str(value)}
+    ini = write_ini(tmp_path / "c.ini", tiny_dataset, tmp_path / "out", **settings)
+    with pytest.raises(ConfigError) as config_exc:
+        build_config(read_config_file(ini, environ={}))
+    assert str(config_exc.value) == f"[transform] {exc.value}"
 
 
 def test_build_config_happy(tiny_dataset, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tkgkit import CpdConfig, signature_series, split_cpd, transform
+from tkgkit import signature_series, split_cpd, transform
 from tkgkit.proximity import (
     PROXIMITY_MEASURES,
     SIGNATURE_SCOPES,
@@ -339,7 +339,7 @@ def _scored(g, measure):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(transform, "signature_series", record)
-        split_cpd(g, score=measure, cfg=CpdConfig(epsilon=1.0))
+        split_cpd(g, score=measure, epsilon=1.0)
     return scored
 
 

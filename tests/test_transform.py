@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tkgkit import (
-    CpdConfig,
     Lineage,
     TemporalGraph,
     identity,
@@ -219,6 +218,22 @@ def test_split_grow_validation():
         split_parameterized(g, "sorted", grow=2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: split_parameterized(g, "time", math.nan), "grow must be > 1"),
+        (lambda g: split_parameterized(g, "count", math.nan), "grow must be > 1"),
+        (lambda g: random_split(g, math.nan), "grow must be > 1"),
+        (lambda g: merge(g, math.nan), "shrink must be > 1"),
+    ],
+    ids=["split_time", "split_count", "random_split", "merge"],
+)
+def test_nan_grow_and_shrink_are_refused(tiny_graph, call, message):
+    # NaN fails every comparison: a guard written as grow <= 1 lets it through
+    with pytest.raises(ValueError, match=message):
+        call(tiny_graph)
+
+
 def test_split_unsplittable_heap_exhaustion():
     # every fact occupies a single timestamp: no predicate can be split
     g = build_graph([(0, 0, 1, 3, 3), (1, 1, 2, 5, 5)], num_times=6)
@@ -283,19 +298,19 @@ def _two_phase_graph():
 
 
 def test_split_cpd_finds_the_shift():
-    res = split_cpd(_two_phase_graph(), score="pref", cfg=CpdConfig(epsilon=0.01))
+    res = split_cpd(_two_phase_graph(), score="pref", epsilon=0.01)
     assert ("r0", "5") in res.report.split_points
     assert res.report.splits_applied >= 1
 
 
 def test_split_cpd_constant_signature_untouched():
-    res = split_cpd(_two_phase_graph(), cfg=CpdConfig(epsilon=0.01))
+    res = split_cpd(_two_phase_graph(), epsilon=0.01)
     # r1 holds one pair over the whole timeline: constant signature
     assert all(pred != "r1" for pred, _ in res.report.split_points)
 
 
 def test_split_cpd_large_epsilon_no_splits():
-    res = split_cpd(_two_phase_graph(), cfg=CpdConfig(epsilon=1e6))
+    res = split_cpd(_two_phase_graph(), epsilon=1e6)
     assert res.report.splits_applied == 0
     assert res.graph.num_predicates == 2
 
@@ -304,20 +319,20 @@ def test_split_cpd_out_of_span_point_skipped():
     # active only on [0,5] of a 12-step timeline: the zero tail puts the
     # detected change point past the active span
     g = build_graph([(0, 0, 1, 0, 5)], num_times=12)
-    res = split_cpd(g, cfg=CpdConfig(epsilon=0.01))
+    res = split_cpd(g, epsilon=0.01)
     assert res.report.skipped_points >= 1
     assert res.report.splits_applied == 0
 
 
 def test_split_cpd_coverage_preserved():
     g = _two_phase_graph()
-    res = split_cpd(g, cfg=CpdConfig(epsilon=0.01))
+    res = split_cpd(g, epsilon=0.01)
     assert coverage(res.graph, res.lineage) == coverage(g)
 
 
 def test_split_cpd_validates_config():
     with pytest.raises(ValueError):
-        split_cpd(_two_phase_graph(), cfg=CpdConfig(epsilon=-1))
+        split_cpd(_two_phase_graph(), epsilon=-1)
     with pytest.raises(ValueError, match="unknown signature scope 'global'"):
         split_cpd(_two_phase_graph(), scope="global")
 
@@ -341,7 +356,7 @@ def test_split_cpd_graph_pref_builds_no_neighbor_sets():
     for score in PROXIMITY_MEASURES:
         for scope in SIGNATURE_SCOPES:
             for g in (skipped, triangle):
-                res = split_cpd(g, score=score, cfg=CpdConfig(epsilon=0.01), scope=scope)
+                res = split_cpd(g, score=score, epsilon=0.01, scope=scope)
                 skip = g is skipped and scope == "predicate" and score in ZERO_UNLESS_SHARED
                 assert (("r0", "5") in res.report.split_points) != skip, (score, scope)
 
@@ -355,9 +370,8 @@ def test_split_cpd_warns_when_no_cut_is_possible(monkeypatch, min_size, jump):
         raise AssertionError("signature built")
 
     g = _two_phase_graph()  # 10 stamps
-    cfg = CpdConfig(epsilon=0.01, min_size=min_size, jump=jump)
     monkeypatch.setattr(transform, "signature_series", refuse)
-    res = split_cpd(g, cfg=cfg)
+    res = split_cpd(g, epsilon=0.01, min_size=min_size, jump=jump)
     assert res.graph.facts.tolist() == g.facts.tolist()
     assert res.report.split_points == []
     assert res.report.warnings == [
@@ -369,7 +383,7 @@ def test_split_cpd_warns_when_no_cut_is_possible(monkeypatch, min_size, jump):
 def test_split_cpd_cuts_at_the_last_grid_point():
     # the first multiple of jump = 5 is the last point leaving min_size = 5
     g = _two_phase_graph()
-    res = split_cpd(g, cfg=CpdConfig(epsilon=0.01, min_size=5, jump=5))
+    res = split_cpd(g, epsilon=0.01, min_size=5, jump=5)
     assert res.report.split_points == [("r0", "5")]
     assert res.report.warnings == []
 
@@ -456,17 +470,17 @@ def assert_same_state(got, want):
     assert entries(lineage) == entries(want_lineage)
 
 
-def reference_split_cpd(g, score, cfg, scope):
+def reference_split_cpd(g, score, scope, *, epsilon, min_size=1, jump=1, gamma=None):
     """split_cpd as first written: a signature for every predicate, then one
     cut per change point, each on the rightmost child so far, its span
     scanned from the child's rows."""
     mg = Buckets(g)
     params = {
         "score": score,
-        "epsilon": cfg.epsilon,
-        "min_size": cfg.min_size,
-        "jump": cfg.jump,
-        "gamma": "median" if cfg.gamma is None else cfg.gamma,
+        "epsilon": epsilon,
+        "min_size": min_size,
+        "jump": jump,
+        "gamma": "median" if gamma is None else gamma,
         "scope": scope,
     }
     report = _base_report("split_cpd", params, g)
@@ -475,7 +489,7 @@ def reference_split_cpd(g, score, cfg, scope):
         if matrix.size == 0 or bool(np.all(matrix == matrix[0])):
             continue
         x = normalize_rows(matrix)
-        seg = bottom_up(x, cfg.epsilon, min_size=cfg.min_size, jump=cfg.jump, gamma=cfg.gamma)
+        seg = bottom_up(x, epsilon, min_size=min_size, jump=jump, gamma=gamma)
         current = pid
         applied = []
         for k in seg.change_points:
@@ -493,9 +507,9 @@ def reference_split_cpd(g, score, cfg, scope):
     return _finish(mg, report)
 
 
-def assert_same_split(g, score, cfg, scope):
-    got = split_cpd(g, score=score, cfg=cfg, scope=scope)
-    want = reference_split_cpd(g, score, cfg, scope)
+def assert_same_split(g, score, scope, **settings):
+    got = split_cpd(g, score, scope=scope, **settings)
+    want = reference_split_cpd(g, score, scope, **settings)
     assert got.graph.facts.tolist() == want.graph.facts.tolist()
     assert got.graph.splits.tolist() == want.graph.splits.tolist()
     assert got.graph.predicate_labels == want.graph.predicate_labels
@@ -523,7 +537,7 @@ def test_split_cpd_cut_labels_collide():
         num_times=9,
     )
     g = _relabel(g, ["a", "a#2[3,8]", "a#3[3,6]"])
-    res = assert_same_split(g, "pref", CpdConfig(epsilon=0.01), "predicate")
+    res = assert_same_split(g, "pref", "predicate", epsilon=0.01)
     assert res.report.split_points == [("a", "3"), ("a#2[3,8]'", "6")]
     assert res.graph.predicate_labels == (
         "a#2[3,8]", "a#3[3,6]", "a#1[0,3]", "a#3[3,6]'", "a#4[6,8]"
@@ -569,8 +583,7 @@ def test_split_cpd_matches_reference(rows, score, scope, epsilon, min_size):
     facts = [(s, used.index(p), o, b, e) for s, p, o, b, e in facts]
     g = build_graph(facts, splits=[i % 3 for i in range(len(facts))],
                     num_entities=5, num_times=12)
-    cfg = CpdConfig(epsilon=epsilon, min_size=min_size)
-    assert_same_split(g, score, cfg, scope)
+    assert_same_split(g, score, scope, epsilon=epsilon, min_size=min_size)
 
 
 # ---------------------------------------------------------------------------
@@ -827,8 +840,8 @@ LINEAGE_TRANSFORMS = {
     "timestamp": timestamp,
     "split_time": lambda g: split_parameterized(g, "time", grow=2),
     "split_count": lambda g: split_parameterized(g, "count", grow=2),
-    "split_cpd": lambda g: split_cpd(g, cfg=CpdConfig(epsilon=0.01)),
-    "split_cpd_graph": lambda g: split_cpd(g, "adar", CpdConfig(epsilon=0.01), "graph"),
+    "split_cpd": lambda g: split_cpd(g, epsilon=0.01),
+    "split_cpd_graph": lambda g: split_cpd(g, "adar", epsilon=0.01, scope="graph"),
     "merge": lambda g: merge(g, shrink=2.5),
     "random_split": lambda g: random_split(g, grow=2, seed=3),
 }
